@@ -98,7 +98,9 @@ def _berezin_components(z: np.ndarray, pole_order: float):
     balls (geometrically refined towards the boundary, i.e. an importance layer
     growing like the inverse boundary distance) captures the kernel mass; a
     Beta-radial component is added when the measure density has a declared
-    boundary pole.
+    boundary pole.  Every rung shares the base point z, so
+    :func:`~carleson_lab.integrate.integrate_mixture` evaluates the whole
+    ladder's density with one distance and one Jacobian per sample.
     """
     n = z.size
     d = max(1.0 - float(np.linalg.norm(z)), 1e-12)

@@ -252,14 +252,23 @@ def ball_volume(z0, r: float) -> float:
     return r ** (2 * n) * ((1.0 - nz2) / (1.0 - r * r * nz2)) ** (n + 1)
 
 
+def _scale_directions(g: np.ndarray, radii) -> np.ndarray:
+    """Points of C^n at ``radii`` along the directions of the (count, 2n) draw ``g``.
+
+    ``g`` holds standard normals, so the directions are uniform on the sphere;
+    a zero row stays at the origin.
+    """
+    n = g.shape[1] // 2
+    dirs = g[:, :n] + 1j * g[:, n:]
+    norms = np.linalg.norm(dirs, axis=1)
+    norms[norms == 0.0] = 1.0
+    return dirs * (radii / norms)[:, None]
+
+
 def uniform_round_ball(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """Uniform samples from the round unit ball of C^n (= R^(2n))."""
     g = rng.standard_normal((count, 2 * n))
-    u = g[:, :n] + 1j * g[:, n:]
-    norms = np.linalg.norm(u, axis=1)
-    norms[norms == 0.0] = 1.0
-    radii = rng.random(count) ** (1.0 / (2 * n))
-    return u * (radii / norms)[:, None]
+    return _scale_directions(g, rng.random(count) ** (1.0 / (2 * n)))
 
 
 def map_round_to_ellipsoid(ball: KobayashiBall, round_points: np.ndarray) -> np.ndarray:

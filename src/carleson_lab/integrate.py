@@ -4,6 +4,11 @@ Every estimate is a pure function of (seed, n_samples, substreams): substream
 generators are derived with counter-style spawn keys, and partial results are
 reduced with fixed-order compensated summation, so worker scheduling never
 changes an output bit.
+
+``integrate_density`` stratifies the ball into radial shells (or maps them
+affinely onto a metric ellipsoid); ``integrate_mixture`` is multiple-importance
+sampling whose balance-heuristic denominator evaluates a ladder of pullback
+components about one base point in a single fused pass.
 """
 
 from __future__ import annotations
@@ -133,12 +138,8 @@ def sample_unit_ball(n: int, count: int, seed) -> np.ndarray:
 def _sample_round_shell(rng, n, count, u_lo, u_hi):
     """Uniform samples in the radial shell with volume fractions [u_lo, u_hi)."""
     g = rng.standard_normal((count, 2 * n))
-    u = g[:, :n] + 1j * g[:, n:]
-    norms = np.linalg.norm(u, axis=1)
-    norms[norms == 0.0] = 1.0
     frac = u_lo + (u_hi - u_lo) * rng.random(count)
-    t = frac ** (1.0 / (2 * n))
-    return u * (t / norms)[:, None]
+    return geom._scale_directions(g, frac ** (1.0 / (2 * n)))
 
 
 class _Moments:
@@ -289,11 +290,7 @@ def _integrate_beta(f, n, cfg, pole):
         s, cs = task
         rng = cfg.rng_for(s)
         u = rng.beta(n, 1.0 - q, size=cs)
-        g = rng.standard_normal((cs, 2 * n))
-        dirs = g[:, :n] + 1j * g[:, n:]
-        norms = np.linalg.norm(dirs, axis=1)
-        norms[norms == 0.0] = 1.0
-        pts = dirs * (np.sqrt(u) / norms)[:, None]
+        pts = geom._scale_directions(rng.standard_normal((cs, 2 * n)), np.sqrt(u))
         weight = norm * (1.0 - u) ** q
         return np.asarray(f(pts)) * weight
 
@@ -334,11 +331,7 @@ class BetaRadialComponent:
 
     def sample(self, rng, count):
         u = rng.beta(self.n, 1.0 - self.exponent, size=count)
-        g = rng.standard_normal((count, 2 * self.n))
-        dirs = g[:, : self.n] + 1j * g[:, self.n :]
-        norms = np.linalg.norm(dirs, axis=1)
-        norms[norms == 0.0] = 1.0
-        return dirs * (np.sqrt(u) / norms)[:, None]
+        return geom._scale_directions(rng.standard_normal((count, 2 * self.n)), np.sqrt(u))
 
     def density(self, pts):
         u = np.einsum("ij,ij->i", pts, np.conj(pts)).real
@@ -370,12 +363,48 @@ class PullbackBallComponent:
         return jac * inside / self.t ** (2 * n)
 
 
+def _mixture_density(components, pis):
+    """Balance-heuristic denominator: pts -> sum over c of pis[c] * density_c(pts).
+
+    Pullback components about one base point z are fused.  Their densities
+    differ only in the indicator rho(z, w) < t_j and the factor 1 / t_j^(2n),
+    so rho and the Moebius Jacobian are computed once per point and
+    sum_j pi_j 1[rho < t_j] / t_j^(2n) is read from a suffix sum over the
+    ascending radii at searchsorted(t, rho, side="right").
+    """
+    plain = []
+    ladders: dict[bytes, tuple[np.ndarray, list[tuple[float, float]]]] = {}
+    for pi, comp in zip(pis, components):
+        if isinstance(comp, PullbackBallComponent):
+            ladders.setdefault(comp.z.tobytes(), (comp.z, []))[1].append((comp.t, pi))
+        else:
+            plain.append((pi, comp))
+    fused = []
+    for z, rungs in ladders.values():
+        t, pi = (np.array(col) for col in zip(*sorted(rungs)))
+        suffix = np.append(np.cumsum((pi / t ** (2 * z.size))[::-1])[::-1], 0.0)
+        fused.append((z, t, suffix))
+
+    def density(pts):
+        dens = np.zeros(len(pts))
+        for pi, comp in plain:
+            dens += pi * comp.density(pts)
+        for z, t, suffix in fused:
+            rho = geom.pseudo_distance_many(z, pts)
+            dens += geom.mobius_jacobian_many(z, pts) * suffix[np.searchsorted(t, rho, side="right")]
+        return dens
+
+    return density
+
+
 def integrate_mixture(f, components, weights, cfg: MCConfig) -> EstimateWithError:
     """Multiple-importance-sampling integral of ``f`` d(volume) over the unit ball.
 
     Allocation across components is deterministic and proportional to
     ``weights``; the balance-heuristic denominator sums all component
-    densities, so overlapping components are handled correctly.
+    densities, so overlapping components are handled correctly.  Pullback
+    components sharing a base point enter that sum through one fused
+    evaluation (see :func:`_mixture_density`); sampling is per component.
     """
     if cfg.n_samples < 100:
         raise ParameterError("error bars need n_samples >= 100")
@@ -385,6 +414,8 @@ def integrate_mixture(f, components, weights, cfg: MCConfig) -> EstimateWithErro
     counts = [max(c, 2) for c in _apportion(cfg.n_samples, w)]
     total = sum(counts)
     pis = np.array([c / total for c in counts])
+
+    density = _mixture_density(components, pis)
 
     tasks = []
     for c_idx, ck in enumerate(counts):
@@ -397,10 +428,7 @@ def integrate_mixture(f, components, weights, cfg: MCConfig) -> EstimateWithErro
         c_idx, s, cs = task
         rng = cfg.rng_for(c_idx, s)
         pts = components[c_idx].sample(rng, cs)
-        dens = np.zeros(len(pts))
-        for pi, comp in zip(pis, components):
-            dens += pi * comp.density(pts)
-        return c_idx, np.asarray(f(pts)) / dens
+        return c_idx, np.asarray(f(pts)) / density(pts)
 
     results = _map_ordered(run, tasks)
     per_comp = [_Moments() for _ in components]

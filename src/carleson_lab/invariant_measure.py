@@ -57,6 +57,13 @@ def ek_ball_measure(z0, r: float, cfg: MCConfig, backend: str = "invariant") -> 
     ``backend`` selects the integrand: "invariant" for the automorphism-Jacobian
     density, "boundary_power" for the d^-(n+1) substitute (same two-sided
     boundary behaviour, constants may differ).
+
+    The automorphism phi_z0 maps the round ball {|u| < r} onto B(z0, r), so the
+    measure is the integral of f(phi_z0(u)) J_z0(u) over |u| < r, with J_z0 the
+    real Jacobian of phi_z0; it is integrated as r^(2n) g(r v) over the unit
+    ball, radially stratified.  This is an exact change of variables for any
+    integrand f; for the invariant density it makes the integrand
+    (1 - |u|^2)^-(n+1) at every z0, whose variance does not grow with depth.
     """
     ball = geom.kobayashi_ball(z0, r)
     if backend == "invariant":
@@ -65,7 +72,15 @@ def ek_ball_measure(z0, r: float, cfg: MCConfig, backend: str = "invariant") -> 
         fn = _boundary_power_values
     else:
         raise ParameterError("backend must be 'invariant' or 'boundary_power'")
-    return integrate_density(fn, ball, cfg)
+    n = ball.dimension
+    scale = r ** (2 * n)
+
+    def pulled_back(v):
+        u = r * v
+        jac = geom.mobius_jacobian_many(ball.base, u)
+        return scale * fn(geom.ball_automorphism_many(ball.base, u)) * jac
+
+    return integrate_density(pulled_back, n, cfg)
 
 
 def check_ek_bounds(

@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import qmc
-from scipy.stats import norm as norm_dist
+from scipy.special import ndtri
 
 from . import geometry_ball as geom, measures
 from .errors import CoverageError, ParameterError, ValidationError
@@ -190,16 +189,14 @@ def disjointness_threshold(t: float) -> float:
 def _invariant_tilted_candidates(n: int, count: int, epsilon: float, seed: int) -> np.ndarray:
     """Low-discrepancy candidates on {depth >= epsilon}, radially tilted so the
     local density tracks the invariant volume (adaptive to epsilon)."""
+    from scipy.stats import qmc  # scipy.stats is slow to import and only needed here
+
     sobol = qmc.Sobol(2 * n + 1, scramble=True, seed=seed)
     raw = sobol.random_base2(max(int(math.ceil(math.log2(max(count, 2)))), 1))[:count]
     u_max = (1.0 - epsilon) ** 2
     u = _invariant_radial_law(n, raw[:, 0], u_max)
-    gauss = norm_dist.ppf(np.clip(raw[:, 1:], 1e-12, 1.0 - 1e-12))
-    dirs = gauss[:, :n] + 1j * gauss[:, n:]
-    norms = np.linalg.norm(dirs, axis=1)
-    norms[norms == 0.0] = 1.0
-    pts = dirs * (np.sqrt(np.clip(u, 0.0, u_max)) / norms)[:, None]
-    return pts
+    gauss = ndtri(np.clip(raw[:, 1:], 1e-12, 1.0 - 1e-12))
+    return geom._scale_directions(gauss, np.sqrt(np.clip(u, 0.0, u_max)))
 
 
 def _invariant_radial_law(n: int, s: np.ndarray, u_max: float) -> np.ndarray:
@@ -566,13 +563,9 @@ def _probe_points(n: int, epsilon: float, count: int, rng: np.random.Generator) 
     half = count // 2
     u_max = (1.0 - epsilon) ** 2
     g = rng.standard_normal((count, 2 * n))
-    dirs = g[:, :n] + 1j * g[:, n:]
-    norms = np.linalg.norm(dirs, axis=1)
-    norms[norms == 0.0] = 1.0
     u_uniform = u_max * rng.random(half) ** (1.0 / n)
     u_deep = _invariant_radial_law(n, rng.random(count - half), u_max)
-    u = np.concatenate([u_uniform, u_deep])
-    return dirs * (np.sqrt(u) / norms)[:, None]
+    return geom._scale_directions(g, np.sqrt(np.concatenate([u_uniform, u_deep])))
 
 
 def dirac_carleson_measure(seq: PointSequence) -> measures.Measure:

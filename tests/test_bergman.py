@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta as beta_fn, hyp2f1
 
 from carleson_lab import bergman as bg
 from carleson_lab import geometry_ball as g
@@ -110,6 +111,18 @@ def test_berezin_radial_density_at_origin():
     mu = ms.Measure.with_power_density(1, 1.0)
     est = bg.berezin_transform(mu, [0.0], CFG)
     assert abs(est.value - 0.5) <= 3 * est.std_error
+
+
+@pytest.mark.parametrize("n, s, z_norm", [(2, 0.5, 0.9), (1, 1.0, 0.5), (2, 1.0, 0.999)])
+def test_berezin_power_density_matches_closed_form(n, s, z_norm):
+    # Forelli-Rudin: B[(1 - |w|^2)^s](z) = n B(n, s+1) (1 - |z|^2)^s 2F1(s, s; n+1+s; |z|^2)
+    x = z_norm * z_norm
+    exact = n * beta_fn(n, s + 1.0) * (1.0 - x) ** s * hyp2f1(s, s, n + 1.0 + s, x)
+    z = np.zeros(n, dtype=complex)
+    z[0] = z_norm
+    est = bg.berezin_transform(ms.Measure.with_power_density(n, s), z, CFG)
+    assert est.std_error < 0.01 * exact
+    assert abs(est.value - exact) <= 4 * est.std_error
 
 
 def test_berezin_additivity_on_atoms():

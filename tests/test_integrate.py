@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from carleson_lab import bergman as bg
 from carleson_lab import geometry_ball as g
+from carleson_lab import integrate as mc
 from carleson_lab.errors import AnalysisError, ParameterError
 from carleson_lab.integrate import (
     BetaRadialComponent,
@@ -189,3 +191,29 @@ def test_mixture_weight_validation():
     comps = [UniformBallComponent(1)]
     with pytest.raises(ParameterError):
         integrate_mixture(lambda p: np.ones(len(p)), comps, [0.5, 0.5], MCConfig(seed=0, n_samples=1000))
+
+
+def test_fused_mixture_density_matches_componentwise_sum():
+    # the fused pullback-ladder denominator against the plain sum of densities,
+    # on samples of every Berezin component and on points at rho == t exactly
+    z = 0.999 * np.array([0.6, 0.8j])
+    comps, weights = bg._berezin_components(z, 0.5)
+    pis = np.asarray(weights) / np.sum(weights)
+    rng = np.random.default_rng(0)
+    pts = [comp.sample(rng, 500) for comp in comps]
+    e = z / np.linalg.norm(z)
+    radii = [comp.t for comp in comps if isinstance(comp, PullbackBallComponent)]
+    on_edge = 0
+    for t in radii:
+        s0 = float(np.vdot(e, g.ball_automorphism_many(z, (t * e)[None, :])[0]).real)
+        line = np.multiply.outer(s0 + np.arange(-300, 301) * np.spacing(s0), e)
+        hits = line[g.pseudo_distance_many(z, line) == t]
+        on_edge += len(hits) > 0
+        pts.append(hits)
+    assert on_edge >= len(radii) // 2
+    pts = np.concatenate(pts)
+    plain = np.zeros(len(pts))
+    for pi, comp in zip(pis, comps):
+        plain += pi * comp.density(pts)
+    fused = mc._mixture_density(comps, pis)(pts)
+    np.testing.assert_allclose(fused, plain, rtol=1e-12, atol=0.0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from carleson_lab import geometry_ball as g
 from carleson_lab import invariant_measure as ik
@@ -85,6 +85,46 @@ def test_ball_measure_moebius_invariance():
     for c in ([0.3], [0.5j], [0.7]):
         est = ik.ek_ball_measure(c, 0.5, CFG)
         assert abs(est.value - base.value) <= 3 * math.hypot(est.std_error, base.std_error)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ball_measure_exact_near_boundary(n):
+    # the invariant measure of B(z, r) is (r^2 / (1 - r^2))^n at every centre
+    r = 0.5
+    z0 = np.zeros(n)
+    z0[0] = 0.999
+    exact = (r * r / (1 - r * r)) ** n
+    est = ik.ek_ball_measure(z0, r, CFG)
+    assert est.std_error < 1e-3 * exact
+    assert abs(est.value - exact) <= 4 * est.std_error
+
+
+def test_non_invariant_density_is_not_flattened(monkeypatch):
+    # a density of exponent n instead of n + 1 is not invariant: the Moebius
+    # pullback must keep its dependence on the centre visible
+    def mutant(points):
+        pts = np.atleast_2d(points)
+        return (1.0 - np.einsum("ij,ij->i", pts, np.conj(pts)).real) ** (-float(pts.shape[1]))
+
+    monkeypatch.setattr(ik, "ek_density_values", mutant)
+    centre = ik.ek_ball_measure([0.0], 0.5, CFG)
+    deep = ik.ek_ball_measure([0.9], 0.5, CFG)
+    assert abs(centre.value - deep.value) > 10 * math.hypot(centre.std_error, deep.std_error)
+
+
+@pytest.mark.parametrize("z_norm, r", [(0.5, 0.4), (0.9, 0.5), (0.99, 0.7)])
+def test_boundary_power_backend_matches_quadrature(z_norm, r):
+    # d^-2 over the Euclidean disk B(z, r), by quadrature in polar coordinates
+    # about its centre (normalised area: dA / pi)
+    ball = g.kobayashi_ball([z_norm], r)
+    c = ball.center[0]
+
+    def integrand(rad, theta):
+        return rad * (1.0 - abs(c + rad * np.exp(1j * theta))) ** -2 / math.pi
+
+    exact = dblquad(integrand, 0.0, 2 * math.pi, 0.0, ball.radial_axis, epsabs=0.0, epsrel=1e-11)[0]
+    est = ik.ek_ball_measure([z_norm], r, CFG, backend="boundary_power")
+    assert abs(est.value - exact) <= 4 * est.std_error
 
 
 def test_ball_measure_small_radius_limit():
