@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -786,14 +787,21 @@ def _row_greedy_decomposition(budget, seed) -> CheckReport:
 
 
 def _bundled_sequences(budget, seed):
+    ball2_eps = budget["ball2_eps"] if budget.get("ball2_packing") else None
+    return _build_bundled_sequences(budget["disk_eps"], ball2_eps, seed)
+
+
+@functools.lru_cache(maxsize=1)
+def _build_bundled_sequences(disk_eps, ball2_eps, seed):
+    """The sequences three verify rows share, built once per run."""
     out = [
         ("ladder-disk", sequences.PointSequence.radial_ladder(1, 50)),
         ("ladder-ball2", sequences.PointSequence.radial_ladder(2, 30)),
-        ("packing-disk", sequences.PointSequence.maximal_packing(1, 0.5, budget["disk_eps"], seed=seed)),
+        ("packing-disk", sequences.PointSequence.maximal_packing(1, 0.5, disk_eps, seed=seed)),
     ]
-    if budget.get("ball2_packing"):
-        out.append(("packing-ball2", sequences.PointSequence.maximal_packing(2, 0.9, budget["ball2_eps"], seed=seed)))
-    return out
+    if ball2_eps is not None:
+        out.append(("packing-ball2", sequences.PointSequence.maximal_packing(2, 0.9, ball2_eps, seed=seed)))
+    return tuple(out)
 
 
 def _row_discrete_chain(budget, seed) -> CheckReport:

@@ -37,6 +37,7 @@ __all__ = [
     "ball_automorphism_many",
     "mobius_jacobian_many",
     "kobayashi_ball",
+    "metric_ball_reach",
     "ball_volume",
     "map_round_to_ellipsoid",
     "sample_ball_uniform",
@@ -148,8 +149,9 @@ class KobayashiBall:
 def pseudo_distance(z, w) -> DistancePair:
     """Pseudohyperbolic distance between two interior points.
 
-    Computed in the cancellation-stable form rho^2 = 1 - product, clamped to
-    [0, 1); the Kobayashi distance is arctanh(rho).
+    Computed as rho^2 = 1 - (1 - |z|^2)(1 - |w|^2) / |1 - <z, w>|^2, clamped to
+    [0, 1); the subtraction cancels when rho is small (relative error about
+    eps / rho^2).  The Kobayashi distance is arctanh(rho).
     """
     z = as_point(z)
     w = as_point(w)
@@ -239,6 +241,24 @@ def kobayashi_ball(z0, r: float) -> KobayashiBall:
         radial_axis=radial,
         transverse_axis=transverse,
     )
+
+
+def metric_ball_reach(points, r: float) -> np.ndarray:
+    """Euclidean radius about each row of ``points`` that holds its metric ball
+    of pseudohyperbolic radius ``r``.
+
+    The ball is the ellipsoid of :func:`kobayashi_ball`, so it lies within
+    |z - center| + a of z, where a is the transverse axis for n >= 2 and the
+    radial axis for n = 1 (a disk, for which the reach is attained).  For
+    n >= 2 it exceeds the true reach by less than 30% (at most 1.28x at
+    r = 0.9).  A relative margin of 1e-9 absorbs rounding.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
+    nz2 = np.einsum("ij,ij->i", pts, np.conj(pts)).real
+    delta = 1.0 - nz2
+    denom = 1.0 - r * r * nz2
+    axis = r * delta / denom if pts.shape[1] == 1 else r * np.sqrt(delta / denom)
+    return (1.0 + 1e-9) * (np.sqrt(nz2) * (r * r * delta / denom) + axis)
 
 
 def ball_volume(z0, r: float) -> float:

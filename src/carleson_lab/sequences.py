@@ -10,6 +10,7 @@ packings, perturbed lattices) span the sparse and dense extremes.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -41,11 +42,6 @@ __all__ = [
 ]
 
 METRICS = ("pseudohyperbolic", "kobayashi", "euclidean")
-
-# brute-force pairwise work is exact up to this size; beyond it a KD-tree
-# prefilter (valid because rho >= euclidean/2 on the ball) prunes candidates
-EXACT_PAIRWISE_LIMIT = 10_000
-
 
 @dataclass(frozen=True, eq=False)
 class PointSequence:
@@ -85,7 +81,8 @@ class PointSequence:
 
         Boundary distances are cached exactly as e^-m; beyond m ~ 37 the point
         coordinate itself saturates double precision and is capped just inside
-        the ball, so downstream analytics must use the cache (they do).
+        the ball.  Only ``escape_sum`` and the Dirac weights read the cache;
+        distances, separation and shell counts use the capped coordinates.
         """
         if count < 1:
             raise ParameterError("ladder needs count >= 1")
@@ -234,48 +231,22 @@ def _metric_block(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def separation_constant(seq: PointSequence) -> float:
     """Infimum of pairwise distances in the sequence's metric.
 
-    Exact pairwise evaluation up to 10^4 points; beyond that a KD-tree prunes
-    pairs using the Euclidean lower bound before exact evaluation.
+    Each point's Euclidean nearest neighbour bounds the infimum from above; the
+    neighbour engine then evaluates every pair within the metric reach of that
+    bound, so no pair closer than the bound is missed.
     """
     m = len(seq)
     if m < 2:
         raise ParameterError("separation constant needs at least two points")
     pts = seq.points
-    if m <= EXACT_PAIRWISE_LIMIT:
-        best = math.inf
-        chunk = 512
-        for i0 in range(0, m, chunk):
-            block = _metric_block(seq.metric, pts[i0 : i0 + chunk], pts)
-            for i in range(block.shape[0]):
-                block[i, i0 + i] = math.inf
-            best = min(best, float(block.min()))
-        return best
-    return _separation_pruned(seq)
-
-
-def _separation_pruned(seq: PointSequence) -> float:
-    pts = seq.points
-    rows = geom.points_to_rows(pts)
-    tree = cKDTree(rows)
-    dists, idx = tree.query(rows, k=2)
+    tree = cKDTree(geom.points_to_rows(pts))
+    dists, idx = tree.query(tree.data, k=2)
     if seq.metric == "euclidean":
         return float(dists[:, 1].min())
-    # candidate bound from Euclidean nearest neighbours (rho >= euclid / 2)
-    cand = math.inf
-    for i in range(len(pts)):
-        cand = min(cand, float(pseudo_block(pts[i : i + 1], pts[idx[i, 1] : idx[i, 1] + 1])[0, 0]))
-    # every pair at pseudo distance < cand sits at Euclidean distance < 2 * cand
-    pairs = tree.query_pairs(r=2.0 * cand, output_type="ndarray")
-    best = cand
-    for i0 in range(0, len(pairs), 65_536):
-        chunk = pairs[i0 : i0 + 65_536]
-        a = pts[chunk[:, 0]]
-        b = pts[chunk[:, 1]]
-        ip = np.einsum("ij,ij->i", a, np.conj(b))
-        na = 1.0 - np.einsum("ij,ij->i", a, np.conj(a)).real
-        nb = 1.0 - np.einsum("ij,ij->i", b, np.conj(b)).real
-        rho = np.sqrt(np.clip(1.0 - na * nb / np.abs(1.0 - ip) ** 2, 0.0, 1.0))
-        best = min(best, float(rho.min()))
+    best = float(_pair_distance("pseudohyperbolic", pts, pts[idx[:, 1]]).min())
+    if best > 0.0:
+        for owner, index in _near_pairs("pseudohyperbolic", pts, tree, best, earlier=True):
+            best = min(best, float(_pair_distance("pseudohyperbolic", pts[owner], pts[index]).min(initial=best)))
     if seq.metric == "kobayashi":
         return math.atanh(min(best, 1.0 - 1e-16))
     return best
@@ -308,78 +279,113 @@ def greedy_decompose(seq: PointSequence, r: float) -> Decomposition:
     distance < r; the colour count never exceeds the largest ball count
     N(x_j, r, sequence).
     """
-    m = len(seq)
-    colors = np.full(m, -1, dtype=int)
-    n_colors = 0
-    pts = seq.points
-    for i in range(m):
-        if i == 0:
-            colors[0] = 0
-            n_colors = 1
-            continue
-        d = _metric_block(seq.metric, pts[i : i + 1], pts[:i])[0]
-        used = set(colors[:i][d < r].tolist())
-        c = 0
-        while c in used:
-            c += 1
-        colors[i] = c
-        n_colors = max(n_colors, c + 1)
-    return Decomposition(color_of=colors, n_colors=n_colors)
+    if seq.metric == "kobayashi":
+        colors = _first_fit_colors("pseudohyperbolic", seq.points, math.tanh(r))
+    else:
+        colors = _first_fit_colors(seq.metric, seq.points, r)
+    return Decomposition(color_of=colors, n_colors=int(colors.max(initial=-1)) + 1)
 
 
-def _euclid_capture_radius(points: np.ndarray, threshold: float) -> np.ndarray:
-    """Per-point Euclidean radius guaranteed to contain every point at
-    pseudohyperbolic distance < threshold (ellipsoid extent plus margin)."""
-    t = threshold
-    nz2 = np.einsum("ij,ij->i", points, np.conj(points)).real
-    scale = 1.0 / math.sqrt(1.0 - t * t) + t / (1.0 - t * t)
-    return 1.05 * t * np.sqrt(1.0 - nz2) * scale
+# -- neighbour engine -----------------------------------------------------------
+# queries per block of neighbour lists: bounds the flattened pair arrays
+PAIR_BLOCK = 512
 
 
-def greedy_pack(points, threshold: float, metric: str = "pseudohyperbolic", chunk: int = 2048) -> np.ndarray:
+def _pair_distance(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance between rows a[k] and b[k]: Euclidean, or pseudohyperbolic.
+
+    The pseudohyperbolic form is cancellation-free: with d = a - b and
+    delta = 1 - |.|^2,
+    rho^2 = (delta_a |d|^2 + |<d, a>|^2) / (((delta_a + delta_b + |d|^2) / 2)^2 + Im<d, a>^2),
+    since 1 - <a, b> = (delta_a + delta_b + |d|^2) / 2 - i Im<a, b> and
+    Im<a, b> = Im<d, a>.  Every term is a sum of non-negatives, so close pairs
+    keep full relative accuracy.
+    """
+    d = a - b
+    dd = np.einsum("ij,ij->i", d, np.conj(d)).real
+    if metric == "euclidean":
+        return np.sqrt(dd)
+    p = np.einsum("ij,ij->i", d, np.conj(a))
+    da = 1.0 - np.einsum("ij,ij->i", a, np.conj(a)).real
+    db = 1.0 - np.einsum("ij,ij->i", b, np.conj(b)).real
+    num = da * dd + (p.real**2 + p.imag**2)
+    den = (0.5 * (da + db + dd)) ** 2 + p.imag**2
+    return np.sqrt(np.minimum(num / den, 1.0))
+
+
+def _near_pairs(metric: str, queries: np.ndarray, tree: cKDTree, t: float, earlier: bool = False):
+    """Flattened neighbour lists, one block of queries at a time.
+
+    Yields (owner, index) arrays, owners ascending: query ``owner`` and tree
+    point ``index`` for every tree point within the Euclidean reach of the
+    owner's metric t-ball, so every pair at distance < t is among them.  With
+    ``earlier`` (queries are the tree's own points) only pairs with
+    index < owner are kept, so each pair appears once and no point meets itself.
+    """
+    rows = geom.points_to_rows(queries)
+    for i0 in range(0, len(queries), PAIR_BLOCK):
+        q = slice(i0, i0 + PAIR_BLOCK)
+        if metric == "euclidean":
+            reach = np.full(len(rows[q]), (1.0 + 1e-9) * t)
+        else:
+            reach = geom.metric_ball_reach(queries[q], min(t, 1.0))  # rho < 1 always
+        lists = tree.query_ball_point(rows[q], r=reach, return_sorted=False)
+        lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        owner = np.repeat(np.arange(i0, i0 + len(lists)), lengths)
+        index = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=int(lengths.sum()))
+        if earlier:
+            owner, index = owner[index < owner], index[index < owner]
+        yield owner, index
+
+
+def _nearest_within(metric: str, queries: np.ndarray, targets: np.ndarray, tree: cKDTree, t: float) -> np.ndarray:
+    """Distance from each query to the nearest target (``tree`` holds the
+    targets' rows), exact where it is below t and +inf where no target is in
+    reach."""
+    out = np.full(len(queries), math.inf)
+    for owner, index in _near_pairs(metric, queries, tree, t):
+        np.minimum.at(out, owner, _pair_distance(metric, queries[owner], targets[index]))
+    return out
+
+
+def _first_fit_colors(metric: str, points: np.ndarray, t: float) -> np.ndarray:
+    """First-fit colouring in order: each point takes the least colour unused
+    among earlier points at distance < t.  Colour 0 is the greedy t-packing."""
+    colors = np.zeros(len(points), dtype=int)
+    tree = cKDTree(geom.points_to_rows(points))
+    for owner, index in _near_pairs(metric, points, tree, t, earlier=True):
+        clash = _pair_distance(metric, points[owner], points[index]) < t
+        # owners ascend, so every earlier point's colour is final when it is read
+        pairs = zip(owner[clash].tolist(), index[clash].tolist())
+        for i, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
+            used = {int(colors[j]) for _, j in group}
+            colors[i] = next(c for c in itertools.count() if c not in used)
+    return colors
+
+
+def greedy_pack(points, threshold: float, metric: str = "pseudohyperbolic", chunk: int = PAIR_BLOCK) -> np.ndarray:
     """Indices of a greedy subset with pairwise distance >= threshold, in order.
 
-    KD-tree prefiltering keeps the scan near-linear for large candidate sets.
+    Each point is kept when its distance to every point kept before it is at
+    least the threshold.  Candidates go in chunks: one neighbour-engine call
+    against a KD-tree of the points kept so far finds the chunk's free
+    candidates, and only those are coloured first-fit among themselves.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-    m = pts.shape[0]
-    if m == 0:
-        return np.zeros(0, dtype=int)
     if metric == "kobayashi":
         return greedy_pack(pts, math.tanh(threshold), metric="pseudohyperbolic", chunk=chunk)
-    kept: list[int] = []
     rows = geom.points_to_rows(pts)
+    kept = np.zeros(0, dtype=np.intp)
     tree = None
-    kept_pts: np.ndarray | None = None
-    for i0 in range(0, m, chunk):
-        hi = min(i0 + chunk, m)
-        idx = np.arange(i0, hi)
-        if kept:
-            if metric == "euclidean":
-                radii = np.full(len(idx), threshold)
-            else:
-                radii = _euclid_capture_radius(pts[idx], threshold)
-            neighbor_lists = tree.query_ball_point(rows[idx], r=radii)
-        else:
-            neighbor_lists = [[] for _ in idx]
-        fresh: list[int] = []
-        for j, i in enumerate(idx):
-            ok = True
-            nbrs = neighbor_lists[j]
-            if nbrs:
-                cand = kept_pts[nbrs]
-                d = _metric_block(metric, pts[i : i + 1], cand)[0]
-                ok = bool(np.all(d >= threshold))
-            if ok and fresh:
-                d = _metric_block(metric, pts[i : i + 1], pts[fresh])[0]
-                ok = bool(np.all(d >= threshold))
-            if ok:
-                fresh.append(int(i))
-        kept.extend(fresh)
-        if kept:
-            kept_pts = pts[kept]
+    for i0 in range(0, pts.shape[0], chunk):
+        idx = np.arange(i0, min(i0 + chunk, pts.shape[0]))
+        if tree is not None:
+            idx = idx[_nearest_within(metric, pts[idx], pts[kept], tree, threshold) >= threshold]
+        fresh = idx[_first_fit_colors(metric, pts[idx], threshold) == 0]
+        if fresh.size:
+            kept = np.concatenate([kept, fresh])
             tree = cKDTree(rows[kept])
-    return np.asarray(kept, dtype=int)
+    return kept
 
 
 @dataclass
@@ -411,18 +417,6 @@ class CoverReport:
             "multiplicity_refined": self.multiplicity_refined,
             "net_certified": self.net_certified,
         }
-
-
-def _min_rho_via_tree(queries: np.ndarray, targets: np.ndarray, tree: cKDTree, capture: float) -> np.ndarray:
-    """Minimum pseudo distance from each query to the target set, provided it is
-    below ``capture`` (larger distances are reported as +inf)."""
-    radii = _euclid_capture_radius(queries, capture)
-    lists = tree.query_ball_point(geom.points_to_rows(queries), r=radii)
-    out = np.full(len(queries), math.inf)
-    for i, nbrs in enumerate(lists):
-        if nbrs:
-            out[i] = float(np.min(pseudo_block(queries[i : i + 1], targets[nbrs])[0]))
-    return out
 
 
 def _count_within(queries: np.ndarray, targets: np.ndarray, radius: float, block: int = 512) -> np.ndarray:
@@ -508,7 +502,7 @@ def greedy_cover(
     probes = probes_all[:n_probes]
 
     cand_tree = cKDTree(geom.points_to_rows(cands))
-    gaps = _min_rho_via_tree(probes_all, cands, cand_tree, third)
+    gaps = _nearest_within("pseudohyperbolic", probes_all, cands, cand_tree, third)
     if not np.all(gaps < third):
         worst = int(np.count_nonzero(gaps >= third))
         raise CoverageError(
@@ -521,7 +515,7 @@ def greedy_cover(
     centers = cands[kept]
 
     center_tree = cKDTree(geom.points_to_rows(centers))
-    cover_gaps = _min_rho_via_tree(probes_all, centers, center_tree, r)
+    cover_gaps = _nearest_within("pseudohyperbolic", probes_all, centers, center_tree, r)
     uncovered = int(np.count_nonzero(cover_gaps >= r))
 
     # empirical multiplicity: max overlap count over (centers + nested probes),

@@ -39,13 +39,77 @@ def test_separation_needs_two_points():
         sq.separation_constant(sq.PointSequence(points=[[0.0]]))
 
 
+def brute_matrix(pts, metric):
+    """Distances between all pairs, from the dense matrix forms."""
+    if metric == "euclidean":
+        return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    rho = sq.pseudo_block(pts, pts)
+    return np.arctanh(rho) if metric == "kobayashi" else rho
+
+
+def brute_separation(pts, metric):
+    d = brute_matrix(pts, metric)
+    np.fill_diagonal(d, math.inf)
+    return float(d.min())
+
+
 def test_separation_pruned_path_matches_exact():
+    # the tree-pruned separation against every pair, in C^1 and C^2, for all
+    # three metrics and with a duplicated point; the dense 1 - product form
+    # of pseudo_block carries a relative error of about eps / rho^2
     rng = np.random.default_rng(0)
-    pts = g.uniform_round_ball(rng, 1, 600) * 0.95
-    seq = sq.PointSequence(points=pts)
-    exact = sq.separation_constant(seq)
-    pruned = sq._separation_pruned(seq)
-    assert pruned == pytest.approx(exact, abs=1e-12)
+    for n, radius in ((1, 0.95), (2, 0.99)):
+        pts = g.uniform_round_ball(rng, n, 600) * radius
+        for metric in sq.METRICS:
+            sep = sq.separation_constant(sq.PointSequence(points=pts, metric=metric))
+            brute = brute_separation(pts, metric)
+            rho = brute if metric != "kobayashi" else math.tanh(brute)
+            assert sep == pytest.approx(brute, rel=64 * np.finfo(float).eps / rho**2)
+            dup = sq.PointSequence(points=np.vstack([pts, pts[417]]), metric=metric)
+            assert sq.separation_constant(dup) == 0.0
+    # each point's Euclidean nearest neighbour is radial (rho ~ 0.114), while
+    # the closest pair in rho is complex-tangential (rho ~ 0.048)
+    z, t = np.array([0.95, 0.0]), np.array([0.95, 0.015])
+    pts = np.array([z, z * (1 + 0.01 / 0.95), t, t * (1 + 0.01 / np.linalg.norm(t))], dtype=complex)
+    sep = sq.separation_constant(sq.PointSequence(points=pts))
+    assert sep == pytest.approx(brute_separation(pts, "pseudohyperbolic"), rel=1e-12)
+    assert sep < 0.05
+
+
+def mp_pseudo(z, w, dps=50):
+    """rho(z, w) at ``dps`` digits from the exact float inputs."""
+    with mpmath.workdps(dps):
+        zc = [mpmath.mpc(complex(x)) for x in z]
+        wc = [mpmath.mpc(complex(x)) for x in w]
+        ip = mpmath.fsum(a * mpmath.conj(b) for a, b in zip(zc, wc))
+        nz = mpmath.fsum(abs(a) ** 2 for a in zc)
+        nw = mpmath.fsum(abs(b) ** 2 for b in wc)
+        return float(mpmath.sqrt(1 - (1 - nz) * (1 - nw) / abs(1 - ip) ** 2))
+
+
+def test_separation_accurate_to_closest_pairs_at_50_digits():
+    rng = np.random.default_rng(12)
+    for n in (1, 2):
+        pts = g.uniform_round_ball(rng, n, 1500) * 0.999
+        rho = sq.pseudo_block(pts, pts)
+        np.fill_diagonal(rho, math.inf)
+        # every pair near the dense minimum, re-evaluated exactly
+        close = np.argwhere(rho <= rho.min() * (1.0 + 1e-6) + 1e-12)
+        exact = min(mp_pseudo(pts[i], pts[j]) for i, j in close)
+        sep = sq.separation_constant(sq.PointSequence(points=pts))
+        assert abs(sep - exact) <= 1e-12 * exact
+
+
+def test_pair_kernel_near_boundary_close_pairs():
+    # |z| <= 0.999 and |z - w| ~ 1e-4: where 1 - product loses up to 1e-7
+    rng = np.random.default_rng(13)
+    for n in (1, 2):
+        z = g.uniform_round_ball(rng, n, 200)
+        z *= (0.999 * rng.random(200) ** 0.1 / np.linalg.norm(z, axis=1))[:, None]
+        w = z + 1e-4 * g.uniform_round_ball(rng, n, 200)
+        rho = sq._pair_distance("pseudohyperbolic", z, w)
+        exact = np.array([mp_pseudo(a, b) for a, b in zip(z, w)])
+        assert np.max(np.abs(rho - exact) / exact) <= 1e-12
 
 
 def test_separation_kobayashi_metric():
@@ -97,6 +161,22 @@ def brute_check_decomposition(seq, dec, r):
     assert dec.n_colors <= bound
 
 
+def test_decompose_matches_bruteforce_first_fit():
+    rng = np.random.default_rng(4)
+    for n, r in ((1, 0.3), (2, 0.5)):
+        pts = g.uniform_round_ball(rng, n, 600) * 0.99
+        for metric in sq.METRICS:
+            t = r / 4 if metric == "euclidean" else r
+            d = brute_matrix(pts, metric)
+            colors = []
+            for i in range(len(pts)):
+                used = {colors[j] for j in np.flatnonzero(d[i, :i] < t)}
+                colors.append(next(c for c in range(len(pts)) if c not in used))
+            dec = sq.greedy_decompose(sq.PointSequence(points=pts, metric=metric), t)
+            assert dec.color_of.tolist() == colors, (n, metric)
+            assert dec.n_colors == max(colors) + 1
+
+
 def test_decompose_random_cloud_postconditions():
     rng = np.random.default_rng(3)
     pts = g.uniform_round_ball(rng, 1, 500) * 0.98
@@ -116,32 +196,74 @@ def test_greedy_pack_small_inputs():
     assert 0 in kept  # first point always kept
 
 
+def brute_greedy(pts, threshold, metric):
+    """The greedy rule, one point at a time against every kept point."""
+    kept = []
+    for i, p in enumerate(pts):
+        if kept:
+            if metric == "euclidean":
+                d = np.linalg.norm(pts[kept] - p, axis=1)
+            else:
+                d = sq.pseudo_block(p[None, :], pts[kept])[0]
+                if metric == "kobayashi":
+                    d = np.arctanh(d)
+            if not np.all(d >= threshold):
+                continue
+        kept.append(i)
+    return kept
+
+
 def test_greedy_pack_tree_path_matches_bruteforce():
     rng = np.random.default_rng(5)
-    pts = g.uniform_round_ball(rng, 2, 3000) * 0.95
-    kept_tree = sq.greedy_pack(pts, 0.25, chunk=512)
-    # brute-force rerun of the same greedy rule
-    kept_brute = []
-    for i, p in enumerate(pts):
-        if not kept_brute:
-            kept_brute.append(i)
-            continue
-        rho = sq.pseudo_block(p[None, :], pts[kept_brute])[0]
-        if np.all(rho >= 0.25):
-            kept_brute.append(i)
-    assert kept_tree.tolist() == kept_brute
+    cases = (
+        (2, 3000, 0.95, 0.25, "pseudohyperbolic"),
+        (2, 3000, 0.99, 0.9, "pseudohyperbolic"),
+        (1, 3000, 0.99, 0.5, "pseudohyperbolic"),
+        (2, 3000, 0.99, 1.2, "kobayashi"),
+        (2, 3000, 0.99, 0.1, "euclidean"),
+    )
+    for n, m, radius, t, metric in cases:
+        pts = g.uniform_round_ball(rng, n, m) * radius
+        kept = sq.greedy_pack(pts, t, metric=metric, chunk=512)
+        assert kept.tolist() == brute_greedy(pts, t, metric), (n, t, metric)
 
 
 def test_euclid_capture_radius_is_sound():
+    # every pair at pseudo distance < t lies within the reach of its first point
     rng = np.random.default_rng(9)
-    pts = g.uniform_round_ball(rng, 2, 400) * 0.995
-    t = 0.35
-    radii = sq._euclid_capture_radius(pts, t)
-    rho = sq.pseudo_block(pts, pts)
-    eu = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    mask = rho < t
-    # whenever rho < t, the euclidean distance must be below the capture radius
-    assert np.all(eu[mask] <= radii[np.nonzero(mask)[0]] + 1e-12)
+    for n in (1, 2):
+        pts = g.uniform_round_ball(rng, n, 400)
+        pts *= (0.999 * rng.random(400) ** 0.05 / np.linalg.norm(pts, axis=1))[:, None]
+        rho = sq.pseudo_block(pts, pts)
+        eu = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        for t in (0.35, 0.9):
+            radii = g.metric_ball_reach(pts, t)
+            mask = rho < t
+            assert np.all(eu[mask] <= radii[np.nonzero(mask)[0]])
+
+
+def test_euclid_capture_radius_is_tight():
+    # against points on the metric sphere: exact for the disk, and at most
+    # 1.3 x the farthest point for n >= 2 (the ellipsoid bound |z - c| + a
+    # peaks at 1.283 near |z| = 0.966 for t = 0.9)
+    rng = np.random.default_rng(10)
+    for n in (1, 2):
+        for t in (0.35, 0.9):
+            for norm in (0.0, 0.5, 0.9, 0.966, 0.99, 0.999):
+                z = np.zeros(n, dtype=complex)
+                z[0] = norm
+                ball = g.kobayashi_ball(z, t)
+                if n == 1:
+                    sphere = np.exp(2j * np.pi * np.arange(100_000) / 100_000)[:, None]
+                else:
+                    sphere = g.uniform_round_ball(rng, n, 20_000)
+                    sphere /= np.linalg.norm(sphere, axis=1)[:, None]
+                on_sphere = g.map_round_to_ellipsoid(ball, sphere)
+                assert np.allclose(g.pseudo_distance_many(z, on_sphere), t, rtol=1e-9)
+                farthest = float(np.linalg.norm(on_sphere - z, axis=1).max())
+                reach = float(g.metric_ball_reach(z[None, :], t)[0])
+                assert farthest <= reach
+                assert reach <= (1.0 + 1e-6 if n == 1 else 1.3) * farthest
 
 
 # -- generators ----------------------------------------------------------------
