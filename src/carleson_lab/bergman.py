@@ -141,7 +141,8 @@ def berezin_transform(mu, z, cfg: MCConfig) -> EstimateWithError:
 
     est = integrate_mixture(integrand, comps, weights, cfg)
     return EstimateWithError(
-        value=atom_part + est.value, std_error=est.std_error, n_effective=est.n_effective
+        value=atom_part + est.value, std_error=est.std_error, n_effective=est.n_effective,
+        n_excluded=est.n_excluded,
     )
 
 

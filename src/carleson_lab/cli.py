@@ -56,7 +56,6 @@ SPEC_SCHEMA = {
             "properties": {
                 "seed": {"type": "integer"},
                 "n_samples": {"type": "integer", "minimum": 100},
-                "substreams": {"type": "integer", "minimum": 1},
                 "strata": {"type": ["array", "null"], "items": {"type": "number"}},
             },
         },
@@ -123,6 +122,16 @@ class Outcome:
     rows: list[list]
     summary: dict
     status: str = "pass"  # pass | fail | inconclusive
+
+
+def _estimate_outcome(est) -> Outcome:
+    """One MC estimate as a results row; the summary also counts excluded samples."""
+    value = float(np.real(est.value))
+    return Outcome(
+        ["value", "std_error", "n_effective"],
+        [[value, est.std_error, est.n_effective]],
+        {"value": value, "std_error": est.std_error, "n_excluded": est.n_excluded},
+    )
 
 
 def _fmt(x) -> str:
@@ -289,11 +298,7 @@ def _handle_berezin(spec: ExperimentSpec) -> Outcome:
         if mu.density is None:
             raise UsageError("integrate_density needs a measure with a density part")
         est = integrate_density(mu.density, mu.dimension, spec.mc, boundary_pole_order=mu.pole_order)
-        return Outcome(
-            ["value", "std_error", "n_effective"],
-            [[float(np.real(est.value)), est.std_error, est.n_effective]],
-            {"value": float(np.real(est.value)), "std_error": est.std_error},
-        )
+        return _estimate_outcome(est)
     if op == "check_kernel_upper":
         rep = bergman.check_kernel_upper(int(p.get("n", 1)), n_points=int(p.get("points", 2000)))
         return Outcome(["statistic", "bound"], [[rep.statistic, rep.bound]], rep.to_json_dict(), rep.verdict)
@@ -325,7 +330,6 @@ def _handle_carleson(spec: ExperimentSpec) -> Outcome:
         global_samples=max(int(p.get("global_samples", spec.mc.n_samples)), 100),
         n_polynomials=int(p.get("n_polynomials", 10)),
         seed=spec.mc.seed,
-        substreams=spec.mc.substreams,
     )
     verdict = measures.cross_check_equivalence(mu, config)
     rows = [
@@ -405,11 +409,7 @@ def _handle_ek(spec: ExperimentSpec) -> Outcome:
         z0 = _point(p, "z0", default=[0.0])
         r = float(p.get("r", 0.5))
         est = invariant_measure.ek_ball_measure(z0, r, spec.mc, backend=p.get("backend", "invariant"))
-        return Outcome(
-            ["value", "std_error", "n_effective"],
-            [[float(np.real(est.value)), est.std_error, est.n_effective]],
-            {"value": float(np.real(est.value)), "std_error": est.std_error},
-        )
+        return _estimate_outcome(est)
     if op == "check_ek_bounds":
         rep = invariant_measure.check_ek_bounds(int(p.get("n", 1)), cfg=spec.mc)
         return Outcome(["statistic", "bound"], [[rep.statistic, rep.bound]], rep.to_json_dict(), rep.verdict)

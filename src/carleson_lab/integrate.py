@@ -1,22 +1,21 @@
 """Deterministic Monte Carlo engine for the unit ball and its metric ellipsoids.
 
-Every estimate is a pure function of (seed, n_samples, substreams): substream
-generators are derived with counter-style spawn keys, and partial results are
-reduced with fixed-order compensated summation, so worker scheduling never
-changes an output bit.
+Every estimate is a pure function of (seed, n_samples): each group of samples
+(a radial shell or a mixture component) is drawn from generators derived with
+counter-style spawn keys, in one fixed sequential order.
 
 ``integrate_density`` stratifies the ball into radial shells (or maps them
 affinely onto a metric ellipsoid); ``integrate_mixture`` is multiple-importance
 sampling whose balance-heuristic denominator evaluates a ladder of pullback
-components about one base point in a single fused pass.
+components about one base point in a single fused pass.  A stratified estimate
+is the balance-heuristic estimate whose components are disjoint shells, so both
+share one draw-and-reduce loop.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +24,14 @@ from scipy.special import beta as beta_fn
 from . import geometry_ball as geom
 from .errors import AnalysisError, ParameterError
 
-THREAD_ENV_VAR = "CARLESON_LAB_THREADS"
-
 # Fraction of non-finite integrand evaluations tolerated (excluded with a
 # warning); anything above this aborts the estimate.
 BAD_SAMPLE_TOLERANCE = 1e-4
+
+# Each group's samples are drawn in this many batches keyed (group, batch).
+# It is fixed, not a tuning knob: any other split re-draws every estimate, and
+# four keeps the draws behind every pinned seed bit for bit.
+BATCHES_PER_GROUP = 4
 
 __all__ = [
     "MCConfig",
@@ -54,7 +56,6 @@ class MCConfig:
 
     seed: int = 0
     n_samples: int = 20_000
-    substreams: int = 4
     strata: tuple[float, ...] | None = None
 
     def rng_for(self, *key: int) -> np.random.Generator:
@@ -63,13 +64,12 @@ class MCConfig:
         )
 
     def with_samples(self, n_samples: int) -> "MCConfig":
-        return MCConfig(self.seed, int(n_samples), self.substreams, self.strata)
+        return MCConfig(seed=self.seed, n_samples=int(n_samples), strata=self.strata)
 
     def to_json_dict(self) -> dict:
         return {
             "seed": int(self.seed),
             "n_samples": int(self.n_samples),
-            "substreams": int(self.substreams),
             "strata": list(self.strata) if self.strata is not None else None,
         }
 
@@ -79,37 +79,25 @@ class MCConfig:
         return cls(
             seed=int(cfg.get("seed", 0)),
             n_samples=int(cfg.get("n_samples", 20_000)),
-            substreams=int(cfg.get("substreams", 4)),
             strata=tuple(strata) if strata else None,
         )
 
 
 @dataclass(frozen=True)
 class EstimateWithError:
-    """Point estimate with its estimated standard error."""
+    """Point estimate with its estimated standard error.
+
+    ``n_excluded`` counts the non-finite integrand samples left out of it.
+    """
 
     value: complex | float
     std_error: float
     n_effective: int
+    n_excluded: int = 0
 
     def interval(self, k: float = 3.0) -> tuple[float, float]:
         v = float(np.real(self.value))
         return (v - k * self.std_error, v + k * self.std_error)
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREAD_ENV_VAR, "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items: list) -> list:
-    k = worker_count()
-    if k <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))
 
 
 def _apportion(total: int, weights) -> list[int]:
@@ -142,61 +130,6 @@ def _sample_round_shell(rng, n, count, u_lo, u_hi):
     return geom._scale_directions(g, frac ** (1.0 / (2 * n)))
 
 
-class _Moments:
-    """Fixed-order accumulator of sums / squared sums over substream batches."""
-
-    def __init__(self):
-        self.sums_re: list[float] = []
-        self.sums_im: list[float] = []
-        self.sums_sq: list[float] = []
-        self.counts: list[int] = []
-        self.bad = 0
-
-    def add_batch(self, values: np.ndarray):
-        vals = np.asarray(values)
-        finite = np.isfinite(vals) if not np.iscomplexobj(vals) else np.isfinite(vals.real) & np.isfinite(vals.imag)
-        self.bad += int(vals.size - np.count_nonzero(finite))
-        vals = vals[finite]
-        if np.iscomplexobj(vals):
-            self.sums_re.append(math.fsum(vals.real))
-            self.sums_im.append(math.fsum(vals.imag))
-            self.sums_sq.append(math.fsum(vals.real**2) + math.fsum(vals.imag**2))
-        else:
-            self.sums_re.append(math.fsum(vals))
-            self.sums_im.append(0.0)
-            self.sums_sq.append(math.fsum(np.asarray(vals, dtype=float) ** 2))
-        self.counts.append(int(vals.size))
-
-    @property
-    def count(self) -> int:
-        return sum(self.counts)
-
-    def mean(self) -> complex:
-        c = self.count
-        return complex(math.fsum(self.sums_re) / c, math.fsum(self.sums_im) / c)
-
-    def variance(self) -> float:
-        """Sample variance; for complex data the re/im variances are summed."""
-        c = self.count
-        if c < 2:
-            return 0.0
-        m = self.mean()
-        second = math.fsum(self.sums_sq) / c
-        var = (second - abs(m) ** 2) * c / (c - 1)
-        return max(var, 0.0)
-
-
-def _check_bad(moments_list, total_requested):
-    bad = sum(m.bad for m in moments_list)
-    if bad == 0:
-        return
-    if bad > BAD_SAMPLE_TOLERANCE * total_requested:
-        raise AnalysisError(
-            f"{bad} of {total_requested} integrand evaluations were non-finite"
-        )
-    warnings.warn(f"excluded {bad} non-finite integrand samples", RuntimeWarning, stacklevel=3)
-
-
 def _strata_fractions(cfg: MCConfig, n: int) -> list[tuple[float, float]]:
     if cfg.strata is None:
         edges = np.linspace(0.0, 1.0, 9)
@@ -208,6 +141,39 @@ def _strata_fractions(cfg: MCConfig, n: int) -> list[tuple[float, float]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _draw_and_reduce(draw, weights, counts, cfg: MCConfig) -> EstimateWithError:
+    """Draw every group in keyed batches and fold the groups into one estimate.
+
+    Group k gets ``counts[k]`` samples in ``BATCHES_PER_GROUP`` batches, batch s
+    from ``cfg.rng_for(k, s)``; ``draw(k, rng, m)`` returns the integrand values
+    of m samples of group k.  Non-finite values are excluded (see
+    ``BAD_SAMPLE_TOLERANCE``).  The estimate is sum_k w_k mean_k and its
+    variance sum_k w_k^2 var_k / c_k, with c_k the finite count and var_k the
+    two-pass sample variance (of the real plus the imaginary part).
+    """
+    groups = []
+    for k, ck in enumerate(counts):
+        batches = _apportion(ck, [1.0] * BATCHES_PER_GROUP)
+        vals = np.concatenate([np.asarray(draw(k, cfg.rng_for(k, s), m)) for s, m in enumerate(batches) if m > 0])
+        groups.append(vals[np.isfinite(vals)])
+    total = sum(counts)
+    bad = total - sum(g.size for g in groups)
+    if bad > BAD_SAMPLE_TOLERANCE * total:
+        raise AnalysisError(f"{bad} of {total} integrand evaluations were non-finite")
+    if bad:
+        warnings.warn(f"excluded {bad} non-finite integrand samples", RuntimeWarning, stacklevel=3)
+
+    value = 0j
+    var = 0.0
+    for w, vals in zip(weights, groups):
+        value += w * np.mean(vals)
+        if vals.size > 1:
+            var += w * w * np.var(vals, ddof=1) / vals.size
+    if value.imag == 0.0:
+        value = value.real
+    return EstimateWithError(value=value, std_error=math.sqrt(var), n_effective=total - bad, n_excluded=bad)
+
+
 def integrate_density(f, region, cfg: MCConfig, boundary_pole_order: float = 0.0) -> EstimateWithError:
     """Monte Carlo integral of ``f`` against normalised volume on a region.
 
@@ -215,10 +181,11 @@ def integrate_density(f, region, cfg: MCConfig, boundary_pole_order: float = 0.0
     :class:`~carleson_lab.geometry_ball.KobayashiBall` ellipsoid.  ``f`` maps an
     (m, n) array of points to m real or complex values.
 
-    A declared ``boundary_pole_order`` p in (0, 1) switches the ball case to a
-    Beta-radial importance scheme whose proposal deliberately underfits the pole
-    (exponent 0.75 * p): weights then have finite variance without collapsing
-    the estimate onto its analytic normalisation.
+    A declared ``boundary_pole_order`` p in (0, 1) makes the ball case a
+    one-component mixture (:func:`integrate_mixture`) whose Beta-radial
+    proposal deliberately underfits the pole (exponent 0.75 * p): weights then
+    have finite variance without collapsing the estimate onto its analytic
+    normalisation.
     """
     if cfg.n_samples < 100:
         raise ParameterError("error bars need n_samples >= 100")
@@ -239,71 +206,19 @@ def integrate_density(f, region, cfg: MCConfig, boundary_pole_order: float = 0.0
     if boundary_pole_order > 0.0:
         if boundary_pole_order >= 1.0:
             raise ParameterError("boundary pole order must be < 1 for a finite integral")
-        return _integrate_beta(f, n, cfg, boundary_pole_order)
+        return integrate_mixture(f, [BetaRadialComponent(n, 0.75 * boundary_pole_order)], [1.0], cfg)
 
     shells = _strata_fractions(cfg, n)
-    weights = [hi - lo for lo, hi in shells]
-    counts = _apportion(cfg.n_samples, weights)
-    counts = [max(c, 2) for c in counts]
+    fractions = [hi - lo for lo, hi in shells]
+    counts = [max(c, 2) for c in _apportion(cfg.n_samples, fractions)]
 
-    tasks = []
-    for k, ((lo, hi), ck) in enumerate(zip(shells, counts)):
-        per = _apportion(ck, [1.0] * cfg.substreams)
-        for s, cs in enumerate(per):
-            if cs > 0:
-                tasks.append((k, s, cs, lo, hi))
-
-    def run(task):
-        k, s, cs, lo, hi = task
-        rng = cfg.rng_for(k, s)
-        pts = _sample_round_shell(rng, n, cs, lo, hi)
+    def draw(k, rng, m):
+        pts = _sample_round_shell(rng, n, m, *shells[k])
         if to_region is not None:
             pts = geom.map_round_to_ellipsoid(to_region, pts)
-        return k, np.asarray(f(pts))
+        return f(pts)
 
-    results = _map_ordered(run, tasks)
-    per_stratum = [_Moments() for _ in shells]
-    for k, vals in results:
-        per_stratum[k].add_batch(vals)
-    _check_bad(per_stratum, cfg.n_samples)
-
-    value = 0.0 + 0.0j
-    var = 0.0
-    n_eff = 0
-    for (w, mom) in zip(weights, per_stratum):
-        value += w * mom.mean()
-        var += w * w * mom.variance() / max(mom.count, 1)
-        n_eff += mom.count
-    value = value * volume
-    std_error = math.sqrt(var) * volume
-    if abs(value.imag) == 0.0:
-        value = value.real
-    return EstimateWithError(value=value, std_error=std_error, n_effective=n_eff)
-
-
-def _integrate_beta(f, n, cfg, pole):
-    q = 0.75 * pole
-    norm = n * beta_fn(n, 1.0 - q)
-    per = _apportion(cfg.n_samples, [1.0] * cfg.substreams)
-
-    def run(task):
-        s, cs = task
-        rng = cfg.rng_for(s)
-        u = rng.beta(n, 1.0 - q, size=cs)
-        pts = geom._scale_directions(rng.standard_normal((cs, 2 * n)), np.sqrt(u))
-        weight = norm * (1.0 - u) ** q
-        return np.asarray(f(pts)) * weight
-
-    results = _map_ordered(run, [(s, cs) for s, cs in enumerate(per) if cs > 0])
-    mom = _Moments()
-    for vals in results:
-        mom.add_batch(vals)
-    _check_bad([mom], cfg.n_samples)
-    value = mom.mean()
-    std_error = math.sqrt(mom.variance() / max(mom.count, 1))
-    if abs(value.imag) == 0.0:
-        value = value.real
-    return EstimateWithError(value=value, std_error=std_error, n_effective=mom.count)
+    return _draw_and_reduce(draw, [volume * w for w in fractions], counts, cfg)
 
 
 class UniformBallComponent:
@@ -417,30 +332,8 @@ def integrate_mixture(f, components, weights, cfg: MCConfig) -> EstimateWithErro
 
     density = _mixture_density(components, pis)
 
-    tasks = []
-    for c_idx, ck in enumerate(counts):
-        per = _apportion(ck, [1.0] * cfg.substreams)
-        for s, cs in enumerate(per):
-            if cs > 0:
-                tasks.append((c_idx, s, cs))
+    def draw(k, rng, m):
+        pts = components[k].sample(rng, m)
+        return np.asarray(f(pts)) / density(pts)
 
-    def run(task):
-        c_idx, s, cs = task
-        rng = cfg.rng_for(c_idx, s)
-        pts = components[c_idx].sample(rng, cs)
-        return c_idx, np.asarray(f(pts)) / density(pts)
-
-    results = _map_ordered(run, tasks)
-    per_comp = [_Moments() for _ in components]
-    for c_idx, vals in results:
-        per_comp[c_idx].add_batch(vals)
-    _check_bad(per_comp, total)
-
-    value = 0.0
-    var = 0.0
-    n_eff = 0
-    for pi, mom in zip(pis, per_comp):
-        value += pi * mom.mean().real
-        var += pi * pi * mom.variance() / max(mom.count, 1)
-        n_eff += mom.count
-    return EstimateWithError(value=value, std_error=math.sqrt(var), n_effective=n_eff)
+    return _draw_and_reduce(draw, pis, counts, cfg)

@@ -177,7 +177,7 @@ class Measure:
         if self.density is None:
             return EstimateWithError(value=atoms, std_error=0.0, n_effective=self.n_atoms)
         est = integrate_density(self.density, self.dimension, cfg, boundary_pole_order=self.pole_order)
-        return EstimateWithError(atoms + est.value, est.std_error, est.n_effective)
+        return EstimateWithError(atoms + est.value, est.std_error, est.n_effective, est.n_excluded)
 
     # -- serialisation -------------------------------------------------------
     def to_config(self) -> dict:
@@ -223,7 +223,7 @@ def measure_of_ball(mu: Measure, ball: geom.KobayashiBall, cfg: MCConfig) -> Est
     if mu.density is None:
         return EstimateWithError(value=atom_part, std_error=0.0, n_effective=mu.n_atoms)
     est = integrate_density(mu.density, ball, cfg)
-    return EstimateWithError(atom_part + est.value, est.std_error, est.n_effective)
+    return EstimateWithError(atom_part + est.value, est.std_error, est.n_effective, est.n_excluded)
 
 
 def boundary_schedule(
@@ -467,13 +467,12 @@ class CrossCheckConfig:
     global_samples: int = 20_000
     n_polynomials: int = 10
     seed: int = 0
-    substreams: int = 4
 
     def ball_cfg(self) -> MCConfig:
-        return MCConfig(seed=self.seed, n_samples=self.ball_samples, substreams=self.substreams)
+        return MCConfig(seed=self.seed, n_samples=self.ball_samples)
 
     def global_cfg(self) -> MCConfig:
-        return MCConfig(seed=self.seed + 1, n_samples=self.global_samples, substreams=self.substreams)
+        return MCConfig(seed=self.seed + 1, n_samples=self.global_samples)
 
 
 @dataclass

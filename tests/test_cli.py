@@ -41,9 +41,13 @@ def test_spec_file_roundtrip(tmp_path):
 
 def test_unknown_spec_keys_rejected(tmp_path, capsys):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"name": "x", "operation": "ball", "mystery": 1}))
-    assert run_cli(["ball", "--spec", str(path)]) == cli.EXIT_USAGE
-    assert "mystery" in capsys.readouterr().err
+    for spec, field in (
+        ({"name": "x", "operation": "ball", "mystery": 1}, "mystery"),
+        ({"name": "x", "operation": "ball", "mc": {"seed": 1, "substreams": 4}}, "substreams"),
+    ):
+        path.write_text(json.dumps(spec))
+        assert run_cli(["ball", "--spec", str(path)]) == cli.EXIT_USAGE
+        assert field in capsys.readouterr().err
 
 
 def test_malformed_json_reports_line(tmp_path, capsys):
@@ -181,6 +185,7 @@ def test_ek_subcommand(tmp_path):
         ["ek", "--params", '{"op": "ek_ball_measure", "z0": [0.0, 0.0], "r": 0.5}', "--samples", "20000", "--out", str(tmp_path / "o")]
     )
     assert rc == 0
+    assert json.loads((tmp_path / "o" / "summary.json").read_text())["n_excluded"] == 0
 
 
 def test_run_replayable_byte_identical(tmp_path):
