@@ -83,12 +83,9 @@ def normalized_kernel(z0, z) -> complex:
 
 
 def normalized_kernel_sq_values(z0, points) -> np.ndarray:
-    """|k_{z0}(zeta)|^2 = ((1 - ||z0||^2) / |1 - <zeta, z0>|^2)^(n+1), vectorised."""
-    z0 = np.asarray(z0, dtype=np.complex128).reshape(-1)
-    pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-    n = z0.size
-    ip = pts @ np.conj(z0)
-    return ((1.0 - geom.norm_sq(z0)) / np.abs(1.0 - ip) ** 2) ** (n + 1)
+    """|k_{z0}(zeta)|^2 = ((1 - ||z0||^2) / |1 - <zeta, z0>|^2)^(n+1), vectorised:
+    the Moebius Jacobian of phi_{z0} at zeta."""
+    return geom.mobius_jacobian_many(z0, points)
 
 
 def _berezin_components(z: np.ndarray, pole_order: float):

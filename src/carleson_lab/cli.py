@@ -38,6 +38,27 @@ EXIT_USAGE = 3
 # against a dilogarithm quadrature oracle
 LADDER_WEIGHTED_SUM = 0.4087542873488963
 
+_DIMENSION = {"type": "integer", "minimum": 1}
+_NUMBER = {"type": "number"}
+# sequence type -> (required field, typed fields)
+_SEQUENCE_FIELDS = {
+    "ladder": ("n", {"n": _DIMENSION, "count": _DIMENSION}),
+    "packing": ("n", {"n": _DIMENSION, "delta": _NUMBER, "epsilon": _NUMBER, "seed": {"type": "integer"}}),
+    "lattice": ("n", {"n": _DIMENSION, "spacing": _NUMBER, "jitter": _NUMBER, "seed": {"type": "integer"}}),
+    "csv": ("path", {"path": {"type": "string"}}),
+    "points": ("rows", {"rows": {"type": "array", "items": {"type": "array", "items": _NUMBER}}}),
+}
+SEQUENCE_SCHEMA = {
+    "type": "object",
+    "required": ["type"],
+    "properties": {"type": {"enum": list(_SEQUENCE_FIELDS)}, "metric": {"enum": list(sequences.METRICS)}},
+    "allOf": [
+        {"if": {"required": ["type"], "properties": {"type": {"const": kind}}},
+         "then": {"required": [field], "properties": fields}}
+        for kind, (field, fields) in _SEQUENCE_FIELDS.items()
+    ],
+}
+
 SPEC_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -48,7 +69,7 @@ SPEC_SCHEMA = {
         "operation": {"type": "string"},
         "domain": {"type": "object"},
         "measure": {"type": "object"},
-        "sequence": {"type": "object"},
+        "sequence": SEQUENCE_SCHEMA,
         "parameters": {"type": "object"},
         "mc": {
             "type": "object",
@@ -134,6 +155,10 @@ def _estimate_outcome(est) -> Outcome:
     )
 
 
+def _report_outcome(rep: CheckReport) -> Outcome:
+    return Outcome(["statistic", "bound"], [[rep.statistic, rep.bound]], rep.to_json_dict(), rep.verdict)
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(x)
@@ -174,9 +199,7 @@ def _sequence_from_config(cfg: dict) -> sequences.PointSequence:
         )
     if kind == "csv":
         return sequences.PointSequence.from_csv(cfg["path"], metric=metric)
-    if kind == "points":
-        return sequences.PointSequence(points=geom.rows_to_points(cfg["rows"]), metric=metric)
-    raise UsageError(f"unknown sequence type {kind!r}")
+    return sequences.PointSequence(points=geom.rows_to_points(cfg["rows"]), metric=metric)  # "points"
 
 
 def _point(params: dict, key: str, default=None) -> np.ndarray:
@@ -260,12 +283,7 @@ def _handle_domain_op(spec: ExperimentSpec, op: str) -> Outcome:
         else domains.check_defining_fn_inequality
     )
     rep = checker(dom, _point(p, "z0"), float(p.get("r", 0.5)), int(p.get("samples", 2000)), spec.mc.seed)
-    return Outcome(
-        ["statistic", "bound"],
-        [[rep.statistic, rep.bound]],
-        rep.to_json_dict(),
-        status=rep.verdict,
-    )
+    return _report_outcome(rep)
 
 
 def _handle_berezin(spec: ExperimentSpec) -> Outcome:
@@ -301,17 +319,17 @@ def _handle_berezin(spec: ExperimentSpec) -> Outcome:
         return _estimate_outcome(est)
     if op == "check_kernel_upper":
         rep = bergman.check_kernel_upper(int(p.get("n", 1)), n_points=int(p.get("points", 2000)))
-        return Outcome(["statistic", "bound"], [[rep.statistic, rep.bound]], rep.to_json_dict(), rep.verdict)
+        return _report_outcome(rep)
     if op == "check_kernel_lower":
         rep = bergman.check_kernel_lower(
             int(p.get("n", 1)), samples_per_cell=int(p.get("samples", 2000)), seed=spec.mc.seed
         )
-        return Outcome(["statistic", "bound"], [[rep.statistic, rep.bound]], rep.to_json_dict(), rep.verdict)
+        return _report_outcome(rep)
     if op == "check_submean":
         rep = bergman.check_submean(
             int(p.get("degree", 2)), _point(p, "z0", default=[0.3]), float(p.get("r", 0.5)), spec.mc, seed=spec.mc.seed
         )
-        return Outcome(["statistic", "bound"], [[rep.statistic, rep.bound]], rep.to_json_dict(), rep.verdict)
+        return _report_outcome(rep)
     raise UsageError(f"unknown berezin operation {op!r}")
 
 
@@ -412,7 +430,7 @@ def _handle_ek(spec: ExperimentSpec) -> Outcome:
         return _estimate_outcome(est)
     if op == "check_ek_bounds":
         rep = invariant_measure.check_ek_bounds(int(p.get("n", 1)), cfg=spec.mc)
-        return Outcome(["statistic", "bound"], [[rep.statistic, rep.bound]], rep.to_json_dict(), rep.verdict)
+        return _report_outcome(rep)
     raise UsageError(f"unknown ek operation {op!r}")
 
 
@@ -702,8 +720,7 @@ def _row_kernel_lower_raw(budget, seed) -> CheckReport:
                 ball = geom.kobayashi_ball(z0, r)
                 rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(cell,)))
                 pts = geom.sample_ball_uniform(ball, budget["samples"], rng)
-                ip = pts @ np.conj(z0)
-                kabs = np.abs(1.0 - ip) ** (-(n + 1))
+                kabs = np.abs(bergman.kernel_values(z0, pts))
                 floor = ((1 - r) * math.sqrt(1 + r) / 4.0) ** (n + 1)
                 worst = min(worst, float(np.min(kabs) * depth ** (n + 1) / floor))
                 total += budget["samples"]

@@ -111,8 +111,7 @@ class BallDomain(Domain):
         self.inner_radius = 1.0
 
     def psi_values(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-        return 1.0 - np.einsum("ij,ij->i", pts, np.conj(pts)).real
+        return geom.one_minus_norm_sq(np.atleast_2d(points))
 
     def holomorphic_gradient(self, z):
         return -np.conj(np.asarray(z, dtype=np.complex128).reshape(-1))
@@ -219,7 +218,7 @@ class PerturbedBallDomain(Domain):
 
     def psi_values(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-        return 1.0 - np.einsum("ij,ij->i", pts, np.conj(pts)).real - self.epsilon * self._bump(pts)
+        return geom.one_minus_norm_sq(pts) - self.epsilon * self._bump(pts)
 
     def holomorphic_gradient(self, z):
         z = np.asarray(z, dtype=np.complex128).reshape(-1)

@@ -4,6 +4,19 @@ Pseudohyperbolic and Kobayashi distances, Moebius automorphisms, metric balls
 as explicit Euclidean ellipsoids, their volumes, and rejection-free uniform
 sampling inside them.
 
+Every distance in the package comes from one of two forms defined here
+(delta = 1 - |.|^2; Rudin, Function Theory in the Unit Ball of C^n, 2.2.2):
+  * :func:`pseudo_rho`, rho itself, cancellation-free.  The distance functions
+    below, ``sequences.pseudo_block`` and the sequence layer's separation,
+    packing, decomposition, ball and shell counts use it.
+  * :func:`mobius_factor`, the product form q_a(z) = delta_a / |1 - <z, a>|^2:
+    1 - rho(a, z)^2 = delta_z q_a(z), and q_a^(n+1) is the Moebius Jacobian and
+    |k_a|^2.  The Monte Carlo densities and the cover counts use it, and decide
+    rho(a, z) < t as delta_z q_a(z) > 1 - t^2.
+The difference form costs two to three times as much per pair; the product
+form loses relative accuracy in rho when rho is small, which a comparison
+against a fixed radius, or a Jacobian, does not need.
+
 Conventions used throughout the package:
   * points are complex vectors with Euclidean norm < 1,
   * the Hermitian pairing is <z, w> = sum_k z_k * conj(w_k),
@@ -33,6 +46,9 @@ __all__ = [
     "norm_sq",
     "pseudo_distance",
     "pseudo_distance_many",
+    "pseudo_rho",
+    "one_minus_norm_sq",
+    "mobius_factor",
     "ball_automorphism",
     "ball_automorphism_many",
     "mobius_jacobian_many",
@@ -146,12 +162,35 @@ class KobayashiBall:
         }
 
 
-def pseudo_distance(z, w) -> DistancePair:
-    """Pseudohyperbolic distance between two interior points.
+def one_minus_norm_sq(points) -> np.ndarray:
+    """delta = 1 - |z|^2 over the last axis of ``points``."""
+    z = np.asarray(points, dtype=np.complex128)
+    return 1.0 - np.einsum("...i,...i->...", z, np.conj(z)).real
 
-    Computed as rho^2 = 1 - (1 - |z|^2)(1 - |w|^2) / |1 - <z, w>|^2, clamped to
-    [0, 1); the subtraction cancels when rho is small (relative error about
-    eps / rho^2).  The Kobayashi distance is arctanh(rho).
+
+def pseudo_rho(a, b) -> np.ndarray:
+    """Pseudohyperbolic distance between a[..., :] and b[..., :], broadcast over
+    the leading axes.  Trusts the caller on interiority.
+
+    With d = a - b, 1 - <a, b> = (delta_a + delta_b + |d|^2) / 2 - i Im<d, a>, so
+    rho^2 = (delta_a |d|^2 + |<d, a>|^2) / (((delta_a + delta_b + |d|^2) / 2)^2 + Im<d, a>^2):
+    sums of non-negatives, so close pairs keep full relative accuracy.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    d = a - b
+    dd = np.einsum("...i,...i->...", d, np.conj(d)).real
+    p = np.einsum("...i,...i->...", d, np.conj(a))
+    da = one_minus_norm_sq(a)
+    db = one_minus_norm_sq(b)
+    num = da * dd + (p.real**2 + p.imag**2)
+    den = (0.5 * (da + db + dd)) ** 2 + p.imag**2
+    return np.sqrt(np.minimum(num / den, 1.0))
+
+
+def pseudo_distance(z, w) -> DistancePair:
+    """Pseudohyperbolic distance between two interior points, by :func:`pseudo_rho`,
+    capped just below 1.  The Kobayashi distance is arctanh(rho).
     """
     z = as_point(z)
     w = as_point(w)
@@ -159,27 +198,13 @@ def pseudo_distance(z, w) -> DistancePair:
         raise ParameterError("points must share one dimension")
     _require_interior(z, "first point")
     _require_interior(w, "second point")
-    ip = herm_inner(z, w)
-    num = (1.0 - norm_sq(z)) * (1.0 - norm_sq(w))
-    den = abs(1.0 - ip) ** 2
-    rho_sq = 1.0 - num / den
-    rho = math.sqrt(max(rho_sq, 0.0))
-    rho = min(rho, 1.0 - 1e-16)
+    rho = min(float(pseudo_rho(z, w)), 1.0 - 1e-16)
     return DistancePair(pseudo=rho, kobayashi=math.atanh(rho))
 
 
 def pseudo_distance_many(z0: np.ndarray, points) -> np.ndarray:
-    """Vectorised pseudohyperbolic distance from ``z0`` to each row of ``points``.
-
-    Trusts the caller on interiority; intended for Monte Carlo inner loops.
-    """
-    z0 = np.asarray(z0, dtype=np.complex128).reshape(-1)
-    pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-    ip = pts @ np.conj(z0)
-    num = (1.0 - norm_sq(z0)) * (1.0 - np.einsum("ij,ij->i", pts, np.conj(pts)).real)
-    den = np.abs(1.0 - ip) ** 2
-    rho_sq = np.clip(1.0 - num / den, 0.0, 1.0)
-    return np.sqrt(rho_sq)
+    """Pseudohyperbolic distance from ``z0`` to each row of ``points``."""
+    return pseudo_rho(np.asarray(z0).reshape(-1), np.atleast_2d(points))
 
 
 def ball_automorphism_many(a: np.ndarray, points) -> np.ndarray:
@@ -210,17 +235,26 @@ def ball_automorphism(a, z) -> np.ndarray:
     return ball_automorphism_many(a, z[None, :])[0]
 
 
+def mobius_factor(a, points) -> np.ndarray:
+    """The product form q_a(z) = (1 - |a|^2) / |1 - <z, a>|^2 at each row z of ``points``.
+
+    1 - rho(a, z)^2 = (1 - |z|^2) q_a(z).  A 1-d ``a`` gives one value per row;
+    the rows of a 2-d ``a`` give an (m, k) block, one column per row of ``a``.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
+    da = 1.0 - norm_sq(a) if a.ndim == 1 else one_minus_norm_sq(a)
+    return da / np.abs(1.0 - pts @ np.conj(a).T) ** 2
+
+
 def mobius_jacobian_many(a: np.ndarray, points) -> np.ndarray:
     """|real Jacobian determinant| of the automorphism phi_a at each row of ``points``.
 
-    Equals ((1 - ||a||^2) / |1 - <z, a>|^2)^(n+1); this is also the transition
+    Equals q_a^(n+1) (:func:`mobius_factor`); this is also the transition
     density used when pushing uniform samples forward through phi_a.
     """
     a = np.asarray(a, dtype=np.complex128).reshape(-1)
-    pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-    n = a.size
-    ip = pts @ np.conj(a)
-    return ((1.0 - norm_sq(a)) / np.abs(1.0 - ip) ** 2) ** (n + 1)
+    return mobius_factor(a, points) ** (a.size + 1)
 
 
 def kobayashi_ball(z0, r: float) -> KobayashiBall:

@@ -63,9 +63,6 @@ class MCConfig:
             np.random.SeedSequence(entropy=int(self.seed), spawn_key=tuple(int(k) for k in key))
         )
 
-    def with_samples(self, n_samples: int) -> "MCConfig":
-        return MCConfig(seed=self.seed, n_samples=int(n_samples), strata=self.strata)
-
     def to_json_dict(self) -> dict:
         return {
             "seed": int(self.seed),
@@ -249,8 +246,7 @@ class BetaRadialComponent:
         return geom._scale_directions(rng.standard_normal((count, 2 * self.n)), np.sqrt(u))
 
     def density(self, pts):
-        u = np.einsum("ij,ij->i", pts, np.conj(pts)).real
-        return (1.0 - u) ** (-self.exponent) / self._norm
+        return geom.one_minus_norm_sq(pts) ** (-self.exponent) / self._norm
 
 
 class PullbackBallComponent:
@@ -273,9 +269,9 @@ class PullbackBallComponent:
 
     def density(self, pts):
         n = self.z.size
-        inside = geom.pseudo_distance_many(self.z, pts) < self.t
-        jac = geom.mobius_jacobian_many(self.z, pts)
-        return jac * inside / self.t ** (2 * n)
+        q = geom.mobius_factor(self.z, pts)
+        inside = geom.one_minus_norm_sq(pts) * q > 1.0 - self.t * self.t  # rho(z, w) < t
+        return q ** (n + 1) * inside / self.t ** (2 * n)
 
 
 def _mixture_density(components, pis):
@@ -283,9 +279,10 @@ def _mixture_density(components, pis):
 
     Pullback components about one base point z are fused.  Their densities
     differ only in the indicator rho(z, w) < t_j and the factor 1 / t_j^(2n),
-    so rho and the Moebius Jacobian are computed once per point and
+    so the product form q_z(w) is computed once per point: the Moebius
+    Jacobian is q^(n+1), rho < t_j is 1 - rho^2 = delta_w q > 1 - t_j^2, and
     sum_j pi_j 1[rho < t_j] / t_j^(2n) is read from a suffix sum over the
-    ascending radii at searchsorted(t, rho, side="right").
+    ascending radii at searchsorted(t^2 - 1, -delta_w q, side="right").
     """
     plain = []
     ladders: dict[bytes, tuple[np.ndarray, list[tuple[float, float]]]] = {}
@@ -298,15 +295,16 @@ def _mixture_density(components, pis):
     for z, rungs in ladders.values():
         t, pi = (np.array(col) for col in zip(*sorted(rungs)))
         suffix = np.append(np.cumsum((pi / t ** (2 * z.size))[::-1])[::-1], 0.0)
-        fused.append((z, t, suffix))
+        fused.append((z, t * t - 1.0, suffix))
 
     def density(pts):
         dens = np.zeros(len(pts))
         for pi, comp in plain:
             dens += pi * comp.density(pts)
-        for z, t, suffix in fused:
-            rho = geom.pseudo_distance_many(z, pts)
-            dens += geom.mobius_jacobian_many(z, pts) * suffix[np.searchsorted(t, rho, side="right")]
+        for z, edges, suffix in fused:
+            q = geom.mobius_factor(z, pts)
+            rung = np.searchsorted(edges, -geom.one_minus_norm_sq(pts) * q, side="right")
+            dens += q ** (z.size + 1) * suffix[rung]
         return dens
 
     return density

@@ -39,9 +39,7 @@ def ek_density(z) -> float:
 
 def ek_density_values(points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-    n = pts.shape[1]
-    w = 1.0 - np.einsum("ij,ij->i", pts, np.conj(pts)).real
-    return w ** (-(n + 1.0))
+    return geom.one_minus_norm_sq(pts) ** (-(pts.shape[1] + 1.0))
 
 
 def _boundary_power_values(points) -> np.ndarray:

@@ -49,9 +49,7 @@ class PowerDensity:
     exponent: float
 
     def __call__(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-        w = 1.0 - np.einsum("ij,ij->i", pts, np.conj(pts)).real
-        return np.maximum(w, 0.0) ** self.exponent
+        return np.maximum(geom.one_minus_norm_sq(np.atleast_2d(points)), 0.0) ** self.exponent
 
     @property
     def pole_order(self) -> float:
@@ -121,14 +119,6 @@ class Measure:
     @property
     def pole_order(self) -> float:
         return float(getattr(self.density, "pole_order", 0.0)) if self.density is not None else 0.0
-
-    def density_values(self, points) -> np.ndarray:
-        if self.density is None:
-            return np.zeros(np.atleast_2d(points).shape[0])
-        vals = np.asarray(self.density(points), dtype=float)
-        if np.any(vals < 0.0):
-            raise ValidationError("measure density must be nonnegative")
-        return vals
 
     def scaled(self, factor: float) -> "Measure":
         if factor <= 0.0:
@@ -587,12 +577,7 @@ def bundled_measure_suite(n: int, ladder_count: int = 50) -> list[tuple[str, Mea
     suite: list[tuple[str, Measure]] = [("lebesgue", Measure.lebesgue(n))]
     for s in (-0.5, 0.5, 1.0):
         suite.append((f"power({s:+g})", Measure.with_power_density(n, s)))
-    m = np.arange(1, ladder_count + 1, dtype=float)
-    u = np.zeros(n, dtype=np.complex128)
-    u[0] = 1.0
-    # deep rungs saturate double precision; cap the coordinate, keep the weight
-    radii = np.minimum(-np.expm1(-m), np.nextafter(1.0, 0.0))
-    pts = radii[:, None] * u
-    weights = np.exp(-m) ** (n + 1)
-    suite.append(("dirac-ladder", Measure.from_atoms(pts, weights)))
+    from .sequences import PointSequence, dirac_carleson_measure  # sequences imports this module
+
+    suite.append(("dirac-ladder", dirac_carleson_measure(PointSequence.radial_ladder(n, ladder_count))))
     return suite

@@ -208,24 +208,7 @@ def _invariant_radial_law(n: int, s: np.ndarray, u_max: float) -> np.ndarray:
 
 def pseudo_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise pseudohyperbolic distances between rows of a and rows of b."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.complex128))
-    b = np.atleast_2d(np.asarray(b, dtype=np.complex128))
-    ip = a @ np.conj(b).T
-    na = 1.0 - np.einsum("ij,ij->i", a, np.conj(a)).real
-    nb = 1.0 - np.einsum("ij,ij->i", b, np.conj(b)).real
-    num = np.multiply.outer(na, nb)
-    rho_sq = np.clip(1.0 - num / np.abs(1.0 - ip) ** 2, 0.0, 1.0)
-    return np.sqrt(rho_sq)
-
-
-def _metric_block(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if metric == "euclidean":
-        diff = a[:, None, :] - b[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, np.conj(diff)).real)
-    rho = pseudo_block(a, b)
-    if metric == "kobayashi":
-        return np.arctanh(np.minimum(rho, 1.0 - 1e-16))
-    return rho
+    return geom.pseudo_rho(np.atleast_2d(a)[:, None, :], np.atleast_2d(b)[None, :, :])
 
 
 def separation_constant(seq: PointSequence) -> float:
@@ -256,9 +239,8 @@ def count_in_ball(seq: PointSequence, z0, r: float) -> int:
     """Number of sequence points with metric distance < r from z0."""
     if len(seq) == 0:
         return 0
-    z0 = geom.as_point(z0)
-    d = _metric_block(seq.metric, z0[None, :], seq.points)[0]
-    return int(np.count_nonzero(d < r))
+    metric, t = ("pseudohyperbolic", math.tanh(r)) if seq.metric == "kobayashi" else (seq.metric, r)
+    return int(np.count_nonzero(_pair_distance(metric, geom.as_point(z0), seq.points) < t))
 
 
 @dataclass(frozen=True)
@@ -279,10 +261,8 @@ def greedy_decompose(seq: PointSequence, r: float) -> Decomposition:
     distance < r; the colour count never exceeds the largest ball count
     N(x_j, r, sequence).
     """
-    if seq.metric == "kobayashi":
-        colors = _first_fit_colors("pseudohyperbolic", seq.points, math.tanh(r))
-    else:
-        colors = _first_fit_colors(seq.metric, seq.points, r)
+    metric, t = ("pseudohyperbolic", math.tanh(r)) if seq.metric == "kobayashi" else (seq.metric, r)
+    colors = _first_fit_colors(metric, seq.points, t)
     return Decomposition(color_of=colors, n_colors=int(colors.max(initial=-1)) + 1)
 
 
@@ -292,25 +272,12 @@ PAIR_BLOCK = 512
 
 
 def _pair_distance(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance between rows a[k] and b[k]: Euclidean, or pseudohyperbolic.
-
-    The pseudohyperbolic form is cancellation-free: with d = a - b and
-    delta = 1 - |.|^2,
-    rho^2 = (delta_a |d|^2 + |<d, a>|^2) / (((delta_a + delta_b + |d|^2) / 2)^2 + Im<d, a>^2),
-    since 1 - <a, b> = (delta_a + delta_b + |d|^2) / 2 - i Im<a, b> and
-    Im<a, b> = Im<d, a>.  Every term is a sum of non-negatives, so close pairs
-    keep full relative accuracy.
-    """
-    d = a - b
-    dd = np.einsum("ij,ij->i", d, np.conj(d)).real
+    """Distance between rows a[k] and b[k] (broadcast): Euclidean, or
+    pseudohyperbolic by :func:`~carleson_lab.geometry_ball.pseudo_rho`."""
     if metric == "euclidean":
-        return np.sqrt(dd)
-    p = np.einsum("ij,ij->i", d, np.conj(a))
-    da = 1.0 - np.einsum("ij,ij->i", a, np.conj(a)).real
-    db = 1.0 - np.einsum("ij,ij->i", b, np.conj(b)).real
-    num = da * dd + (p.real**2 + p.imag**2)
-    den = (0.5 * (da + db + dd)) ** 2 + p.imag**2
-    return np.sqrt(np.minimum(num / den, 1.0))
+        d = a - b
+        return np.sqrt(np.einsum("...i,...i->...", d, np.conj(d)).real)
+    return geom.pseudo_rho(a, b)
 
 
 def _near_pairs(metric: str, queries: np.ndarray, tree: cKDTree, t: float, earlier: bool = False):
@@ -420,10 +387,14 @@ class CoverReport:
 
 
 def _count_within(queries: np.ndarray, targets: np.ndarray, radius: float, block: int = 512) -> np.ndarray:
+    """Targets at pseudo distance < radius from each query, decided in blocks
+    of queries by the product form 1 - rho^2 = delta_q q_c(q) > 1 - radius^2."""
     counts = np.zeros(len(queries), dtype=int)
+    floor = 1.0 - radius * radius
     for i0 in range(0, len(queries), block):
-        rho = pseudo_block(queries[i0 : i0 + block], targets)
-        counts[i0 : i0 + block] = np.count_nonzero(rho < radius, axis=1)
+        chunk = queries[i0 : i0 + block]
+        inside = geom.one_minus_norm_sq(chunk)[:, None] * geom.mobius_factor(targets, chunk) > floor
+        counts[i0 : i0 + block] = np.count_nonzero(inside, axis=1)
     return counts
 
 

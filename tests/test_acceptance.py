@@ -13,6 +13,7 @@ import pytest
 
 from carleson_lab import bergman, cli, domains, geometry_ball as geom, invariant_measure, measures, sequences
 from carleson_lab.integrate import MCConfig
+from textbook_rho import rho_block
 
 
 def report(idx, name, ok, detail=""):
@@ -137,7 +138,7 @@ def test_06_greedy_decomposition():
         pts = geom.uniform_round_ball(rng, 1, 500) * 0.98
         seq = sequences.PointSequence(points=pts)
         dec = sequences.greedy_decompose(seq, r)
-        rho = sequences.pseudo_block(pts, pts)
+        rho = rho_block(pts, pts)
         np.fill_diagonal(rho, np.inf)
         for cls in dec.classes():
             if len(cls) >= 2 and rho[np.ix_(cls, cls)].min() < r:
@@ -228,7 +229,7 @@ def test_09_covering():
         c = rep.centers
         worst = math.inf
         for i0 in range(0, len(c), 512):
-            rho = sequences.pseudo_block(c[i0 : i0 + 512], c)
+            rho = rho_block(c[i0 : i0 + 512], c)
             for i in range(rho.shape[0]):
                 rho[i, i0 + i] = np.inf
             worst = min(worst, float(rho.min()))

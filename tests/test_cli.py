@@ -50,6 +50,20 @@ def test_unknown_spec_keys_rejected(tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
+def test_malformed_sequence_declarations_exit_usage(tmp_path, capsys):
+    # each names the offending field and ends without a traceback
+    for text, field in (
+        ('{"type": "ladder"}', "'n'"),
+        ('{"type": "ladder", "n": "abc"}', "sequence/n"),
+        ('{"type": "csv"}', "'path'"),
+        ('{"type": "points"}', "'rows'"),
+    ):
+        rc = run_cli(["seq", "analyze", "--sequence", text, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE, text
+        assert field in err and "Traceback" not in err, err
+
+
 def test_malformed_json_reports_line(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text('{"name": "x",\n  "operation": }')

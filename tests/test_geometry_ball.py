@@ -7,6 +7,7 @@ from scipy.stats import chisquare
 
 from carleson_lab import geometry_ball as g
 from carleson_lab.errors import OutsideDomainError, ParameterError, ValidationError
+from textbook_rho import rho_mp, rho_rows
 
 
 def unit_ball_points(n, count, seed):
@@ -38,6 +39,25 @@ def test_distance_matches_moebius_quotient_dim_one():
     assert dp.pseudo == pytest.approx(0.512858, abs=1e-6)
 
 
+def test_distance_close_pairs_match_50_digits():
+    # |z| <= 0.999 and |z - w| ~ 1e-6, where 1 - (1-|z|^2)(1-|w|^2)/|1-<z,w>|^2
+    # cancels to a relative error of about 1e-4
+    rng = np.random.default_rng(14)
+    for n in (1, 2):
+        z = g.uniform_round_ball(rng, n, 100)
+        z *= (0.999 * rng.random(100) ** 0.1 / np.linalg.norm(z, axis=1))[:, None]
+        w = z + 1e-6 * g.uniform_round_ball(rng, n, 100)
+        exact = np.array([rho_mp(a, b) for a, b in zip(z, w)])
+        pair = np.array([g.pseudo_distance(a, b).pseudo for a, b in zip(z, w)])
+        many = np.array([g.pseudo_distance_many(a, b[None, :])[0] for a, b in zip(z, w)])
+        assert np.max(np.abs(pair - exact) / exact) <= 1e-12
+        assert np.max(np.abs(many - exact) / exact) <= 1e-12
+        # one base point against a cloud of close points
+        cloud = w - z + z[0]
+        exact = np.array([rho_mp(z[0], b) for b in cloud])
+        assert np.max(np.abs(g.pseudo_distance_many(z[0], cloud) - exact) / exact) <= 1e-12
+
+
 def test_distance_rejects_exterior():
     with pytest.raises(OutsideDomainError):
         g.pseudo_distance([1.0], [0.2])
@@ -64,13 +84,6 @@ def test_metric_properties_random_triples(seed, n):
     assert dab <= dac + dcb + 1e-12
 
 
-def _rowwise_rho(a, b):
-    ip = np.einsum("ij,ij->i", a, np.conj(b))
-    na = 1.0 - np.einsum("ij,ij->i", a, np.conj(a)).real
-    nb = 1.0 - np.einsum("ij,ij->i", b, np.conj(b)).real
-    return np.sqrt(np.clip(1.0 - na * nb / np.abs(1.0 - ip) ** 2, 0.0, 1.0))
-
-
 def test_triangle_inequality_bulk():
     # 10^5 random triples per dimension, slack floor -1e-12
     for n in (1, 2, 3):
@@ -78,7 +91,7 @@ def test_triangle_inequality_bulk():
         a = g.uniform_round_ball(rng, n, 100_000) * 0.999
         b = g.uniform_round_ball(rng, n, 100_000) * 0.999
         c = g.uniform_round_ball(rng, n, 100_000) * 0.999
-        slack = _rowwise_rho(a, c) + _rowwise_rho(c, b) - _rowwise_rho(a, b)
+        slack = rho_rows(a, c) + rho_rows(c, b) - rho_rows(a, b)
         assert float(slack.min()) >= -1e-12
 
 

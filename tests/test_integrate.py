@@ -219,7 +219,10 @@ def test_mixture_weight_validation():
 
 def test_fused_mixture_density_matches_componentwise_sum():
     # the fused pullback-ladder denominator against the plain sum of densities,
-    # on samples of every Berezin component and on points at rho == t exactly
+    # on samples of every Berezin component and on points exactly on a rung's
+    # edge, where the compared quantity 1 - rho^2 = delta_w q_z(w) equals
+    # 1 - t^2; they are searched for on radial lines, ulp by ulp, through the
+    # edge point phi_z(t e) turned by a few small phases
     z = 0.999 * np.array([0.6, 0.8j])
     comps, weights = bg._berezin_components(z, 0.5)
     pis = np.asarray(weights) / np.sum(weights)
@@ -230,8 +233,9 @@ def test_fused_mixture_density_matches_componentwise_sum():
     on_edge = 0
     for t in radii:
         s0 = float(np.vdot(e, g.ball_automorphism_many(z, (t * e)[None, :])[0]).real)
-        line = np.multiply.outer(s0 + np.arange(-300, 301) * np.spacing(s0), e)
-        hits = line[g.pseudo_distance_many(z, line) == t]
+        radial = s0 + np.arange(-1500, 1501) * np.spacing(s0)
+        line = np.multiply.outer(np.multiply.outer(np.exp(2e-9j * np.arange(64)), radial).ravel(), e)
+        hits = line[g.one_minus_norm_sq(line) * g.mobius_factor(z, line) == 1.0 - t * t]
         on_edge += len(hits) > 0
         pts.append(hits)
     assert on_edge >= len(radii) // 2

@@ -24,6 +24,21 @@ def test_atoms_outside_ball_rejected():
         ms.Measure.from_atoms([[1.2]], [1.0])
 
 
+def test_bundled_dirac_ladder_is_pinned():
+    # the suite's ladder is the sequence generator's; its atoms and weights are
+    # pinned bit for bit to the rungs (1 - e^-m) e_1, capped inside the ball,
+    # with weights e^-m(n+1), so cross-check verdicts on it cannot move
+    m = np.arange(1, 51, dtype=float)
+    radii = np.minimum(-np.expm1(-m), np.nextafter(1.0, 0.0))
+    for n in (1, 2):
+        mu = dict(ms.bundled_measure_suite(n))["dirac-ladder"]
+        u = np.zeros(n, dtype=np.complex128)
+        u[0] = 1.0
+        assert np.array_equal(mu.atom_points, radii[:, None] * u)
+        assert np.array_equal(mu.atom_weights, np.exp(-m) ** (n + 1))
+        assert mu.density is None
+
+
 def test_total_mass_of_volume_is_one():
     est = ms.Measure.lebesgue(2).total_mass(CFG)
     assert est.value == pytest.approx(1.0, abs=1e-12)

@@ -8,6 +8,7 @@ from carleson_lab import geometry_ball as g
 from carleson_lab import measures as ms
 from carleson_lab import sequences as sq
 from carleson_lab.errors import CoverageError, ParameterError, ValidationError
+from textbook_rho import rho_block, rho_mp, rho_rows
 
 
 # -- separation constant ------------------------------------------------------
@@ -40,10 +41,10 @@ def test_separation_needs_two_points():
 
 
 def brute_matrix(pts, metric):
-    """Distances between all pairs, from the dense matrix forms."""
+    """Distances between all pairs, from the dense textbook matrix forms."""
     if metric == "euclidean":
         return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    rho = sq.pseudo_block(pts, pts)
+    rho = rho_block(pts, pts)
     return np.arctanh(rho) if metric == "kobayashi" else rho
 
 
@@ -55,8 +56,8 @@ def brute_separation(pts, metric):
 
 def test_separation_pruned_path_matches_exact():
     # the tree-pruned separation against every pair, in C^1 and C^2, for all
-    # three metrics and with a duplicated point; the dense 1 - product form
-    # of pseudo_block carries a relative error of about eps / rho^2
+    # three metrics and with a duplicated point; the dense textbook form
+    # carries a relative error of about eps / rho^2
     rng = np.random.default_rng(0)
     for n, radius in ((1, 0.95), (2, 0.99)):
         pts = g.uniform_round_ball(rng, n, 600) * radius
@@ -76,26 +77,15 @@ def test_separation_pruned_path_matches_exact():
     assert sep < 0.05
 
 
-def mp_pseudo(z, w, dps=50):
-    """rho(z, w) at ``dps`` digits from the exact float inputs."""
-    with mpmath.workdps(dps):
-        zc = [mpmath.mpc(complex(x)) for x in z]
-        wc = [mpmath.mpc(complex(x)) for x in w]
-        ip = mpmath.fsum(a * mpmath.conj(b) for a, b in zip(zc, wc))
-        nz = mpmath.fsum(abs(a) ** 2 for a in zc)
-        nw = mpmath.fsum(abs(b) ** 2 for b in wc)
-        return float(mpmath.sqrt(1 - (1 - nz) * (1 - nw) / abs(1 - ip) ** 2))
-
-
 def test_separation_accurate_to_closest_pairs_at_50_digits():
     rng = np.random.default_rng(12)
     for n in (1, 2):
         pts = g.uniform_round_ball(rng, n, 1500) * 0.999
-        rho = sq.pseudo_block(pts, pts)
+        rho = rho_block(pts, pts)
         np.fill_diagonal(rho, math.inf)
         # every pair near the dense minimum, re-evaluated exactly
         close = np.argwhere(rho <= rho.min() * (1.0 + 1e-6) + 1e-12)
-        exact = min(mp_pseudo(pts[i], pts[j]) for i, j in close)
+        exact = min(rho_mp(pts[i], pts[j]) for i, j in close)
         sep = sq.separation_constant(sq.PointSequence(points=pts))
         assert abs(sep - exact) <= 1e-12 * exact
 
@@ -107,9 +97,21 @@ def test_pair_kernel_near_boundary_close_pairs():
         z = g.uniform_round_ball(rng, n, 200)
         z *= (0.999 * rng.random(200) ** 0.1 / np.linalg.norm(z, axis=1))[:, None]
         w = z + 1e-4 * g.uniform_round_ball(rng, n, 200)
-        rho = sq._pair_distance("pseudohyperbolic", z, w)
-        exact = np.array([mp_pseudo(a, b) for a, b in zip(z, w)])
-        assert np.max(np.abs(rho - exact) / exact) <= 1e-12
+        exact = np.array([rho_mp(a, b) for a, b in zip(z, w)])
+        for rho in (sq._pair_distance("pseudohyperbolic", z, w), np.diag(sq.pseudo_block(z, w))):
+            assert np.max(np.abs(rho - exact) / exact) <= 1e-12
+
+
+def test_count_within_matches_reference_on_cover_centres():
+    # the product-form multiplicity count against the textbook distance, with
+    # the cover's centres and with queries out to |z| = 0.999
+    rng = np.random.default_rng(15)
+    for n, eps, seed in ((1, 0.1, 0), (2, 0.3, 1)):
+        centers = sq.greedy_cover(n, eps, 0.5, seed=seed, n_probes=2000).centers
+        queries = np.vstack([centers, 0.999 * g.uniform_round_ball(rng, n, 3000)])
+        for radius in (0.75, 0.3):
+            brute = np.count_nonzero(rho_block(queries, centers) < radius, axis=1)
+            assert np.array_equal(sq._count_within(queries, centers, radius), brute), (n, radius)
 
 
 def test_separation_kobayashi_metric():
@@ -154,7 +156,7 @@ def brute_check_decomposition(seq, dec, r):
         pts = seq.points[cls]
         if len(pts) < 2:
             continue
-        rho = sq.pseudo_block(pts, pts)
+        rho = rho_block(pts, pts)
         np.fill_diagonal(rho, 1.0)
         assert rho.min() >= r
     bound = max(sq.count_in_ball(seq, p, r) for p in seq.points)
@@ -190,7 +192,7 @@ def test_decompose_random_cloud_postconditions():
 def test_greedy_pack_small_inputs():
     pts = np.array([[0.0], [0.05], [0.5], [0.9]], dtype=complex)
     kept = sq.greedy_pack(pts, 0.3)
-    rho = sq.pseudo_block(pts[kept], pts[kept])
+    rho = rho_block(pts[kept], pts[kept])
     np.fill_diagonal(rho, 1.0)
     assert rho.min() >= 0.3
     assert 0 in kept  # first point always kept
@@ -204,7 +206,7 @@ def brute_greedy(pts, threshold, metric):
             if metric == "euclidean":
                 d = np.linalg.norm(pts[kept] - p, axis=1)
             else:
-                d = sq.pseudo_block(p[None, :], pts[kept])[0]
+                d = rho_block(p[None, :], pts[kept])[0]
                 if metric == "kobayashi":
                     d = np.arctanh(d)
             if not np.all(d >= threshold):
@@ -234,7 +236,7 @@ def test_euclid_capture_radius_is_sound():
     for n in (1, 2):
         pts = g.uniform_round_ball(rng, n, 400)
         pts *= (0.999 * rng.random(400) ** 0.05 / np.linalg.norm(pts, axis=1))[:, None]
-        rho = sq.pseudo_block(pts, pts)
+        rho = rho_block(pts, pts)
         eu = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         for t in (0.35, 0.9):
             radii = g.metric_ball_reach(pts, t)
@@ -259,7 +261,7 @@ def test_euclid_capture_radius_is_tight():
                     sphere = g.uniform_round_ball(rng, n, 20_000)
                     sphere /= np.linalg.norm(sphere, axis=1)[:, None]
                 on_sphere = g.map_round_to_ellipsoid(ball, sphere)
-                assert np.allclose(g.pseudo_distance_many(z, on_sphere), t, rtol=1e-9)
+                assert np.allclose(rho_rows(z, on_sphere), t, rtol=1e-9)
                 farthest = float(np.linalg.norm(on_sphere - z, axis=1).max())
                 reach = float(g.metric_ball_reach(z[None, :], t)[0])
                 assert farthest <= reach
@@ -408,7 +410,7 @@ def test_cover_disk_report():
     assert rep.uncovered == 0
     assert abs(rep.multiplicity - rep.multiplicity_refined) <= 1
     # selected centers pairwise at or above the tangency threshold
-    rho = sq.pseudo_block(rep.centers, rep.centers)
+    rho = rho_block(rep.centers, rep.centers)
     np.fill_diagonal(rho, 1.0)
     assert rho.min() >= rep.disjoint_threshold
     assert rep.disjoint_threshold == pytest.approx(2 * (0.5 / 3) / (1 + (0.5 / 3) ** 2), rel=1e-12)
