@@ -18,14 +18,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
 from . import __version__, bergman, domains, geometry_ball as geom, invariant_measure, measures, sequences
-from .errors import CarlesonLabError
+from .errors import CarlesonLabError, OutsideDomainError, ParameterError, ValidationError
 from .integrate import MCConfig, integrate_density, sample_unit_ball
 from .reports import CheckReport
 
@@ -40,23 +40,48 @@ LADDER_WEIGHTED_SUM = 0.4087542873488963
 
 _DIMENSION = {"type": "integer", "minimum": 1}
 _NUMBER = {"type": "number"}
-# sequence type -> (required field, typed fields)
-_SEQUENCE_FIELDS = {
-    "ladder": ("n", {"n": _DIMENSION, "count": _DIMENSION}),
-    "packing": ("n", {"n": _DIMENSION, "delta": _NUMBER, "epsilon": _NUMBER, "seed": {"type": "integer"}}),
-    "lattice": ("n", {"n": _DIMENSION, "spacing": _NUMBER, "jitter": _NUMBER, "seed": {"type": "integer"}}),
-    "csv": ("path", {"path": {"type": "string"}}),
-    "points": ("rows", {"rows": {"type": "array", "items": {"type": "array", "items": _NUMBER}}}),
-}
-SEQUENCE_SCHEMA = {
+_SEED = {"type": "integer", "minimum": 0}
+_ROW = {"type": "array", "items": _NUMBER, "minItems": 1}
+
+
+def _declaration(kinds: dict, **properties) -> dict:
+    """Schema of a ``{"type": kind, ...}`` declaration; ``kinds`` maps each kind
+    to (required fields, typed fields)."""
+    return {
+        "type": "object",
+        "required": ["type"],
+        "properties": {"type": {"enum": list(kinds)}, **properties},
+        "allOf": [
+            {"if": {"required": ["type"], "properties": {"type": {"const": kind}}},
+             "then": {"required": required, "properties": fields}}
+            for kind, (required, fields) in kinds.items()
+        ],
+    }
+
+
+SEQUENCE_SCHEMA = _declaration({
+    "ladder": (["n"], {"n": _DIMENSION, "count": _DIMENSION}),
+    "packing": (["n"], {"n": _DIMENSION, "delta": _NUMBER, "epsilon": _NUMBER, "seed": _SEED}),
+    "lattice": (["n"], {"n": _DIMENSION, "spacing": _NUMBER, "jitter": _NUMBER, "seed": _SEED}),
+    "csv": (["path"], {"path": {"type": "string"}}),
+    "points": (["rows"], {"rows": {"type": "array", "items": _ROW, "minItems": 1}}),
+}, metric={"enum": list(sequences.METRICS)})
+DOMAIN_SCHEMA = _declaration({
+    "ball": (["dimension"], {"dimension": _DIMENSION}),
+    "ellipsoid": (["semi_axes"], {"semi_axes": _ROW}),
+    "perturbed_ball": (["dimension"], {"dimension": _DIMENSION, "epsilon": _NUMBER, "bump_center": _ROW,
+                                       "bump_width": _NUMBER}),
+})
+MEASURE_SCHEMA = {
     "type": "object",
-    "required": ["type"],
-    "properties": {"type": {"enum": list(_SEQUENCE_FIELDS)}, "metric": {"enum": list(sequences.METRICS)}},
-    "allOf": [
-        {"if": {"required": ["type"], "properties": {"type": {"const": kind}}},
-         "then": {"required": [field], "properties": fields}}
-        for kind, (field, fields) in _SEQUENCE_FIELDS.items()
-    ],
+    "required": ["dimension"],
+    "properties": {
+        "dimension": _DIMENSION,
+        "atoms": {"type": "array", "items": {"type": "array", "prefixItems": [_ROW, _NUMBER],
+                                             "minItems": 2, "maxItems": 2}},
+        "density": {"if": {"type": "object"}, "then": _declaration({"power": (["s"], {"s": _NUMBER})}),
+                    "else": {"enum": ["none", None]}},
+    },
 }
 
 SPEC_SCHEMA = {
@@ -67,15 +92,15 @@ SPEC_SCHEMA = {
     "properties": {
         "name": {"type": "string"},
         "operation": {"type": "string"},
-        "domain": {"type": "object"},
-        "measure": {"type": "object"},
+        "domain": DOMAIN_SCHEMA,
+        "measure": MEASURE_SCHEMA,
         "sequence": SEQUENCE_SCHEMA,
         "parameters": {"type": "object"},
         "mc": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "seed": {"type": "integer"},
+                "seed": _SEED,
                 "n_samples": {"type": "integer", "minimum": 100},
                 "strata": {"type": ["array", "null"], "items": {"type": "number"}},
             },
@@ -177,7 +202,34 @@ def write_csv(path: Path, header: list[str], rows: list[list]):
             writer.writerow([_fmt(x) for x in row])
 
 
-def _sequence_from_config(cfg: dict) -> sequences.PointSequence:
+_REQUIRED = object()
+
+
+def _param(p: dict, key: str, default, kind):
+    """``parameters[key]`` read by ``kind``, or ``default`` when it is absent or
+    null.  A missing required key (``default=_REQUIRED``) or a value ``kind``
+    cannot read is a usage error naming ``parameters/<key>``."""
+    if p.get(key) is None and default is not _REQUIRED:
+        return default
+    try:
+        return kind(p[key])
+    except (TypeError, ValueError, LookupError, OverflowError) as exc:
+        raise UsageError(f"bad parameters/{key} ({type(exc).__name__}: {exc})") from exc
+
+
+def _count(value) -> int:
+    """A size: an integer >= 1."""
+    if int(value) < 1:
+        raise ValueError("must be >= 1")
+    return int(value)
+
+
+def _point(p: dict, key: str, default=_REQUIRED) -> np.ndarray:
+    return _param(p, key, default, lambda row: geom.rows_to_points([row])[0])
+
+
+def _sequence(spec: ExperimentSpec) -> sequences.PointSequence:
+    cfg = spec.sequence or {"type": "ladder", "n": 1, "count": 30}
     kind = cfg.get("type")
     metric = cfg.get("metric", "pseudohyperbolic")
     if kind == "ladder":
@@ -196,219 +248,187 @@ def _sequence_from_config(cfg: dict) -> sequences.PointSequence:
             spacing=float(cfg.get("spacing", 0.2)),
             jitter=float(cfg.get("jitter", 0.25)),
             seed=int(cfg.get("seed", 0)),
+            metric=metric,
         )
     if kind == "csv":
         return sequences.PointSequence.from_csv(cfg["path"], metric=metric)
     return sequences.PointSequence(points=geom.rows_to_points(cfg["rows"]), metric=metric)  # "points"
 
 
-def _point(params: dict, key: str, default=None) -> np.ndarray:
-    if key not in params:
-        if default is None:
-            raise UsageError(f"missing parameter {key!r}")
-        return np.asarray(default, dtype=complex)
-    return geom.rows_to_points([params[key]])[0]
+def _measure(spec: ExperimentSpec) -> measures.Measure:
+    return measures.Measure.from_config(spec.measure or {"dimension": 1, "density": {"type": "power", "s": 0.0}})
+
+
+def _domain(spec: ExperimentSpec) -> domains.Domain:
+    return domains.domain_from_config(
+        spec.domain or {"type": "ball", "dimension": _param(spec.parameters, "n", 1, _count)})
+
+
+def _escape_weight(cfg: dict) -> sequences.EscapeWeight | None:
+    if not cfg:
+        return None
+    if cfg["kind"] == "power":
+        return sequences.EscapeWeight.power(float(cfg["s"]))
+    if cfg["kind"] == "exp_inverse":
+        return sequences.EscapeWeight.exp_inverse()
+    raise ValueError(f"unknown escape weight kind {cfg['kind']!r}")
+
+
+def _values(**named) -> Outcome:
+    """One results row of named values, repeated as the summary."""
+    return Outcome(list(named), [list(named.values())], named)
 
 
 # ---------------------------------------------------------------------------
-# operation handlers
+# operations: one function spec -> Outcome per (command, parameters.op)
 # ---------------------------------------------------------------------------
 
-def _handle_ball(spec: ExperimentSpec) -> Outcome:
+def _ball(spec: ExperimentSpec, check: bool = False, sample: bool = False) -> Outcome:
+    """Ellipsoid data and volume of B(z0, r); ``check`` adds the quadratic ball
+    inequality, ``sample`` uniform samples of the ball."""
     p = spec.parameters
-    op = p.get("op", "summary")
-    if op in ("summary", "kobayashi_ball", "ball_volume", "sample_ball_uniform", "check_lemma_ball_inequality"):
-        z0 = _point(p, "z0", default=[0.0])
-        r = float(p.get("r", 0.5))
-        ball = geom.kobayashi_ball(z0, r)
-        rows = [["volume", geom.ball_volume(z0, r)]]
-        summary = {"ball": ball.to_json_dict(), "volume": geom.ball_volume(z0, r)}
-        status = "pass"
-        if op in ("summary", "check_lemma_ball_inequality"):
-            rep = geom.check_lemma_ball_inequality(z0, r, n_samples=int(p.get("samples", 10_000)), seed=spec.mc.seed)
-            rows.append(["ball_inequality_min_slack", rep.statistic])
-            summary["ball_inequality"] = rep.to_json_dict()
-            status = rep.verdict
-        if op in ("summary", "sample_ball_uniform"):
-            count = int(p.get("count", 100))
-            pts = geom.sample_ball_uniform(ball, count, spec.mc.seed)
-            for row in geom.points_to_rows(pts):
-                rows.append(["sample"] + [float(x) for x in row])
-        return Outcome(["field", "value"], _pad_rows(rows), summary, status)
-    if op == "pseudo_distance":
-        z = _point(p, "z")
-        w = _point(p, "w")
-        d = geom.pseudo_distance(z, w)
-        return Outcome(
-            ["pseudo", "kobayashi"],
-            [[d.pseudo, d.kobayashi]],
-            {"pseudo": d.pseudo, "kobayashi": d.kobayashi},
-        )
-    if op == "ball_automorphism":
-        a = _point(p, "a")
-        z = _point(p, "z")
-        out = geom.ball_automorphism(a, z)
-        row = geom.points_to_rows(out[None, :])[0].tolist()
-        return Outcome([f"c{k}" for k in range(len(row))], [row], {"image": row})
-    if op == "sample_unit_ball":
-        n = int(p.get("n", 1))
-        count = int(p.get("count", 100))
-        pts = sample_unit_ball(n, count, spec.mc.seed)
-        rows = [list(map(float, row)) for row in geom.points_to_rows(pts)]
-        return Outcome([f"c{k}" for k in range(2 * n)], rows, {"count": count, "n": n})
-    if op in ("boundary_distance", "kobayashi_bounds", "estimate_boundary_constants",
-              "check_distance_comparison", "check_defining_fn_inequality"):
-        return _handle_domain_op(spec, op)
-    raise UsageError(f"unknown ball operation {op!r}")
+    z0 = _point(p, "z0", np.zeros(1, dtype=complex))
+    r = _param(p, "r", 0.5, float)
+    ball = geom.kobayashi_ball(z0, r)
+    rows = [["volume", geom.ball_volume(z0, r)]]
+    summary = {"ball": ball.to_json_dict(), "volume": geom.ball_volume(z0, r)}
+    status = "pass"
+    if check:
+        rep = geom.check_lemma_ball_inequality(z0, r, n_samples=_param(p, "samples", 10_000, _count), seed=spec.mc.seed)
+        rows.append(["ball_inequality_min_slack", rep.statistic])
+        summary["ball_inequality"] = rep.to_json_dict()
+        status = rep.verdict
+    if sample:
+        pts = geom.sample_ball_uniform(ball, _param(p, "count", 100, _count), spec.mc.seed)
+        for row in geom.points_to_rows(pts):
+            rows.append(["sample"] + [float(x) for x in row])
+    width = max(len(row) for row in rows)
+    return Outcome(["field", "value"], [row + [""] * (width - len(row)) for row in rows], summary, status)
 
 
-def _handle_domain_op(spec: ExperimentSpec, op: str) -> Outcome:
+def _ball_automorphism(spec: ExperimentSpec) -> Outcome:
+    out = geom.ball_automorphism(_point(spec.parameters, "a"), _point(spec.parameters, "z"))
+    row = geom.points_to_rows(out[None, :])[0].tolist()
+    return Outcome([f"c{k}" for k in range(len(row))], [row], {"image": row})
+
+
+def _sample_unit_ball(spec: ExperimentSpec) -> Outcome:
+    n = _param(spec.parameters, "n", 1, _count)
+    count = _param(spec.parameters, "count", 100, _count)
+    pts = sample_unit_ball(n, count, spec.mc.seed)
+    rows = [list(map(float, row)) for row in geom.points_to_rows(pts)]
+    return Outcome([f"c{k}" for k in range(2 * n)], rows, {"count": count, "n": n})
+
+
+def _boundary_constants(spec: ExperimentSpec) -> Outcome:
+    probes = _param(spec.parameters, "probes", _REQUIRED, geom.rows_to_points)
+    est = domains.estimate_boundary_constants(_domain(spec), _point(spec.parameters, "z0"), probes)
+    rows = [[row["d"], row["lower"], row["upper"]] for row in est.rows]
+    return Outcome(["d", "lower", "upper"], rows, {"c0": est.c0, "C0": est.C0})
+
+
+def _domain_check(spec: ExperimentSpec, checker) -> Outcome:
     p = spec.parameters
-    dom = domains.domain_from_config(spec.domain or {"type": "ball", "dimension": int(p.get("n", 1))})
-    if op == "boundary_distance":
-        z = _point(p, "z")
-        d = domains.boundary_distance(dom, z)
-        return Outcome(["boundary_distance"], [[d]], {"boundary_distance": d})
-    if op == "kobayashi_bounds":
-        b = domains.kobayashi_bounds(dom, _point(p, "z"), _point(p, "w"))
-        return Outcome(["lower", "upper"], [[b.lower, b.upper]], {"lower": b.lower, "upper": b.upper})
-    if op == "estimate_boundary_constants":
-        probes = [geom.rows_to_points([row])[0] for row in p["probes"]]
-        est = domains.estimate_boundary_constants(dom, _point(p, "z0"), probes)
-        rows = [[row["d"], row["lower"], row["upper"]] for row in est.rows]
-        return Outcome(["d", "lower", "upper"], rows, {"c0": est.c0, "C0": est.C0})
-    checker = (
-        domains.check_distance_comparison
-        if op == "check_distance_comparison"
-        else domains.check_defining_fn_inequality
+    rep = checker(
+        _domain(spec), _point(p, "z0"), _param(p, "r", 0.5, float), _param(p, "samples", 2000, _count), spec.mc.seed
     )
-    rep = checker(dom, _point(p, "z0"), float(p.get("r", 0.5)), int(p.get("samples", 2000)), spec.mc.seed)
     return _report_outcome(rep)
 
 
-def _handle_berezin(spec: ExperimentSpec) -> Outcome:
+def _berezin_transform(spec: ExperimentSpec) -> Outcome:
     p = spec.parameters
-    op = p.get("op", "berezin_transform")
-    if op == "berezin_transform":
-        mu = measures.Measure.from_config(spec.measure or {"dimension": 1, "density": {"type": "power", "s": 0.0}})
-        probes = p.get("probes")
-        if probes is None:
-            centers = measures.boundary_schedule(mu.dimension, k_max=int(p.get("k_max", 8)))
-        else:
-            centers = [geom.rows_to_points([row])[0] for row in probes]
-        rows = []
-        for c in centers:
-            est = bergman.berezin_transform(mu, c, spec.mc)
-            rows.append(
-                [1.0 - float(np.linalg.norm(c)), float(np.real(est.value)), est.std_error]
-                + geom.points_to_rows(c[None, :])[0].tolist()
-            )
-        header = ["d", "berezin", "std_error"] + [f"c{k}" for k in range(2 * mu.dimension)]
-        sup = max(r[1] for r in rows)
-        return Outcome(header, rows, {"sup": sup, "n_probes": len(rows)})
-    if op in ("kernel", "normalized_kernel"):
-        z = _point(p, "z")
-        w = _point(p, "w")
-        val = bergman.kernel(z, w) if op == "kernel" else bergman.normalized_kernel(w, z)
-        return Outcome(["re", "im"], [[val.real, val.imag]], {"re": val.real, "im": val.imag})
-    if op == "integrate_density":
-        mu = measures.Measure.from_config(spec.measure or {"dimension": 1, "density": {"type": "power", "s": 0.0}})
-        if mu.density is None:
-            raise UsageError("integrate_density needs a measure with a density part")
-        est = integrate_density(mu.density, mu.dimension, spec.mc, boundary_pole_order=mu.pole_order)
-        return _estimate_outcome(est)
-    if op == "check_kernel_upper":
-        rep = bergman.check_kernel_upper(int(p.get("n", 1)), n_points=int(p.get("points", 2000)))
-        return _report_outcome(rep)
-    if op == "check_kernel_lower":
-        rep = bergman.check_kernel_lower(
-            int(p.get("n", 1)), samples_per_cell=int(p.get("samples", 2000)), seed=spec.mc.seed
+    mu = _measure(spec)
+    centers = _param(p, "probes", None, geom.rows_to_points)
+    if centers is None:
+        centers = measures.boundary_schedule(mu.dimension, k_max=_param(p, "k_max", 8, _count))
+    rows = []
+    for c in centers:
+        est = bergman.berezin_transform(mu, c, spec.mc)
+        rows.append(
+            [1.0 - float(np.linalg.norm(c)), float(np.real(est.value)), est.std_error]
+            + geom.points_to_rows(c[None, :])[0].tolist()
         )
-        return _report_outcome(rep)
-    if op == "check_submean":
-        rep = bergman.check_submean(
-            int(p.get("degree", 2)), _point(p, "z0", default=[0.3]), float(p.get("r", 0.5)), spec.mc, seed=spec.mc.seed
-        )
-        return _report_outcome(rep)
-    raise UsageError(f"unknown berezin operation {op!r}")
+    header = ["d", "berezin", "std_error"] + [f"c{k}" for k in range(2 * mu.dimension)]
+    sup = max(r[1] for r in rows)
+    return Outcome(header, rows, {"sup": sup, "n_probes": len(rows)})
 
 
-def _handle_carleson(spec: ExperimentSpec) -> Outcome:
+def _kernel(spec: ExperimentSpec, normalized: bool = False) -> Outcome:
+    z = _point(spec.parameters, "z")
+    w = _point(spec.parameters, "w")
+    val = bergman.normalized_kernel(w, z) if normalized else bergman.kernel(z, w)
+    return _values(re=val.real, im=val.imag)
+
+
+def _integrate_density(spec: ExperimentSpec) -> Outcome:
+    mu = _measure(spec)
+    if mu.density is None:
+        raise UsageError("integrate_density needs a measure with a density part")
+    return _estimate_outcome(integrate_density(mu.density, mu.dimension, spec.mc, boundary_pole_order=mu.pole_order))
+
+
+def _carleson_test(spec: ExperimentSpec) -> Outcome:
     p = spec.parameters
-    if spec.measure is not None:
-        mu = measures.Measure.from_config(spec.measure)
-    elif spec.sequence is not None:
-        mu = sequences.dirac_carleson_measure(_sequence_from_config(spec.sequence))
-    else:
+    if spec.measure is None and spec.sequence is None:
         raise UsageError("carleson-test needs a measure or a sequence")
+    mu = _measure(spec) if spec.measure is not None else sequences.dirac_carleson_measure(_sequence(spec))
     config = measures.CrossCheckConfig(
-        r_values=tuple(p.get("r_values", (0.3, 0.5, 0.7))),
-        k_max=int(p.get("k_max", 12)),
-        ball_samples=max(int(p.get("ball_samples", spec.mc.n_samples // 2)), 100),
-        global_samples=max(int(p.get("global_samples", spec.mc.n_samples)), 100),
-        n_polynomials=int(p.get("n_polynomials", 10)),
+        r_values=_param(p, "r_values", (0.3, 0.5, 0.7), lambda v: tuple(map(float, v))),
+        k_max=_param(p, "k_max", 12, _count),
+        ball_samples=max(_param(p, "ball_samples", spec.mc.n_samples // 2, int), 100),
+        global_samples=max(_param(p, "global_samples", spec.mc.n_samples, int), 100),
+        n_polynomials=_param(p, "n_polynomials", 10, int),
         seed=spec.mc.seed,
     )
     verdict = measures.cross_check_equivalence(mu, config)
-    rows = [
-        [geom.points_to_rows(np.asarray(r["center"])[None, :] if isinstance(r["center"], np.ndarray) else np.asarray([r["center"]]))[0].tolist(), r["d"], r["ratio"], r["berezin"]]
-        for r in verdict.schedule_rows()
-    ]
-    flat = [[*row[0], row[1], row[2], row[3]] for row in rows]
-    ncols = len(flat[0]) - 3 if flat else 2 * mu.dimension
-    header = [f"c{k}" for k in range(ncols)] + ["d", "ratio", "berezin"]
+    rows = [[*r["center"], r["d"], r["ratio"], r["berezin"]] for r in verdict.schedule_rows()]
+    header = [f"c{k}" for k in range(2 * mu.dimension)] + ["d", "ratio", "berezin"]
     status = {"pass": "pass", "fail": "fail"}.get(verdict.overall, "inconclusive")
-    return Outcome(header, flat, verdict.to_json_dict(), status)
+    return Outcome(header, rows, verdict.to_json_dict(), status)
 
 
-def _handle_seq(spec: ExperimentSpec, mode: str) -> Outcome:
+def _seq_analyze(spec: ExperimentSpec) -> Outcome:
+    seq = _sequence(spec)
+    sep = sequences.separation_constant(seq) if len(seq) >= 2 else math.nan
+    z0 = _point(spec.parameters, "z0", np.zeros(seq.dimension, dtype=complex))
+    r = _param(spec.parameters, "r", 0.5, float)
+    count = sequences.count_in_ball(seq, z0, r)
+    rows = [["count", len(seq)], ["separation", sep], [f"ball_count_r={r}", count]]
+    return Outcome(["field", "value"], rows, {"separation": sep, "size": len(seq), "ball_count": count})
+
+
+def _seq_decompose(spec: ExperimentSpec) -> Outcome:
+    r = _param(spec.parameters, "r", 0.3, float)
+    dec = sequences.greedy_decompose(_sequence(spec), r)
+    rows = [[i, int(c)] for i, c in enumerate(dec.color_of)]
+    return Outcome(["index", "class"], rows, {"n_classes": dec.n_colors, "r": r})
+
+
+def _seq_escape(spec: ExperimentSpec) -> Outcome:
     p = spec.parameters
-    seq = _sequence_from_config(spec.sequence or {"type": "ladder", "n": 1, "count": 30})
-    if mode == "analyze":
-        sep = sequences.separation_constant(seq) if len(seq) >= 2 else math.nan
-        z0 = _point(p, "z0", default=np.zeros(seq.dimension))
-        r = float(p.get("r", 0.5))
-        count = sequences.count_in_ball(seq, z0, r)
-        rows = [["count", len(seq)], ["separation", sep], [f"ball_count_r={r}", count]]
-        return Outcome(["field", "value"], rows, {"separation": sep, "size": len(seq), "ball_count": count})
-    if mode == "decompose":
-        r = float(p.get("r", 0.3))
-        dec = sequences.greedy_decompose(seq, r)
-        rows = [[i, int(c)] for i, c in enumerate(dec.color_of)]
-        return Outcome(["index", "class"], rows, {"n_classes": dec.n_colors, "r": r})
-    if mode == "escape":
-        weight = None
-        wcfg = p.get("weight")
-        if wcfg:
-            if wcfg.get("kind") == "power":
-                weight = sequences.EscapeWeight.power(float(wcfg["s"]))
-            elif wcfg.get("kind") == "exp_inverse":
-                weight = sequences.EscapeWeight.exp_inverse()
-            else:
-                raise UsageError(f"unknown escape weight {wcfg!r}")
-        res = sequences.escape_sum(seq, weight=weight, exponent=p.get("exponent", "n+1"))
-        rows = [[m + 1, s] for m, s in enumerate(res.partial_sums)]
-        return Outcome(
-            ["M", "partial_sum"],
-            rows,
-            {"total": res.total, "last_decade_increment": res.last_decade_increment},
-        )
-    if mode == "shells":
-        res = sequences.shell_counts(seq, p.get("z0") and _point(p, "z0"))
-        rows = [[m, c] for m, c in res.rows()]
-        return Outcome(["m", "N_m"], rows, {"slope": res.slope, "slope_se": res.slope_se})
-    raise UsageError(f"unknown seq mode {mode!r}")
+    res = sequences.escape_sum(
+        _sequence(spec),
+        weight=_param(p, "weight", None, _escape_weight),
+        exponent=_param(p, "exponent", "n+1", lambda e: e if isinstance(e, str) else int(e)),
+    )
+    rows = [[m + 1, s] for m, s in enumerate(res.partial_sums)]
+    return Outcome(["M", "partial_sum"], rows, {"total": res.total, "last_decade_increment": res.last_decade_increment})
 
 
-def _handle_cover(spec: ExperimentSpec) -> Outcome:
+def _seq_shells(spec: ExperimentSpec) -> Outcome:
+    res = sequences.shell_counts(_sequence(spec), _point(spec.parameters, "z0", None))
+    return Outcome(["m", "N_m"], [[m, c] for m, c in res.rows()], {"slope": res.slope, "slope_se": res.slope_se})
+
+
+def _cover(spec: ExperimentSpec) -> Outcome:
     p = spec.parameters
     rep = sequences.greedy_cover(
-        int(p.get("n", 1)),
-        float(p.get("epsilon", 0.1)),
-        float(p.get("r", 0.5)),
+        _param(p, "n", 1, _count),
+        _param(p, "epsilon", 0.1, float),
+        _param(p, "r", 0.5, float),
         seed=spec.mc.seed,
-        n_probes=int(p.get("probes", 10_000)),
-        n_candidates=p.get("candidates"),
+        n_probes=_param(p, "probes", 10_000, _count),
+        n_candidates=_param(p, "candidates", None, _count),
     )
     rows = [list(map(float, row)) for row in geom.points_to_rows(rep.centers)]
     header = [f"c{k}" for k in range(len(rows[0]))] if rows else ["c0"]
@@ -416,92 +436,70 @@ def _handle_cover(spec: ExperimentSpec) -> Outcome:
     return Outcome(header, rows, rep.to_json_dict(), status)
 
 
-def _handle_ek(spec: ExperimentSpec) -> Outcome:
-    p = spec.parameters
-    op = p.get("op", "ek_ball_measure")
-    if op == "ek_density":
-        z = _point(p, "z")
-        val = invariant_measure.ek_density(z)
-        return Outcome(["density"], [[val]], {"density": val})
-    if op == "ek_ball_measure":
-        z0 = _point(p, "z0", default=[0.0])
-        r = float(p.get("r", 0.5))
-        est = invariant_measure.ek_ball_measure(z0, r, spec.mc, backend=p.get("backend", "invariant"))
-        return _estimate_outcome(est)
-    if op == "check_ek_bounds":
-        rep = invariant_measure.check_ek_bounds(int(p.get("n", 1)), cfg=spec.mc)
-        return _report_outcome(rep)
-    raise UsageError(f"unknown ek operation {op!r}")
-
-
-def _pad_rows(rows: list[list]) -> list[list]:
-    width = max(len(r) for r in rows)
-    return [r + [""] * (width - len(r)) for r in rows]
-
-
-HANDLERS = {
-    "ball": _handle_ball,
-    "berezin": _handle_berezin,
-    "carleson-test": _handle_carleson,
-    "seq-analyze": lambda s: _handle_seq(s, "analyze"),
-    "seq-decompose": lambda s: _handle_seq(s, "decompose"),
-    "seq-escape": lambda s: _handle_seq(s, "escape"),
-    "seq-shells": lambda s: _handle_seq(s, "shells"),
-    "cover": _handle_cover,
-    "ek": _handle_ek,
+# (command, parameters.op) -> operation.  A command's first entry is its
+# default op; a command without ops has one entry, op None, and ignores
+# parameters.op.  run, its unknown-op error and build_parser read this table.
+OPERATIONS = {
+    ("ball", "summary"): functools.partial(_ball, check=True, sample=True),
+    ("ball", "kobayashi_ball"): _ball,
+    ("ball", "ball_volume"): _ball,
+    ("ball", "sample_ball_uniform"): functools.partial(_ball, sample=True),
+    ("ball", "check_lemma_ball_inequality"): functools.partial(_ball, check=True),
+    ("ball", "pseudo_distance"): lambda s: _values(
+        **asdict(geom.pseudo_distance(_point(s.parameters, "z"), _point(s.parameters, "w")))),
+    ("ball", "ball_automorphism"): _ball_automorphism,
+    ("ball", "sample_unit_ball"): _sample_unit_ball,
+    ("ball", "boundary_distance"): lambda s: _values(
+        boundary_distance=domains.boundary_distance(_domain(s), _point(s.parameters, "z"))),
+    ("ball", "kobayashi_bounds"): lambda s: _values(
+        **asdict(domains.kobayashi_bounds(_domain(s), _point(s.parameters, "z"), _point(s.parameters, "w")))),
+    ("ball", "estimate_boundary_constants"): _boundary_constants,
+    ("ball", "check_distance_comparison"): lambda s: _domain_check(s, domains.check_distance_comparison),
+    ("ball", "check_defining_fn_inequality"): lambda s: _domain_check(s, domains.check_defining_fn_inequality),
+    ("berezin", "berezin_transform"): _berezin_transform,
+    ("berezin", "kernel"): _kernel,
+    ("berezin", "normalized_kernel"): functools.partial(_kernel, normalized=True),
+    ("berezin", "integrate_density"): _integrate_density,
+    ("berezin", "check_kernel_upper"): lambda s: _report_outcome(bergman.check_kernel_upper(
+        _param(s.parameters, "n", 1, _count), n_points=_param(s.parameters, "points", 2000, _count))),
+    ("berezin", "check_kernel_lower"): lambda s: _report_outcome(bergman.check_kernel_lower(
+        _param(s.parameters, "n", 1, _count), samples_per_cell=_param(s.parameters, "samples", 2000, _count),
+        seed=s.mc.seed)),
+    ("berezin", "check_submean"): lambda s: _report_outcome(bergman.check_submean(
+        _param(s.parameters, "degree", 2, int), _point(s.parameters, "z0", np.asarray([0.3], dtype=complex)),
+        _param(s.parameters, "r", 0.5, float), s.mc, seed=s.mc.seed)),
+    ("carleson-test", None): _carleson_test,
+    ("seq-analyze", None): _seq_analyze,
+    ("seq-decompose", None): _seq_decompose,
+    ("seq-escape", None): _seq_escape,
+    ("seq-shells", None): _seq_shells,
+    ("cover", None): _cover,
+    ("ek", "ek_ball_measure"): lambda s: _estimate_outcome(invariant_measure.ek_ball_measure(
+        _point(s.parameters, "z0", np.zeros(1, dtype=complex)), _param(s.parameters, "r", 0.5, float), s.mc,
+        backend=_param(s.parameters, "backend", "invariant", str))),
+    ("ek", "ek_density"): lambda s: _values(density=invariant_measure.ek_density(_point(s.parameters, "z"))),
+    ("ek", "check_ek_bounds"): lambda s: _report_outcome(
+        invariant_measure.check_ek_bounds(_param(s.parameters, "n", 1, _count), cfg=s.mc)),
 }
 
-# library operation -> (subcommand, parameters.op or mode); the registry test
-# asserts the CLI surface covers every public operation of the primary modules
-OPERATION_REGISTRY = {
-    "geometry_ball.pseudo_distance": ("ball", "pseudo_distance"),
-    "geometry_ball.ball_automorphism": ("ball", "ball_automorphism"),
-    "geometry_ball.kobayashi_ball": ("ball", "kobayashi_ball"),
-    "geometry_ball.ball_volume": ("ball", "ball_volume"),
-    "geometry_ball.sample_ball_uniform": ("ball", "sample_ball_uniform"),
-    "geometry_ball.check_lemma_ball_inequality": ("ball", "check_lemma_ball_inequality"),
-    "domains.boundary_distance": ("ball", "boundary_distance"),
-    "domains.kobayashi_bounds": ("ball", "kobayashi_bounds"),
-    "domains.estimate_boundary_constants": ("ball", "estimate_boundary_constants"),
-    "domains.check_distance_comparison": ("ball", "check_distance_comparison"),
-    "domains.check_defining_fn_inequality": ("ball", "check_defining_fn_inequality"),
-    "integrate.sample_unit_ball": ("ball", "sample_unit_ball"),
-    "integrate.integrate_density": ("berezin", "integrate_density"),
-    "bergman.kernel": ("berezin", "kernel"),
-    "bergman.normalized_kernel": ("berezin", "normalized_kernel"),
-    "bergman.berezin_transform": ("berezin", "berezin_transform"),
-    "bergman.check_kernel_upper": ("berezin", "check_kernel_upper"),
-    "bergman.check_kernel_lower": ("berezin", "check_kernel_lower"),
-    "bergman.check_submean": ("berezin", "check_submean"),
-    "measures.measure_of_ball": ("carleson-test", None),
-    "measures.carleson_ratio_test": ("carleson-test", None),
-    "measures.carleson_berezin_test": ("carleson-test", None),
-    "measures.carleson_functional_test": ("carleson-test", None),
-    "measures.cross_check_equivalence": ("carleson-test", None),
-    "sequences.separation_constant": ("seq-analyze", None),
-    "sequences.count_in_ball": ("seq-analyze", None),
-    "sequences.greedy_decompose": ("seq-decompose", None),
-    "sequences.greedy_cover": ("cover", None),
-    "sequences.dirac_carleson_measure": ("seq-escape", None),
-    "sequences.escape_sum": ("seq-escape", None),
-    "sequences.shell_counts": ("seq-shells", None),
-    "invariant_measure.ek_density": ("ek", "ek_density"),
-    "invariant_measure.ek_ball_measure": ("ek", "ek_ball_measure"),
-    "cli.run": ("*", None),
-    "cli.verify": ("verify", None),
-}
+
+def _operation(spec: ExperimentSpec):
+    """The table entry for ``spec.operation`` and its ``parameters.op``."""
+    ops = [op for command, op in OPERATIONS if command == spec.operation]
+    op = _param(spec.parameters, "op", ops[0], str) if ops and ops[0] else None
+    if (spec.operation, op) not in OPERATIONS:
+        what = f"{spec.operation} op {op!r}" if ops else f"operation {spec.operation!r}"
+        valid = ops or dict.fromkeys(command for command, _ in OPERATIONS)
+        raise UsageError(f"unknown {what}; valid: {', '.join(valid)}")
+    return OPERATIONS[spec.operation, op]
 
 
 def run(spec: ExperimentSpec) -> int:
     """Execute one experiment spec: write results, summary, and manifest."""
     started = time.time()
-    handler = HANDLERS.get(spec.operation)
-    if handler is None:
-        raise UsageError(f"unknown operation {spec.operation!r}")
-    outcome = handler(spec)
+    outcome = _operation(spec)(spec)
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
     if spec.out_format == "csv":
         results_path = out_dir / "results.csv"
         write_csv(results_path, outcome.header, outcome.rows)
@@ -509,13 +507,11 @@ def run(spec: ExperimentSpec) -> int:
         results_path = out_dir / "results.json"
         with open(results_path, "w") as fh:
             json.dump({"header": outcome.header, "rows": outcome.rows}, fh, indent=2, default=_json_default)
-    artifacts.append(str(results_path))
     summary_path = out_dir / "summary.json"
     with open(summary_path, "w") as fh:
         json.dump({"name": spec.name, "status": outcome.status, **outcome.summary}, fh, indent=2, default=_json_default)
-    artifacts.append(str(summary_path))
     exit_code = {"pass": EXIT_PASS, "fail": EXIT_FAIL}.get(outcome.status, EXIT_INCONCLUSIVE)
-    _write_manifest(out_dir, spec, artifacts, started, exit_code)
+    _write_manifest(out_dir, spec, [str(results_path), str(summary_path)], started, exit_code)
     return exit_code
 
 
@@ -1002,12 +998,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--domain", type=str, default=None, help="inline JSON domain declaration")
         p.add_argument("--sequence", type=str, default=None, help="inline JSON sequence declaration")
 
-    for name in ("ball", "berezin", "carleson-test", "cover", "ek"):
-        common(sub.add_parser(name))
-    seq = sub.add_parser("seq")
-    seq_sub = seq.add_subparsers(dest="seq_mode", required=True)
-    for mode in ("analyze", "decompose", "escape", "shells"):
-        common(seq_sub.add_parser(mode))
+    seq = sub.add_parser("seq").add_subparsers(dest="seq_mode", required=True)
+    for command in dict.fromkeys(command for command, _ in OPERATIONS):
+        group = seq if command.startswith("seq-") else sub
+        common(group.add_parser(command.removeprefix("seq-")))
 
     ver = sub.add_parser("verify")
     ver.add_argument("suite", choices=["quick", "full"])
@@ -1053,13 +1047,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # a spec-driven run's input causes its parameter, validation and domain errors; in verify they are faults
+    input_errors = (ParameterError, ValidationError, OutsideDomainError) if args.command != "verify" else ()
     try:
         if args.command == "verify":
             return verify(args.suite, args.seed, args.out)
         operation = args.command if args.command != "seq" else f"seq-{args.seq_mode}"
         spec = _spec_from_args(args, operation)
         return run(spec)
-    except UsageError as exc:
+    except (UsageError, *input_errors) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CarlesonLabError as exc:

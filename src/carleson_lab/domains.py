@@ -66,7 +66,10 @@ class Domain:
     inner_radius: float
 
     def psi(self, z) -> float:
-        return float(self.psi_values(np.asarray(z, dtype=np.complex128)[None, :])[0])
+        z = np.asarray(z, dtype=np.complex128)
+        if z.shape != (self.dimension,):
+            raise ParameterError(f"a point of this domain has {self.dimension} coordinates, not {z.size}")
+        return float(self.psi_values(z[None, :])[0])
 
     def psi_values(self, points) -> np.ndarray:
         raise NotImplementedError

@@ -381,7 +381,7 @@ class FunctionalTestResult:
 
 def carleson_functional_test(
     mu: Measure,
-    centers,
+    kernels: BerezinTestResult,
     cfg: MCConfig,
     n_polynomials: int = 10,
     seed: int = 0,
@@ -389,25 +389,20 @@ def carleson_functional_test(
 ) -> FunctionalTestResult:
     """Direct test of the defining embedding inequality over a test family.
 
-    Family: normalised kernels at the schedule centers (the extremals of the
-    theory, with exact unit norm) plus random degree-<=2 polynomials whose
-    squared norms are exact by monomial orthogonality.  Only p = 2 is
-    supported: it is the exponent with closed norms.
+    Family: the normalised kernels k_c at the probes of the Berezin test
+    ``kernels``, plus random degree-<=2 polynomials whose squared norms are
+    exact by monomial orthogonality.  The kernel family is the Berezin test:
+    k_c has unit norm and integral |k_c|^2 dmu is the Berezin transform at c,
+    so its rows are taken from ``kernels`` as they stand and the verdict is the
+    Berezin verdict.  The polynomials add to the embedding constant only.
+    Only p = 2 is supported: it is the exponent with closed norms.
     """
     if p != 2.0:
         raise ParameterError("only p = 2 is supported by the functional test")
-    rows = []
-    for c in centers:
-        c = geom.as_point(c)
-        est = bergman.berezin_transform(mu, c, cfg)  # = integral |k_c|^2 dmu, norm 1
-        rows.append(
-            {
-                "kind": "kernel",
-                "d": 1.0 - float(np.linalg.norm(c)),
-                "ratio": float(np.real(est.value)),
-                "std_error": est.std_error,
-            }
-        )
+    rows = [
+        {"kind": "kernel", "d": row["d"], "ratio": row["value"], "std_error": row["std_error"]}
+        for row in kernels.rows
+    ]
     rng = np.random.default_rng(seed)
     for _ in range(n_polynomials):
         alphas, coeffs = bergman.random_polynomial(mu.dimension, 2, rng)
@@ -438,14 +433,9 @@ def carleson_functional_test(
         )
     best = max(range(len(rows)), key=lambda i: rows[i]["ratio"])
     constant = EstimateWithError(rows[best]["ratio"], rows[best]["std_error"], cfg.n_samples)
-    kernel_rows = [row for row in rows if row["kind"] == "kernel"]
-    verdict, slope, slope_se, growth = _divergence_verdict(
-        [row["d"] for row in kernel_rows],
-        [row["ratio"] for row in kernel_rows],
-        [row["std_error"] for row in kernel_rows],
-    )
     return FunctionalTestResult(
-        rows=rows, constant=constant, slope=slope, slope_se=slope_se, growth=growth, verdict=verdict
+        rows=rows, constant=constant, slope=kernels.slope, slope_se=kernels.slope_se, growth=kernels.growth,
+        verdict=kernels.verdict,
     )
 
 
@@ -534,7 +524,7 @@ def cross_check_equivalence(mu: Measure, config: CrossCheckConfig | None = None)
         ratio_results[r] = carleson_ratio_test(mu, r, centers, config.ball_cfg())
     berezin_result = carleson_berezin_test(mu, centers, config.global_cfg())
     functional_result = carleson_functional_test(
-        mu, centers, config.global_cfg(), n_polynomials=config.n_polynomials, seed=config.seed
+        mu, berezin_result, config.global_cfg(), n_polynomials=config.n_polynomials, seed=config.seed
     )
 
     sub = [res.verdict for res in ratio_results.values()]

@@ -126,11 +126,12 @@ class PointSequence:
 
     @classmethod
     def perturbed_lattice(
-        cls, n: int, spacing: float = 0.2, jitter: float = 0.25, seed: int = 0, epsilon: float = 0.05
+        cls, n: int, spacing: float = 0.2, jitter: float = 0.25, seed: int = 0, epsilon: float = 0.05,
+        metric: str = "pseudohyperbolic",
     ) -> "PointSequence":
         """Euclidean grid restricted to {depth >= epsilon}, with seeded jitter."""
-        if spacing <= 0.0:
-            raise ParameterError("spacing must be positive")
+        if not 0.0 < spacing < math.inf:
+            raise ParameterError("spacing must be positive and finite")
         rng = np.random.default_rng(seed)
         axis = np.arange(-1.0, 1.0 + spacing / 2, spacing)
         grids = np.meshgrid(*([axis] * (2 * n)), indexing="ij")
@@ -138,7 +139,7 @@ class PointSequence:
         rows = rows + jitter * spacing * (rng.random(rows.shape) - 0.5)
         pts = geom.rows_to_points(rows)
         keep = np.linalg.norm(pts, axis=1) <= 1.0 - epsilon
-        return cls(points=pts[keep])
+        return cls(points=pts[keep], metric=metric)
 
     # -- serialisation ---------------------------------------------------------
     def to_csv(self, path):

@@ -1,10 +1,17 @@
+import contextlib
+import importlib
+import io
 import json
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from carleson_lab import bergman, cli
+from carleson_lab import bergman, cli, geometry_ball, measures, sequences
+from carleson_lab.integrate import MCConfig
 
 
 def run_cli(args):
@@ -62,6 +69,100 @@ def test_malformed_sequence_declarations_exit_usage(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == cli.EXIT_USAGE, text
         assert field in err and "Traceback" not in err, err
+
+
+def test_malformed_parameters_and_declarations_exit_usage(tmp_path, capsys):
+    # wrong types, missing required fields and out-of-range values each end
+    # with exit 3, name the field and print no traceback
+    for argv, field in (
+        (["ball", "--params", '{"r": "abc"}'], "parameters/r"),
+        (["ball", "--params", '{"r": 1.5}'], "radius"),
+        (["ek", "--params", '{"op": "check_ek_bounds", "n": "x"}'], "parameters/n"),
+        (["cover", "--params", '{"probes": "many"}'], "parameters/probes"),
+        (["cover", "--params", '{"n": 0}'], "parameters/n"),
+        (["seq", "escape", "--params", '{"weight": {"kind": "power"}}'], "parameters/weight"),
+        (["ball", "--params", '{"op": "pseudo_distance", "w": [0.1, 0.0]}'], "parameters/z"),
+        (["ball", "--params", '{"op": "boundary_distance", "z": [0.1, 0.0]}', "--domain", '{"type": "ellipsoid"}'],
+         "semi_axes"),
+        (["ball", "--domain", '{"type": "ellipsoid"}'], "semi_axes"),
+        (["ball", "--params", '{"op": "boundary_distance", "z": [0.1, 0.0]}', "--domain",
+          '{"type": "perturbed_ball", "dimension": 2}'], "coordinates"),
+        (["carleson-test", "--measure", '{"dimension": 1, "density": {"type": "power"}}'], "'s'"),
+        (["berezin", "--measure", '{"dimension": 1, "density": {"type": "beta"}}'], "measure/density/type"),
+        (["seq", "analyze", "--sequence", '{"type": "lattice", "n": 1, "spacing": Infinity}'], "spacing"),
+        (["ball", "--params", '{"op": "frobnicate"}'], "summary, kobayashi_ball"),
+    ):
+        rc = run_cli(argv + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE, argv
+        assert field in err and "Traceback" not in err, err
+
+
+# Fuzzed declarations: one valid, cheap call per table entry, then one or two of
+# its --params/--measure/--domain/--sequence fields replaced by junk or deleted.
+# The junk is malformed (wrong types, out-of-range numbers, broken points), not
+# merely large, so every example stays cheap.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([-1, 0, 1, 1.5, -0.5, math.nan, math.inf]),
+    st.text(max_size=3),
+    st.lists(st.sampled_from([0.0, 0.5, 1.5, "x"]), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "s", "type"]), st.sampled_from(["power", 1, None]), max_size=2),
+)
+_CHEAP = {"z": [0.1, 0.0], "w": [0.3, 0.1], "a": [0.2, 0.0], "z0": [0.2, 0.0], "r": 0.5, "n": 1, "k_max": 2,
+          "samples": 100, "points": 100, "count": 5, "ball_samples": 100, "global_samples": 100,
+          "n_polynomials": 1, "epsilon": 0.5, "weight": {"kind": "power", "s": 2.0}, "exponent": "n"}
+_DECLARATIONS = {
+    "measure": [{"dimension": 1, "density": {"type": "power", "s": 0.5}},
+                {"dimension": 1, "atoms": [[[0.5, 0.0], 1.0]], "density": "none"}],
+    # the perturbed ball's distance comparison costs seconds per call: its
+    # boundary distances are found by multistart search
+    "domain": [{"type": "ball", "dimension": 1}, {"type": "ellipsoid", "semi_axes": [1.5, 1.0]}],
+    "sequence": [{"type": "ladder", "n": 1, "count": 10}, {"type": "packing", "n": 1, "delta": 0.5, "epsilon": 0.2},
+                 {"type": "lattice", "n": 1, "spacing": 0.3}, {"type": "points", "rows": [[0.1, 0.0], [0.5, 0.0]]}],
+}
+
+
+@st.composite
+def _fuzzed_call(draw):
+    command, op = draw(st.sampled_from(sorted(cli.OPERATIONS, key=str)))
+    params = {**_CHEAP, "op": op, "probes": 100 if command == "cover" else [[0.5, 0.0], [0.9, 0.0]]}
+    declarations = {kind: dict(draw(st.sampled_from(options))) for kind, options in _DECLARATIONS.items()}
+    targets = [params, *declarations.values()]
+    for _ in range(draw(st.integers(1, 2))):
+        target = draw(st.sampled_from(targets))
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(_JUNK)
+    argv = ["seq", command[4:]] if command.startswith("seq-") else [command]
+    argv += ["--params", json.dumps(params), "--samples", "200"]
+    if command == "carleson-test" and draw(st.booleans()):
+        del declarations["measure"]  # the Dirac measure of the sequence
+    for kind, decl in declarations.items():
+        argv += [f"--{kind}", json.dumps(decl)]
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=_fuzzed_call())
+def test_fuzzed_declarations_exit_without_traceback(tmp_path_factory, argv):
+    out = tmp_path_factory.getbasetemp() / "fuzz"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = run_cli(argv + ["--out", str(out)])
+    assert rc in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE, cli.EXIT_USAGE), argv
+    assert "Traceback" not in err.getvalue(), argv
+
+
+def test_unknown_operation_lists_the_table():
+    spec = cli.ExperimentSpec(name="x", operation="ek", parameters={"op": "frobnicate"})
+    with pytest.raises(cli.UsageError, match="ek_ball_measure, ek_density, check_ek_bounds"):
+        cli.run(spec)
+    with pytest.raises(cli.UsageError, match="ball, berezin, carleson-test, seq-analyze"):
+        cli.run(cli.ExperimentSpec(name="x", operation="frobnicate"))
 
 
 def test_malformed_json_reports_line(tmp_path, capsys):
@@ -135,6 +236,39 @@ def test_carleson_test_csv_rows_shape(tmp_path):
     assert rc == 0
     header = (tmp_path / "o" / "results.csv").read_text().splitlines()[0]
     assert header.endswith("d,ratio,berezin")
+
+
+def test_carleson_test_columns_are_the_schedule_centres(tmp_path):
+    # n = 2: one re/im pair per coordinate, as boundary_schedule places them
+    rc = run_cli(
+        [
+            "carleson-test",
+            "--measure",
+            '{"dimension": 2, "density": {"type": "power", "s": 0.5}}',
+            "--params",
+            '{"k_max": 3, "ball_samples": 500, "global_samples": 1000, "n_polynomials": 1}',
+            "--out",
+            str(tmp_path / "o"),
+        ]
+    )
+    assert rc in (cli.EXIT_PASS, cli.EXIT_INCONCLUSIVE)
+    lines = (tmp_path / "o" / "results.csv").read_text().splitlines()
+    assert lines[0] == "c0,c1,c2,c3,d,ratio,berezin"
+    coords = [[float(x) for x in line.split(",")[:4]] for line in lines[1:]]
+    centres = [geometry_ball.points_to_rows(c[None, :])[0].tolist() for c in measures.boundary_schedule(2, 3)]
+    assert coords == centres
+
+
+def test_seq_analyze_lattice_keeps_metric(tmp_path):
+    seps = {}
+    for metric in ("euclidean", "pseudohyperbolic"):
+        out = tmp_path / metric
+        decl = json.dumps({"type": "lattice", "n": 1, "metric": metric})
+        assert run_cli(["seq", "analyze", "--sequence", decl, "--out", str(out)]) == 0
+        seps[metric] = json.loads((out / "summary.json").read_text())["separation"]
+    lattice = sequences.PointSequence.perturbed_lattice(1, metric="euclidean")
+    assert seps["euclidean"] == sequences.separation_constant(lattice)
+    assert seps["euclidean"] != seps["pseudohyperbolic"]
 
 
 def test_seq_escape_ladder(tmp_path):
@@ -228,49 +362,87 @@ def test_json_output_format(tmp_path):
     assert data["header"] == ["field", "value"]
 
 
-def test_registry_covers_primary_operations():
-    # every public operation of the primary modules is reachable from a subcommand
-    expected_ops = {
-        "geometry_ball.pseudo_distance",
-        "geometry_ball.ball_automorphism",
-        "geometry_ball.kobayashi_ball",
-        "geometry_ball.ball_volume",
-        "geometry_ball.sample_ball_uniform",
-        "geometry_ball.check_lemma_ball_inequality",
-        "domains.boundary_distance",
-        "domains.kobayashi_bounds",
-        "domains.estimate_boundary_constants",
-        "domains.check_distance_comparison",
-        "domains.check_defining_fn_inequality",
-        "bergman.kernel",
-        "bergman.normalized_kernel",
-        "bergman.berezin_transform",
-        "bergman.check_kernel_upper",
-        "bergman.check_kernel_lower",
-        "bergman.check_submean",
-        "measures.measure_of_ball",
-        "measures.carleson_ratio_test",
-        "measures.carleson_berezin_test",
-        "measures.carleson_functional_test",
-        "measures.cross_check_equivalence",
-        "sequences.separation_constant",
-        "sequences.count_in_ball",
-        "sequences.greedy_decompose",
-        "sequences.greedy_cover",
-        "sequences.dirac_carleson_measure",
-        "sequences.escape_sum",
-        "sequences.shell_counts",
-        "invariant_measure.ek_density",
-        "invariant_measure.ek_ball_measure",
-        "integrate.sample_unit_ball",
-        "integrate.integrate_density",
-        "cli.run",
-        "cli.verify",
-    }
-    assert expected_ops <= set(cli.OPERATION_REGISTRY)
-    # and each registry target resolves to a real handler or builtin
-    for op, (subcommand, _) in cli.OPERATION_REGISTRY.items():
-        assert subcommand in set(cli.HANDLERS) | {"verify", "*"}, op
+# every public operation of the primary modules -> the (command, parameters.op)
+# table entry that runs it
+LIBRARY_OPERATIONS = {
+    "geometry_ball.pseudo_distance": ("ball", "pseudo_distance"),
+    "geometry_ball.ball_automorphism": ("ball", "ball_automorphism"),
+    "geometry_ball.kobayashi_ball": ("ball", "kobayashi_ball"),
+    "geometry_ball.ball_volume": ("ball", "ball_volume"),
+    "geometry_ball.sample_ball_uniform": ("ball", "sample_ball_uniform"),
+    "geometry_ball.check_lemma_ball_inequality": ("ball", "check_lemma_ball_inequality"),
+    "domains.boundary_distance": ("ball", "boundary_distance"),
+    "domains.kobayashi_bounds": ("ball", "kobayashi_bounds"),
+    "domains.estimate_boundary_constants": ("ball", "estimate_boundary_constants"),
+    "domains.check_distance_comparison": ("ball", "check_distance_comparison"),
+    "domains.check_defining_fn_inequality": ("ball", "check_defining_fn_inequality"),
+    "integrate.sample_unit_ball": ("ball", "sample_unit_ball"),
+    "integrate.integrate_density": ("berezin", "integrate_density"),
+    "bergman.kernel": ("berezin", "kernel"),
+    "bergman.normalized_kernel": ("berezin", "normalized_kernel"),
+    "bergman.berezin_transform": ("berezin", "berezin_transform"),
+    "bergman.check_kernel_upper": ("berezin", "check_kernel_upper"),
+    "bergman.check_kernel_lower": ("berezin", "check_kernel_lower"),
+    "bergman.check_submean": ("berezin", "check_submean"),
+    "measures.measure_of_ball": ("carleson-test", None),
+    "measures.carleson_ratio_test": ("carleson-test", None),
+    "measures.carleson_berezin_test": ("carleson-test", None),
+    "measures.carleson_functional_test": ("carleson-test", None),
+    "measures.cross_check_equivalence": ("carleson-test", None),
+    "sequences.dirac_carleson_measure": ("carleson-test", None),
+    "sequences.separation_constant": ("seq-analyze", None),
+    "sequences.count_in_ball": ("seq-analyze", None),
+    "sequences.greedy_decompose": ("seq-decompose", None),
+    "sequences.escape_sum": ("seq-escape", None),
+    "sequences.shell_counts": ("seq-shells", None),
+    "sequences.greedy_cover": ("cover", None),
+    "invariant_measure.ek_density": ("ek", "ek_density"),
+    "invariant_measure.ek_ball_measure": ("ek", "ek_ball_measure"),
+    "invariant_measure.check_ek_bounds": ("ek", "check_ek_bounds"),
+}
+
+
+class _Reached(Exception):
+    pass
+
+
+def test_registry_covers_primary_operations(tmp_path, monkeypatch):
+    # each library operation is a table entry, and running that entry calls it:
+    # the function is swapped for one that raises, in every module holding it
+    params = {"z": [0.1, 0.0], "w": [0.3, 0.1], "a": [0.2, 0.0], "z0": [0.2, 0.0], "k_max": 1, "samples": 100,
+              "points": 100, "count": 5, "ball_samples": 100, "global_samples": 100, "n_polynomials": 1}
+    probes = {"ball": [[0.5, 0.0], [0.9, 0.0]], "cover": 100}
+    for name, (command, op) in LIBRARY_OPERATIONS.items():
+        assert (command, op) in cli.OPERATIONS, name
+        module, fn = name.split(".")
+        original = getattr(importlib.import_module(f"carleson_lab.{module}"), fn)
+
+        def reached(*args, _name=name, **kwargs):
+            raise _Reached(_name)
+
+        with monkeypatch.context() as patch:
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("carleson_lab"):
+                    for attr, val in list(vars(mod).items()):
+                        if val is original:
+                            patch.setattr(mod, attr, reached)
+            spec = cli.ExperimentSpec(
+                name=name,
+                operation=command,
+                measure={"dimension": 1, "density": {"type": "power", "s": 0.0}} if command == "berezin" else None,
+                sequence={"type": "ladder", "n": 1, "count": 5},
+                parameters={**params, "op": op, "probes": probes.get(command), "epsilon": 0.5},
+                mc=MCConfig(seed=0, n_samples=200),
+                out_dir=str(tmp_path),
+            )
+            with pytest.raises(_Reached, match=name):
+                cli.run(spec)
+    # the parser offers every command of the table, and verify
+    parser = cli.build_parser()
+    for command in {command for command, _ in cli.OPERATIONS}:
+        argv = ["seq", command[4:]] if command.startswith("seq-") else [command]
+        assert parser.parse_args(argv).command == argv[0]
+    assert parser.parse_args(["verify", "quick"]).suite == "quick"
 
 
 def test_verify_row_names_cover_every_result():

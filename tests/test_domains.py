@@ -19,6 +19,15 @@ def test_ball_boundary_distance_exact():
     assert dm.boundary_distance(BALL1, [0.6]) == pytest.approx(0.4, rel=1e-15)
 
 
+def test_points_must_have_the_domain_dimension():
+    for dom in (BALL1, dm.EllipsoidDomain([1.5, 1.0, 1.2, 0.9]), dm.PerturbedBallDomain(2, epsilon=0.1)):
+        wrong = np.zeros(dom.dimension + 1)
+        with pytest.raises(ParameterError):
+            dm.boundary_distance(dom, wrong)
+        with pytest.raises(ParameterError):
+            dm.kobayashi_bounds(dom, wrong, wrong)
+
+
 def test_boundary_distance_rejects_exterior():
     with pytest.raises(OutsideDomainError):
         dm.boundary_distance(BALL1, [1.1])

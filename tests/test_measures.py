@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from carleson_lab import bergman
 from carleson_lab import geometry_ball as g
 from carleson_lab import measures as ms
 from carleson_lab.errors import ParameterError, ValidationError
@@ -168,7 +169,8 @@ def test_berezin_test_divergent_density():
 # -- functional test ----------------------------------------------------------
 
 def test_functional_constant_for_volume_is_one():
-    res = ms.carleson_functional_test(ms.Measure.lebesgue(1), ms.boundary_schedule(1, 8), CFG, seed=3)
+    mu = ms.Measure.lebesgue(1)
+    res = ms.carleson_functional_test(mu, ms.carleson_berezin_test(mu, ms.boundary_schedule(1, 8), CFG), CFG, seed=3)
     assert res.verdict == "pass"
     assert res.constant.value < 1.2
 
@@ -176,15 +178,34 @@ def test_functional_constant_for_volume_is_one():
 def test_functional_dirac_kernel_ratios():
     # mu = delta_0, f = k_z: ratio = |k_z(0)|^2 = (1 - ||z||^2)^(n+1) <= 1
     mu = ms.Measure.dirac([0.0])
-    res = ms.carleson_functional_test(mu, ms.boundary_schedule(1, 6), CFG, n_polynomials=2, seed=1)
+    kernels = ms.carleson_berezin_test(mu, ms.boundary_schedule(1, 6), CFG)
+    res = ms.carleson_functional_test(mu, kernels, CFG, n_polynomials=2, seed=1)
     kernel_rows = [r for r in res.rows if r["kind"] == "kernel"]
     for row in kernel_rows:
         assert row["ratio"] <= 1.0 + 1e-12
 
 
+def test_functional_kernel_rows_are_the_berezin_rows():
+    # the ratio of k_c is the Berezin transform at c, so the kernel family takes
+    # the Berezin test's rows and verdict; pinned against direct transforms
+    mu = ms.Measure.with_power_density(1, 0.5)
+    centers = ms.boundary_schedule(1, 6)
+    kernels = ms.carleson_berezin_test(mu, centers, CFG)
+    res = ms.carleson_functional_test(mu, kernels, CFG, n_polynomials=2, seed=1)
+    got = [(r["d"], r["ratio"], r["std_error"]) for r in res.rows if r["kind"] == "kernel"]
+    want = []
+    for c in centers:
+        est = bergman.berezin_transform(mu, c, CFG)
+        want.append((1.0 - float(np.linalg.norm(c)), float(np.real(est.value)), est.std_error))
+    assert got == want
+    assert [r["kind"] for r in res.rows[len(want):]] == ["polynomial"] * 2
+    assert (res.verdict, res.slope, res.slope_se, res.growth) == (
+        kernels.verdict, kernels.slope, kernels.slope_se, kernels.growth)
+
+
 def test_functional_rejects_other_p():
     with pytest.raises(ParameterError):
-        ms.carleson_functional_test(ms.Measure.lebesgue(1), [], CFG, p=4.0)
+        ms.carleson_functional_test(ms.Measure.lebesgue(1), None, CFG, p=4.0)
 
 
 # -- cross-check --------------------------------------------------------------

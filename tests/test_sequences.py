@@ -292,6 +292,17 @@ def test_perturbed_lattice_interior():
     assert np.all(seq_depth(seq) >= 0.049)
 
 
+def test_perturbed_lattice_metric():
+    # the metric is passed through, like the other generators; the points are not moved
+    base = sq.PointSequence.perturbed_lattice(1, spacing=0.25, seed=1)
+    seq = sq.PointSequence.perturbed_lattice(1, spacing=0.25, seed=1, metric="euclidean")
+    assert seq.metric == "euclidean" and base.metric == "pseudohyperbolic"
+    assert np.array_equal(seq.points, base.points)
+    for spacing in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            sq.PointSequence.perturbed_lattice(1, spacing=spacing)
+
+
 def test_csv_roundtrip(tmp_path):
     seq = sq.PointSequence.radial_ladder(2, 8)
     path = tmp_path / "pts.csv"
