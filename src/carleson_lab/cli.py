@@ -185,11 +185,9 @@ def _report_outcome(rep: CheckReport) -> Outcome:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, (np.floating,)):
-        return repr(float(x))
-    if isinstance(x, (np.integer,)):
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))  # np.float64 is a float whose repr is "np.float64(...)"
+    if isinstance(x, np.integer):
         return str(int(x))
     return str(x)
 
@@ -422,14 +420,18 @@ def _seq_shells(spec: ExperimentSpec) -> Outcome:
 
 def _cover(spec: ExperimentSpec) -> Outcome:
     p = spec.parameters
-    rep = sequences.greedy_cover(
-        _param(p, "n", 1, _count),
-        _param(p, "epsilon", 0.1, float),
-        _param(p, "r", 0.5, float),
-        seed=spec.mc.seed,
-        n_probes=_param(p, "probes", 10_000, _count),
-        n_candidates=_param(p, "candidates", None, _count),
-    )
+    n = _param(p, "n", 1, _count)
+    try:
+        rep = sequences.greedy_cover(
+            n,
+            _param(p, "epsilon", 0.1, float),
+            _param(p, "r", 0.5, float),
+            seed=spec.mc.seed,
+            n_probes=_param(p, "probes", 10_000, _count),
+            n_candidates=_param(p, "candidates", None, _count),
+        )
+    except OverflowError as exc:  # the candidate count is a power of n
+        raise UsageError(f"bad parameters/n ({exc}): no candidate net in dimension {n}") from exc
     rows = [list(map(float, row)) for row in geom.points_to_rows(rep.centers)]
     header = [f"c{k}" for k in range(len(rows[0]))] if rows else ["c0"]
     status = "pass" if rep.uncovered == 0 and abs(rep.multiplicity_refined - rep.multiplicity) <= 1 else "fail"
@@ -1051,6 +1053,8 @@ def main(argv=None) -> int:
     input_errors = (ParameterError, ValidationError, OutsideDomainError) if args.command != "verify" else ()
     try:
         if args.command == "verify":
+            if args.seed < 0:
+                raise UsageError(f"bad --seed {args.seed}: must be a non-negative integer")
             return verify(args.suite, args.seed, args.out)
         operation = args.command if args.command != "seq" else f"seq-{args.seq_mode}"
         spec = _spec_from_args(args, operation)

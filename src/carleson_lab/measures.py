@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bergman, geometry_ball as geom
 from .errors import ParameterError, ValidationError
-from .integrate import EstimateWithError, MCConfig, integrate_density
+from .integrate import EstimateWithError, MCConfig, integrate_density, integrate_over_balls
 
 __all__ = [
     "PowerDensity",
@@ -202,18 +202,23 @@ class Measure:
         return cls(dimension=dim, atom_points=pts, atom_weights=np.asarray(weights, dtype=float), density=density)
 
 
-def measure_of_ball(mu: Measure, ball: geom.KobayashiBall, cfg: MCConfig) -> EstimateWithError:
-    """mu(B) for a metric ball: atoms counted exactly, density part by MC."""
-    if ball.dimension != mu.dimension:
+def measure_of_ball(mu: Measure, ball, cfg: MCConfig) -> EstimateWithError | list[EstimateWithError]:
+    """mu(B) for a metric ball: atoms counted exactly, density part by MC.
+
+    ``ball`` is a :class:`~carleson_lab.geometry_ball.KobayashiBall` or a grid,
+    a list of them; a grid gets a list of estimates whose density parts come
+    from one stratified draw (:func:`~carleson_lab.integrate.integrate_over_balls`).
+    """
+    grid = [ball] if isinstance(ball, geom.KobayashiBall) else list(ball)
+    if any(b.dimension != mu.dimension for b in grid):
         raise ParameterError("ball and measure dimensions differ")
-    atom_part = 0.0
-    if mu.n_atoms:
-        inside = ball.contains(mu.atom_points)
-        atom_part = math.fsum(mu.atom_weights[inside])
     if mu.density is None:
-        return EstimateWithError(value=atom_part, std_error=0.0, n_effective=mu.n_atoms)
-    est = integrate_density(mu.density, ball, cfg)
-    return EstimateWithError(atom_part + est.value, est.std_error, est.n_effective, est.n_excluded)
+        dens = [EstimateWithError(value=0.0, std_error=0.0, n_effective=mu.n_atoms)] * len(grid)
+    else:
+        dens = integrate_over_balls(mu.density, grid, cfg)
+    atoms = [math.fsum(mu.atom_weights[b.contains(mu.atom_points)]) if mu.n_atoms else 0.0 for b in grid]
+    masses = [EstimateWithError(a + e.value, e.std_error, e.n_effective, e.n_excluded) for a, e in zip(atoms, dens)]
+    return masses[0] if isinstance(ball, geom.KobayashiBall) else masses
 
 
 def boundary_schedule(
@@ -312,21 +317,21 @@ def carleson_ratio_test(mu: Measure, r: float, centers, cfg: MCConfig) -> RatioT
     """Kobayashi-ball mass ratios mu(B)/vol(B) along a boundary schedule.
 
     The verdict flags divergence via the fitted log-log slope of ratio against
-    boundary depth; bounded, flat ratio profiles pass.
+    boundary depth; bounded, flat ratio profiles pass.  The balls about all
+    ``centers`` are one grid (:func:`measure_of_ball`): their MC estimates share
+    common random numbers, the same stratified round-ball sample mapped onto
+    each ball.
     """
     if not 0.0 < r < 1.0:
         raise ParameterError("radius must be in (0, 1)")
+    balls = [geom.kobayashi_ball(c, r) for c in centers]
     rows = []
-    for c in centers:
-        c = geom.as_point(c)
-        ball = geom.kobayashi_ball(c, r)
-        est = measure_of_ball(mu, ball, cfg)
+    for ball, est in zip(balls, measure_of_ball(mu, balls, cfg)):
         vol = ball.volume
-        d = 1.0 - float(np.linalg.norm(c))
         rows.append(
             {
-                "center": c,
-                "d": d,
+                "center": ball.base,
+                "d": 1.0 - float(np.linalg.norm(ball.base)),
                 "ratio": float(np.real(est.value)) / vol,
                 "std_error": est.std_error / vol,
             }

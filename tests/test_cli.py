@@ -80,6 +80,8 @@ def test_malformed_parameters_and_declarations_exit_usage(tmp_path, capsys):
         (["ek", "--params", '{"op": "check_ek_bounds", "n": "x"}'], "parameters/n"),
         (["cover", "--params", '{"probes": "many"}'], "parameters/probes"),
         (["cover", "--params", '{"n": 0}'], "parameters/n"),
+        (["cover", "--params", '{"n": 10000}'], "parameters/n"),
+        (["verify", "quick", "--seed", "-1"], "--seed"),
         (["seq", "escape", "--params", '{"weight": {"kind": "power"}}'], "parameters/weight"),
         (["ball", "--params", '{"op": "pseudo_distance", "w": [0.1, 0.0]}'], "parameters/z"),
         (["ball", "--params", '{"op": "boundary_distance", "z": [0.1, 0.0]}', "--domain", '{"type": "ellipsoid"}'],
@@ -290,6 +292,16 @@ def test_seq_escape_ladder(tmp_path):
     assert summary["total"] == pytest.approx(0.156518, abs=1e-6)
 
 
+def test_results_csv_cells_are_plain_numbers(tmp_path):
+    # numpy scalars are written as their float value, not as "np.float64(...)"
+    out = tmp_path / "o"
+    rc = run_cli(["seq", "escape", "--sequence", '{"type": "ladder", "n": 1, "count": 5}', "--out", str(out)])
+    assert rc == 0
+    lines = (out / "results.csv").read_text().splitlines()
+    assert lines[1] == "1,0.1353352832366127"
+    assert not any("np." in line for line in lines)
+
+
 def test_seq_decompose_two_classes(tmp_path):
     rc = run_cli(
         [
@@ -378,6 +390,7 @@ LIBRARY_OPERATIONS = {
     "domains.check_defining_fn_inequality": ("ball", "check_defining_fn_inequality"),
     "integrate.sample_unit_ball": ("ball", "sample_unit_ball"),
     "integrate.integrate_density": ("berezin", "integrate_density"),
+    "integrate.integrate_over_balls": ("berezin", "check_submean"),
     "bergman.kernel": ("berezin", "kernel"),
     "bergman.normalized_kernel": ("berezin", "normalized_kernel"),
     "bergman.berezin_transform": ("berezin", "berezin_transform"),

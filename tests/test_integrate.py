@@ -6,6 +6,7 @@ import pytest
 from carleson_lab import bergman as bg
 from carleson_lab import geometry_ball as g
 from carleson_lab import integrate as mc
+from carleson_lab import measures as ms
 from carleson_lab.errors import AnalysisError, ParameterError
 from carleson_lab.integrate import (
     BetaRadialComponent,
@@ -14,6 +15,7 @@ from carleson_lab.integrate import (
     UniformBallComponent,
     integrate_density,
     integrate_mixture,
+    integrate_over_balls,
     sample_unit_ball,
 )
 
@@ -173,6 +175,106 @@ def test_calibration_coverage():
         lo, hi = est.interval(3.0)
         hits += lo <= truth <= hi
     assert hits >= 190
+
+
+# -- ball grids against the per-batch layout ---------------------------------
+
+def _per_batch_ball_estimate(f, ball, cfg):
+    """Oracle: the stratified ball estimator drawn, mapped and evaluated batch by
+    batch (four keyed batches per shell), as before grids shared one draw.
+    Returns (value, std_error, n_effective, n_excluded)."""
+    n = ball.dimension
+    shells = mc._strata_fractions(cfg, n)
+    fractions = [hi - lo for lo, hi in shells]
+    counts = [max(c, 2) for c in mc._apportion(cfg.n_samples, fractions)]
+    value, var, bad = 0j, 0.0, 0
+    for k, ck in enumerate(counts):
+        vals = np.concatenate([
+            f(g.map_round_to_ellipsoid(ball, mc._sample_round_shell(cfg.rng_for(k, s), n, m, *shells[k])))
+            for s, m in enumerate(mc._apportion(ck, [1.0] * 4)) if m > 0
+        ])
+        vals = vals[np.isfinite(vals)]
+        bad += ck - vals.size
+        w = ball.volume * fractions[k]
+        value += w * np.mean(vals)
+        var += w * w * np.var(vals, ddof=1) / vals.size
+    return (value.real if value.imag == 0.0 else value), math.sqrt(var), sum(counts) - bad, bad
+
+
+def _fields(est):
+    return est.value, est.std_error, est.n_effective, est.n_excluded
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_grid_matches_per_batch_layout(n):
+    balls = [g.kobayashi_ball(c, 0.5) for c in ms.boundary_schedule(n, 8)]
+    for s in (-0.5, 0.0, 1.0):
+        density = ms.PowerDensity(s)
+        cfg = MCConfig(seed=10 + n, n_samples=3000)
+        grid = integrate_over_balls(density, balls, cfg)
+        assert [_fields(est) for est in grid] == [_per_batch_ball_estimate(density, b, cfg) for b in balls]
+
+
+def test_ball_grid_with_atoms_and_custom_strata():
+    balls = [g.kobayashi_ball(c, 0.7) for c in ms.boundary_schedule(2, 6)]
+    atoms = ms.Measure.from_atoms([b.center for b in balls[::3]], [0.5, 1.0, 2.0, 0.25])
+    mu = ms.Measure.with_power_density(2, 0.5) + atoms
+    for cfg in (MCConfig(seed=3, n_samples=2000), MCConfig(seed=4, n_samples=2500, strata=(0.3, 0.6, 0.9))):
+        masses = ms.measure_of_ball(mu, balls, cfg)
+        with_atoms = 0
+        for ball, est in zip(balls, masses):
+            value, se, n_eff, bad = _per_batch_ball_estimate(mu.density, ball, cfg)
+            atom_part = math.fsum(atoms.atom_weights[ball.contains(atoms.atom_points)])
+            with_atoms += atom_part > 0.0
+            assert _fields(est) == (atom_part + value, se, n_eff, bad)
+            assert est == ms.measure_of_ball(mu, ball, cfg)
+        assert with_atoms >= 4
+
+
+def test_grid_of_one_equals_its_ball_in_a_grid_of_sixteen():
+    balls = [g.kobayashi_ball(c, 0.3) for c in ms.boundary_schedule(2, 8)]
+    assert len(balls) == 16
+    f = lambda p: 1.0 + norm_sq_rows(p) ** 2
+    cfg = MCConfig(seed=9, n_samples=12_000)
+    for ball, est in zip(balls, integrate_over_balls(f, balls, cfg)):
+        assert est == integrate_density(f, ball, cfg) == integrate_over_balls(f, [ball], cfg)[0]
+        assert _fields(est) == _per_batch_ball_estimate(f, ball, cfg)
+
+
+def _nan_on_sliver(frac):
+    # NaN on a sliver picked by the point's value, so a batch and the whole
+    # draw mark the same samples
+    def f(p):
+        out = 1.0 - norm_sq_rows(p)
+        out[(1e6 * np.abs(p[:, 0])) % 1.0 < frac] = np.nan
+        return out
+
+    return f
+
+
+def test_ball_grid_excludes_nonfinite_like_per_batch_layout():
+    balls = [g.kobayashi_ball(c, 0.5) for c in ms.boundary_schedule(1, 4)]
+    cfg = MCConfig(seed=2, n_samples=40_000)
+    tolerated = mc.BAD_SAMPLE_TOLERANCE * cfg.n_samples
+    f = _nan_on_sliver(4e-5)
+    refs = [_per_batch_ball_estimate(f, b, cfg) for b in balls]
+    excluded = [ref[3] for ref in refs]
+    assert any(excluded) and max(excluded) <= tolerated, excluded
+    for ball, ref in zip(balls, refs):
+        if ref[3]:
+            with pytest.warns(RuntimeWarning, match=f"excluded {ref[3]} non-finite"):
+                assert _fields(integrate_density(f, ball, cfg)) == ref
+        else:
+            assert _fields(integrate_density(f, ball, cfg)) == ref
+    with pytest.warns(RuntimeWarning, match="non-finite"):
+        assert [_fields(est) for est in integrate_over_balls(f, balls, cfg)] == refs
+    # above the tolerance the estimate aborts, in a grid as alone
+    f = _nan_on_sliver(1e-2)
+    assert min(_per_batch_ball_estimate(f, b, cfg)[3] for b in balls) > tolerated
+    with pytest.raises(AnalysisError, match="of 40000 integrand evaluations were non-finite"):
+        integrate_over_balls(f, balls, cfg)
+    with pytest.raises(AnalysisError):
+        integrate_density(f, balls[0], cfg)
 
 
 # -- mixture sampler ---------------------------------------------------------
