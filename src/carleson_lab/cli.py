@@ -38,7 +38,10 @@ EXIT_USAGE = 3
 # against a dilogarithm quadrature oracle
 LADDER_WEIGHTED_SUM = 0.4087542873488963
 
+MAX_COUNT = 10_000_000  # largest size a run accepts; larger ones fail to allocate, or fill memory
+
 _DIMENSION = {"type": "integer", "minimum": 1}
+_COUNT = {"type": "integer", "minimum": 1, "maximum": MAX_COUNT}
 _NUMBER = {"type": "number"}
 _SEED = {"type": "integer", "minimum": 0}
 _ROW = {"type": "array", "items": _NUMBER, "minItems": 1}
@@ -60,7 +63,7 @@ def _declaration(kinds: dict, **properties) -> dict:
 
 
 SEQUENCE_SCHEMA = _declaration({
-    "ladder": (["n"], {"n": _DIMENSION, "count": _DIMENSION}),
+    "ladder": (["n"], {"n": _DIMENSION, "count": _COUNT}),
     "packing": (["n"], {"n": _DIMENSION, "delta": _NUMBER, "epsilon": _NUMBER, "seed": _SEED}),
     "lattice": (["n"], {"n": _DIMENSION, "spacing": _NUMBER, "jitter": _NUMBER, "seed": _SEED}),
     "csv": (["path"], {"path": {"type": "string"}}),
@@ -101,7 +104,7 @@ SPEC_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "seed": _SEED,
-                "n_samples": {"type": "integer", "minimum": 100},
+                "n_samples": {"type": "integer", "minimum": 100, "maximum": MAX_COUNT},
                 "strata": {"type": ["array", "null"], "items": {"type": "number"}},
             },
         },
@@ -216,9 +219,9 @@ def _param(p: dict, key: str, default, kind):
 
 
 def _count(value) -> int:
-    """A size: an integer >= 1."""
-    if int(value) < 1:
-        raise ValueError("must be >= 1")
+    """A size: an integer in [1, MAX_COUNT]."""
+    if not 1 <= int(value) <= MAX_COUNT:
+        raise ValueError(f"must be in [1, {MAX_COUNT}]")
     return int(value)
 
 
@@ -526,18 +529,18 @@ def _json_default(obj):
 
 
 def _write_manifest(out_dir: Path, spec: ExperimentSpec, artifacts, started, exit_code):
+    duration_s = time.time() - started
+    versions = {"carleson-lab": __version__, "python": sys.version.split()[0], "numpy": np.__version__}
+    if "scipy" in sys.modules:  # a run that never loaded scipy cannot depend on it
+        versions["scipy"] = sys.modules["scipy"].__version__
     manifest = {
         "name": spec.name,
         "operation": spec.operation,
         "seed": spec.mc.seed,
         "mc": spec.mc.to_json_dict(),
         "argv": sys.argv,
-        "versions": {
-            "carleson-lab": __version__,
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-        },
-        "duration_s": time.time() - started,
+        "versions": versions,
+        "duration_s": duration_s,
         "artifacts": artifacts,
         "exit_code": exit_code,
     }

@@ -8,6 +8,7 @@ interval), and the comparison-inequality checkers that accompany them.
 
 Built-in domains: the unit ball (exact geometry), axis-aligned real ellipsoids
 in the 2n real coordinates, and a smoothly perturbed ball.
+scipy is imported at its call site: a command loads only the scipy it calls.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from . import geometry_ball as geom
 from .errors import OutsideDomainError, ParameterError, ValidationError
@@ -280,6 +280,7 @@ def _ellipsoid_distance(semi_axes: np.ndarray, x: np.ndarray) -> float | None:
     Solves the secular equation of the nearest-point projection; returns None
     in the degenerate axis cases, which the multistart fallback then covers.
     """
+    from scipy.optimize import brentq
     a2 = semi_axes.astype(float) ** 2
     s = float(np.sum(x**2 / a2))
     if s >= 1.0:
@@ -305,6 +306,7 @@ def _ellipsoid_distance(semi_axes: np.ndarray, x: np.ndarray) -> float | None:
 
 def _ray_boundary_point(domain: Domain, z: np.ndarray, direction: np.ndarray) -> np.ndarray | None:
     """March along a real-2n direction until psi changes sign, then bisect."""
+    from scipy.optimize import brentq
     u = direction / np.linalg.norm(direction)
     z_rows = geom.points_to_rows(z[None, :])[0]
 
@@ -327,6 +329,7 @@ def _ray_boundary_point(domain: Domain, z: np.ndarray, direction: np.ndarray) ->
 
 def _multistart_boundary_distance(domain: Domain, z: np.ndarray) -> float:
     """Multi-start constrained minimisation of ||x - z|| over {psi = 0}."""
+    from scipy.optimize import minimize
     m = 2 * domain.dimension
     z_rows = geom.points_to_rows(z[None, :])[0]
     rng = np.random.default_rng(1234)  # fixed: the routine must be deterministic

@@ -13,6 +13,7 @@ A grid of metric balls (``integrate_over_balls``) draws its round-ball sample
 once, maps it onto each ball and evaluates each ball once over the whole draw.
 Unit-ball estimates evaluate per batch: at their 320k-sample budgets a whole
 draw at once ran 10-45% slower, its temporaries falling out of cache.
+scipy is imported at its call site: a command loads only the scipy it calls.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta as beta_fn
+import numpy.random  # loaded lazily by numpy; load it with the module, not in the first draw
 
 from . import geometry_ball as geom
 from .errors import AnalysisError, ParameterError
@@ -258,6 +259,7 @@ class BetaRadialComponent:
     """Radially tilted component: ||z||^2 ~ Beta(n, 1 - exponent)."""
 
     def __init__(self, n: int, exponent: float):
+        from scipy.special import beta as beta_fn
         if not 0.0 <= exponent < 1.0:
             raise ParameterError("radial tilt exponent must be in [0, 1)")
         self.n = int(n)

@@ -5,6 +5,7 @@ separated classes, greedy disjoint-ball coverings with multiplicity reports,
 induced Dirac measures weighted by boundary distance, escape-rate sums, and
 Kobayashi shell counts.  Bundled generators (radial ladders, greedy maximal
 packings, perturbed lattices) span the sparse and dense extremes.
+scipy is imported at its call site: a command loads only the scipy it calls.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import ndtri
 
 from . import geometry_ball as geom, measures
 from .errors import CoverageError, ParameterError, ValidationError
@@ -187,6 +186,7 @@ def disjointness_threshold(t: float) -> float:
 def _invariant_tilted_candidates(n: int, count: int, epsilon: float, seed: int) -> np.ndarray:
     """Low-discrepancy candidates on {depth >= epsilon}, radially tilted so the
     local density tracks the invariant volume (adaptive to epsilon)."""
+    from scipy.special import ndtri
     from scipy.stats import qmc  # scipy.stats is slow to import and only needed here
 
     sobol = qmc.Sobol(2 * n + 1, scramble=True, seed=seed)
@@ -223,7 +223,7 @@ def separation_constant(seq: PointSequence) -> float:
     if m < 2:
         raise ParameterError("separation constant needs at least two points")
     pts = seq.points
-    tree = cKDTree(geom.points_to_rows(pts))
+    tree = _kdtree(geom.points_to_rows(pts))
     dists, idx = tree.query(tree.data, k=2)
     if seq.metric == "euclidean":
         return float(dists[:, 1].min())
@@ -272,6 +272,12 @@ def greedy_decompose(seq: PointSequence, r: float) -> Decomposition:
 PAIR_BLOCK = 512
 
 
+def _kdtree(rows: np.ndarray):
+    """KD-tree over real rows, the tree every neighbour-engine call takes."""
+    from scipy.spatial import cKDTree
+    return cKDTree(rows)
+
+
 def _pair_distance(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance between rows a[k] and b[k] (broadcast): Euclidean, or
     pseudohyperbolic by :func:`~carleson_lab.geometry_ball.pseudo_rho`."""
@@ -281,7 +287,7 @@ def _pair_distance(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return geom.pseudo_rho(a, b)
 
 
-def _near_pairs(metric: str, queries: np.ndarray, tree: cKDTree, t: float, earlier: bool = False):
+def _near_pairs(metric: str, queries: np.ndarray, tree, t: float, earlier: bool = False):
     """Flattened neighbour lists, one block of queries at a time.
 
     Yields (owner, index) arrays, owners ascending: query ``owner`` and tree
@@ -306,7 +312,7 @@ def _near_pairs(metric: str, queries: np.ndarray, tree: cKDTree, t: float, earli
         yield owner, index
 
 
-def _nearest_within(metric: str, queries: np.ndarray, targets: np.ndarray, tree: cKDTree, t: float) -> np.ndarray:
+def _nearest_within(metric: str, queries: np.ndarray, targets: np.ndarray, tree, t: float) -> np.ndarray:
     """Distance from each query to the nearest target (``tree`` holds the
     targets' rows), exact where it is below t and +inf where no target is in
     reach."""
@@ -320,7 +326,7 @@ def _first_fit_colors(metric: str, points: np.ndarray, t: float) -> np.ndarray:
     """First-fit colouring in order: each point takes the least colour unused
     among earlier points at distance < t.  Colour 0 is the greedy t-packing."""
     colors = np.zeros(len(points), dtype=int)
-    tree = cKDTree(geom.points_to_rows(points))
+    tree = _kdtree(geom.points_to_rows(points))
     for owner, index in _near_pairs(metric, points, tree, t, earlier=True):
         clash = _pair_distance(metric, points[owner], points[index]) < t
         # owners ascend, so every earlier point's colour is final when it is read
@@ -352,7 +358,7 @@ def greedy_pack(points, threshold: float, metric: str = "pseudohyperbolic", chun
         fresh = idx[_first_fit_colors(metric, pts[idx], threshold) == 0]
         if fresh.size:
             kept = np.concatenate([kept, fresh])
-            tree = cKDTree(rows[kept])
+            tree = _kdtree(rows[kept])
     return kept
 
 
@@ -473,7 +479,7 @@ def greedy_cover(
     probes_all = _probe_points(n, epsilon, 4 * n_probes, rng)
     probes = probes_all[:n_probes]
 
-    cand_tree = cKDTree(geom.points_to_rows(cands))
+    cand_tree = _kdtree(geom.points_to_rows(cands))
     gaps = _nearest_within("pseudohyperbolic", probes_all, cands, cand_tree, third)
     if not np.all(gaps < third):
         worst = int(np.count_nonzero(gaps >= third))
@@ -486,7 +492,7 @@ def greedy_cover(
     kept = greedy_pack(cands, threshold)
     centers = cands[kept]
 
-    center_tree = cKDTree(geom.points_to_rows(centers))
+    center_tree = _kdtree(geom.points_to_rows(centers))
     cover_gaps = _nearest_within("pseudohyperbolic", probes_all, centers, center_tree, r)
     uncovered = int(np.count_nonzero(cover_gaps >= r))
 

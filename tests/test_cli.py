@@ -3,6 +3,8 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,6 +31,45 @@ def test_ball_summary_artifacts(tmp_path):
     assert manifest["seed"] == 0
     assert "numpy" in manifest["versions"]
     assert manifest["exit_code"] == 0
+
+
+# scipy is imported at its call site: a fresh interpreter that imports the
+# package, or runs one of these calls through cli.main, loads no scipy at all
+_SCIPY_FREE_CALLS = {
+    "import": None,
+    "ball": ["ball", "--params", '{"z0": [0.6, 0.0], "r": 0.5}'],
+    "berezin": ["berezin", "--measure", '{"dimension": 1, "density": {"type": "power", "s": 0.0}}',
+                "--params", '{"k_max": 8}', "--samples", "40000"],
+    "malformed": ["seq", "analyze", "--sequence", '{"type": "ladder"}'],
+}
+_LOADED_MODULES = """
+import json, sys
+import carleson_lab, carleson_lab.cli as cli
+argv = json.loads(sys.argv[1])
+code = None if argv is None else cli.main(argv)
+print(json.dumps({"code": code, "numpy.random": "numpy.random" in sys.modules,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+@pytest.mark.parametrize("case", sorted(_SCIPY_FREE_CALLS))
+def test_import_and_light_commands_load_no_scipy(tmp_path, case):
+    argv = _SCIPY_FREE_CALLS[case]
+    if argv is not None:
+        argv = [*argv, "--out", str(tmp_path / "o")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(argv)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["scipy"] == [], loaded["scipy"][:5]
+    assert loaded["numpy.random"]
+    if case in ("ball", "berezin"):
+        assert loaded["code"] == cli.EXIT_PASS
+        assert "scipy" not in json.loads((tmp_path / "o" / "manifest.json").read_text())["versions"]
+    elif case == "malformed":
+        assert loaded["code"] == cli.EXIT_USAGE
 
 
 def test_spec_file_roundtrip(tmp_path):
@@ -93,6 +134,13 @@ def test_malformed_parameters_and_declarations_exit_usage(tmp_path, capsys):
         (["berezin", "--measure", '{"dimension": 1, "density": {"type": "beta"}}'], "measure/density/type"),
         (["seq", "analyze", "--sequence", '{"type": "lattice", "n": 1, "spacing": Infinity}'], "spacing"),
         (["ball", "--params", '{"op": "frobnicate"}'], "summary, kobayashi_ball"),
+        # sizes above MAX_COUNT, which would fail allocating or fill memory
+        (["cover", "--params", '{"probes": 1e30}'], "parameters/probes"),
+        (["cover", "--params", '{"probes": 100000000000}'], "parameters/probes"),
+        (["cover", "--params", '{"candidates": 1e30}'], "parameters/candidates"),
+        (["berezin", "--params", '{"op": "check_kernel_upper", "points": 1e12}'], "parameters/points"),
+        (["berezin", "--samples", "1000000000000"], "mc/n_samples"),
+        (["seq", "analyze", "--sequence", '{"type": "ladder", "n": 1, "count": 1000000000000}'], "sequence/count"),
     ):
         rc = run_cli(argv + ["--out", str(tmp_path)])
         err = capsys.readouterr().err
@@ -102,8 +150,9 @@ def test_malformed_parameters_and_declarations_exit_usage(tmp_path, capsys):
 
 # Fuzzed declarations: one valid, cheap call per table entry, then one or two of
 # its --params/--measure/--domain/--sequence fields replaced by junk or deleted.
-# The junk is malformed (wrong types, out-of-range numbers, broken points), not
-# merely large, so every example stays cheap.
+# The junk is malformed (wrong types, out-of-range numbers, broken points); a
+# size field's junk may also be an integer >= 10^15, which numpy refuses to
+# allocate at once, so a missed size ceiling fails fast instead of filling memory.
 _JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -115,6 +164,8 @@ _JUNK = st.one_of(
 _CHEAP = {"z": [0.1, 0.0], "w": [0.3, 0.1], "a": [0.2, 0.0], "z0": [0.2, 0.0], "r": 0.5, "n": 1, "k_max": 2,
           "samples": 100, "points": 100, "count": 5, "ball_samples": 100, "global_samples": 100,
           "n_polynomials": 1, "epsilon": 0.5, "weight": {"kind": "power", "s": 2.0}, "exponent": "n"}
+_SIZES = {"samples", "points", "count", "k_max", "probes"}
+_HUGE = st.integers(min_value=10**15, max_value=10**30)
 _DECLARATIONS = {
     "measure": [{"dimension": 1, "density": {"type": "power", "s": 0.5}},
                 {"dimension": 1, "atoms": [[[0.5, 0.0], 1.0]], "density": "none"}],
@@ -138,7 +189,7 @@ def _fuzzed_call(draw):
         if draw(st.booleans()):
             del target[key]
         else:
-            target[key] = draw(_JUNK)
+            target[key] = draw(st.one_of(_JUNK, _HUGE) if key in _SIZES else _JUNK)
     argv = ["seq", command[4:]] if command.startswith("seq-") else [command]
     argv += ["--params", json.dumps(params), "--samples", "200"]
     if command == "carleson-test" and draw(st.booleans()):
@@ -318,6 +369,9 @@ def test_seq_decompose_two_classes(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["n_classes"] == 2
+    # the KD-tree loaded scipy, so the manifest records its version
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == sys.modules["scipy"].__version__
 
 
 def test_seq_shells_and_analyze(tmp_path):
