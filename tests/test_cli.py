@@ -210,6 +210,21 @@ def test_fuzzed_declarations_exit_without_traceback(tmp_path_factory, argv):
     assert "Traceback" not in err.getvalue(), argv
 
 
+def test_every_operation_refuses_oversized_sizes(tmp_path, capsys):
+    # the fuzz seldom pairs an operation with a size field it reads (1,500
+    # examples never did), so every table entry gets every size field at 10^15
+    for command, op in sorted(cli.OPERATIONS, key=str):
+        params = {**_CHEAP, "op": op, **dict.fromkeys(_SIZES, 10**15)}
+        argv = ["seq", command[4:]] if command.startswith("seq-") else [command]
+        argv += ["--params", json.dumps(params), "--samples", "200", "--out", str(tmp_path)]
+        for kind, options in _DECLARATIONS.items():
+            argv += [f"--{kind}", json.dumps(options[0])]
+        rc = run_cli(argv)
+        err = capsys.readouterr().err
+        assert rc in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE, cli.EXIT_USAGE), argv
+        assert "Traceback" not in err, argv
+
+
 def test_unknown_operation_lists_the_table():
     spec = cli.ExperimentSpec(name="x", operation="ek", parameters={"op": "frobnicate"})
     with pytest.raises(cli.UsageError, match="ek_ball_measure, ek_density, check_ek_bounds"):
@@ -369,7 +384,7 @@ def test_seq_decompose_two_classes(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["n_classes"] == 2
-    # the KD-tree loaded scipy, so the manifest records its version
+    # scipy is loaded (the KD-tree needs it), so the manifest records its version
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["versions"]["scipy"] == sys.modules["scipy"].__version__
 
