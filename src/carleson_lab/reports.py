@@ -1,9 +1,19 @@
-"""Uniform pass/fail report record shared by all numerical checkers."""
+"""Uniform pass/fail report record shared by all numerical checkers, and the
+CSV/JSON writers of run artifacts."""
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
+
+import numpy as np
+
+# process exit codes of a verdict
+EXIT_PASS = 0
+EXIT_FAIL = 1
+EXIT_INCONCLUSIVE = 2
 
 
 @dataclass
@@ -46,3 +56,28 @@ class CheckReport:
             "std_error": float(self.std_error),
             "details": self.details,
         }
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))  # np.float64 is a float whose repr is "np.float64(...)"
+    if isinstance(x, np.integer):
+        return str(int(x))
+    return str(x)
+
+
+def write_csv(path: Path, header: list[str], rows: list[list]):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(x) for x in row])
+
+
+def json_default(obj):
+    """``json.dump`` fallback for numpy scalars and arrays."""
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"not JSON serialisable: {type(obj)!r}")

@@ -378,6 +378,11 @@ class CoverReport:
     multiplicity_refined: int
     net_certified: bool
 
+    @property
+    def passed(self) -> bool:
+        """Every probe covered, and refining the multiplicity moved it by at most one."""
+        return self.uncovered == 0 and abs(self.multiplicity_refined - self.multiplicity) <= 1
+
     def to_json_dict(self) -> dict:
         return {
             "n_centers": int(len(self.centers)),

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import importlib
 import io
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carleson_lab import bergman, cli, geometry_ball, measures, sequences
+from carleson_lab import bergman, cli, geometry_ball, measures, sequences, verify
 from carleson_lab.integrate import MCConfig
 
 
@@ -527,16 +528,63 @@ def test_registry_covers_primary_operations(tmp_path, monkeypatch):
     assert parser.parse_args(["verify", "quick"]).suite == "quick"
 
 
-def test_verify_row_names_cover_every_result():
-    names = set()
-    for row in cli.VERIFY_ROWS:
-        names.add(row.__name__)
-    assert len(cli.VERIFY_ROWS) >= 19
+# the table's rows in order; perfbench's cli-oneshot and the README count on 19
+VERIFY_NAMES = [
+    "kernel-reproducing", "volume-sandwich", "distance-comparison", "ball-inequality", "defining-fn-bound",
+    "covering-multiplicity", "submean-ball", "submean-mean-comparison", "submean-neighbor", "kernel-upper",
+    "kernel-lower", "normalized-kernel-lower", "carleson-equivalence", "greedy-decomposition",
+    "discrete-carleson-chain", "escape-sum-full", "escape-sum-volume", "invariant-ball-measure", "escape-sum-weighted",
+]
+
+
+def test_verify_row_names_cover_every_result(tmp_path, capsys):
+    assert len(verify.VERIFY_ROWS) == 19
+    assert len(set(VERIFY_NAMES)) == 19
+    assert cli.verify is verify.run_suite
+    assert run_cli(["verify", "quick", "--seed", "5", "--out", str(tmp_path)]) == cli.EXIT_PASS
+    printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:-1]]
+    rows = json.loads((tmp_path / "verify_results.json").read_text())
+    assert [r["name"] for r in rows] == printed == VERIFY_NAMES
+    # each row's wall seconds go to the JSON only: the CSV stays a pure function of the seed
+    assert all(r["seconds"] >= 0.0 and r["pass"] is True for r in rows)
+    with open(tmp_path / "verify_results.csv") as fh:
+        assert next(csv.reader(fh)) == ["name", "status", "statistic", "bound", "std_error", "n_samples"]
 
 
 def test_verify_detects_kernel_mutation(tmp_path, monkeypatch):
     # flipping the kernel sign must break the reproducing-property row
     orig = bergman.kernel_values
     monkeypatch.setattr(bergman, "kernel_values", lambda z, pts: -orig(z, pts))
-    rep = cli._row_kernel_reproducing(cli.QUICK_BUDGET, 0)
+    rep = verify._row_kernel_reproducing(verify.QUICK_BUDGET, 0)
     assert rep.passed is False
+
+
+def test_verify_kernel_lower_rows_share_the_library_floor(monkeypatch):
+    # bergman.kernel_lower_bound is the only kernel-lower floor: raising it past
+    # both rows' margins (about 2.4 on the raw ratio, 23 on the normalised one)
+    # fails both
+    rows = (verify._row_kernel_lower, verify._row_kernel_lower_normalized)
+    assert all(row(verify.QUICK_BUDGET, 0).passed for row in rows)
+    orig = bergman.kernel_lower_bound
+    monkeypatch.setattr(bergman, "kernel_lower_bound", lambda r, n: 64.0 * orig(r, n))
+    assert [row(verify.QUICK_BUDGET, 0).passed for row in rows] == [False, False]
+
+
+@pytest.mark.parametrize("seed", [5, 35, 47, 48, 171])
+def test_verify_details_carry_the_secondary_gates(seed):
+    # at seeds 35, 47, 48 and 171 one of these rows fails at correct code; its
+    # details name the case, and each verdict follows from what they record
+    budget = verify.QUICK_BUDGET
+    rep = verify._row_volume_sandwich(budget, seed)
+    cells = rep.details["mc_cells"]
+    assert rep.passed is (rep.statistic >= 1.0 - 1e-12 and rep.details["upper"] <= 1.0 + 1e-12
+                          and all(c["miss"] <= c["limit"] for c in cells))
+    rep = verify._row_kernel_reproducing(budget, seed)
+    ratios = [case["ratio"] for case in rep.details["cases"]]
+    assert rep.statistic == max(ratios) and rep.passed is all(x <= 1.0 for x in ratios)
+    rep = verify._row_invariant_measure(budget, seed)
+    assert rep.passed is (rep.details["exact_z"] <= 3.0 and rep.details["ek_bounds"] == "pass")
+    rep = verify._row_escape_weighted(budget, seed)
+    shells = rep.details["shells"].values()
+    assert rep.passed is (rep.statistic < rep.bound and not any(math.isfinite(s["slope"]) and s["slope"] > s["limit"] for s in shells))
+    assert all({"slope", "slope_se", "limit"} <= set(s) for s in shells)
