@@ -143,13 +143,14 @@ def berezin_transform(mu, z, cfg: MCConfig) -> EstimateWithError:
     )
 
 
-def check_kernel_upper(n: int, n_points: int = 2000, min_depth: float = 1e-6) -> CheckReport:
-    """Diagonal upper estimate: K(z, z) d(z)^(n+1) <= 1 on a dense radial grid.
+def check_kernel_upper(n: int, n_points: int = 2000) -> CheckReport:
+    """Diagonal upper estimate: K(z, z) d(z)^(n+1) <= 1 on a dense radial grid
+    down to depth 1e-6.
 
     In the ball the product has the closed form (1 + ||z||)^-(n+1); the maximal
     value 1 is attained at the origin.
     """
-    t = np.linspace(0.0, 1.0 - min_depth, n_points)
+    t = np.linspace(0.0, 1.0 - 1e-6, n_points)
     # diagonal kernel evaluated with the factored 1 - t^2 = (1-t)(1+t),
     # which keeps full accuracy down to the boundary
     diag = ((1.0 - t) * (1.0 + t)) ** (-(n + 1))

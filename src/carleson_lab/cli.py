@@ -207,6 +207,12 @@ def _point(p: dict, key: str, default=_REQUIRED) -> np.ndarray:
     return _param(p, key, default, lambda row: geom.rows_to_points([row])[0])
 
 
+def _declared(cfg: dict, **kinds) -> dict:
+    """The keys of a declaration named in ``kinds``, each read by its kind; a
+    key left out is not passed, so the generator's own default applies."""
+    return {key: kind(cfg[key]) for key, kind in kinds.items() if key in cfg}
+
+
 def _sequence(spec: ExperimentSpec) -> sequences.PointSequence:
     cfg = spec.sequence or {"type": "ladder", "n": 1, "count": 30}
     kind = cfg.get("type")
@@ -215,20 +221,12 @@ def _sequence(spec: ExperimentSpec) -> sequences.PointSequence:
         return sequences.PointSequence.radial_ladder(int(cfg["n"]), int(cfg.get("count", 50)), metric=metric)
     if kind == "packing":
         return sequences.PointSequence.maximal_packing(
-            int(cfg["n"]),
-            float(cfg.get("delta", 0.5)),
-            float(cfg.get("epsilon", 0.05)),
-            seed=int(cfg.get("seed", 0)),
-            metric=metric,
+            int(cfg["n"]), float(cfg.get("delta", 0.5)), float(cfg.get("epsilon", 0.05)), metric=metric,
+            **_declared(cfg, seed=int),
         )
     if kind == "lattice":
         return sequences.PointSequence.perturbed_lattice(
-            int(cfg["n"]),
-            spacing=float(cfg.get("spacing", 0.2)),
-            jitter=float(cfg.get("jitter", 0.25)),
-            seed=int(cfg.get("seed", 0)),
-            metric=metric,
-        )
+            int(cfg["n"]), metric=metric, **_declared(cfg, spacing=float, jitter=float, seed=int))
     if kind == "csv":
         return sequences.PointSequence.from_csv(cfg["path"], metric=metric)
     return sequences.PointSequence(points=geom.rows_to_points(cfg["rows"]), metric=metric)  # "points"
@@ -320,16 +318,11 @@ def _berezin_transform(spec: ExperimentSpec) -> Outcome:
     centers = _param(p, "probes", None, geom.rows_to_points)
     if centers is None:
         centers = measures.boundary_schedule(mu.dimension, k_max=_param(p, "k_max", 8, _count))
-    rows = []
-    for c in centers:
-        est = bergman.berezin_transform(mu, c, spec.mc)
-        rows.append(
-            [1.0 - float(np.linalg.norm(c)), float(np.real(est.value)), est.std_error]
-            + geom.points_to_rows(c[None, :])[0].tolist()
-        )
+    res = measures.carleson_berezin_test(mu, centers, spec.mc)
+    rows = [[r["d"], r["value"], r["std_error"], *geom.points_to_rows(r["center"][None, :])[0].tolist()]
+            for r in res.rows]
     header = ["d", "berezin", "std_error"] + [f"c{k}" for k in range(2 * mu.dimension)]
-    sup = max(r[1] for r in rows)
-    return Outcome(header, rows, {"sup": sup, "n_probes": len(rows)})
+    return Outcome(header, rows, {"sup": res.sup.value, "n_probes": len(rows)})
 
 
 def _kernel(spec: ExperimentSpec, normalized: bool = False) -> Outcome:
@@ -354,8 +347,8 @@ def _carleson_test(spec: ExperimentSpec) -> Outcome:
     config = measures.CrossCheckConfig(
         r_values=_param(p, "r_values", (0.3, 0.5, 0.7), lambda v: tuple(map(float, v))),
         k_max=_param(p, "k_max", 12, _count),
-        ball_samples=max(_param(p, "ball_samples", spec.mc.n_samples // 2, int), 100),
-        global_samples=max(_param(p, "global_samples", spec.mc.n_samples, int), 100),
+        ball_samples=max(_param(p, "ball_samples", spec.mc.n_samples // 2, _count), 100),
+        global_samples=max(_param(p, "global_samples", spec.mc.n_samples, _count), 100),
         n_polynomials=_param(p, "n_polynomials", 10, int),
         seed=spec.mc.seed,
     )

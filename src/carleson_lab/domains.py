@@ -258,15 +258,12 @@ def domain_from_config(cfg: dict) -> Domain:
     if kind == "ellipsoid":
         return EllipsoidDomain(cfg["semi_axes"])
     if kind == "perturbed_ball":
+        # a key left out takes the constructor's own default
+        declared = {key: float(cfg[key]) for key in ("epsilon", "bump_width") if key in cfg}
         center = cfg.get("bump_center")
         if center is not None:
             center = geom.rows_to_points([center])[0]
-        return PerturbedBallDomain(
-            int(cfg["dimension"]),
-            epsilon=float(cfg.get("epsilon", 0.05)),
-            bump_center=center,
-            bump_width=float(cfg.get("bump_width", 0.5)),
-        )
+        return PerturbedBallDomain(int(cfg["dimension"]), bump_center=center, **declared)
     raise ValidationError(f"unknown domain type {kind!r}")
 
 

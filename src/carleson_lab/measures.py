@@ -9,7 +9,7 @@ three verdicts: "pass", "fail", or an explicit "inconclusive".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -29,9 +29,8 @@ __all__ = [
     "cross_check_equivalence",
     "CrossCheckConfig",
     "CarlesonVerdict",
-    "RatioTestResult",
-    "BerezinTestResult",
-    "FunctionalTestResult",
+    "ApproachTest",
+    "fit_line",
     "bundled_measure_suite",
 ]
 
@@ -67,7 +66,6 @@ class Measure:
     atom_points: np.ndarray
     atom_weights: np.ndarray
     density: Callable[[np.ndarray], np.ndarray] | None = None
-    total_mass_hint: float | None = None
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.atom_points, dtype=np.complex128))
@@ -221,26 +219,16 @@ def measure_of_ball(mu: Measure, ball, cfg: MCConfig) -> EstimateWithError | lis
     return masses[0] if isinstance(ball, geom.KobayashiBall) else masses
 
 
-def boundary_schedule(
-    n: int,
-    k_max: int = 12,
-    tangential: bool = True,
-    direction=None,
-    tangent_scale: float = 0.5,
-) -> list[np.ndarray]:
+def boundary_schedule(n: int, k_max: int = 12) -> list[np.ndarray]:
     """Centers approaching the boundary at dyadic depths d = 2^-k, k = 1..k_max.
 
-    The radial family walks straight along ``direction``; the tangential family
-    adds a sideways offset of size ~ sqrt(d) so the approach is not purely
-    radial.
+    The radial family walks straight along e_1; the tangential family adds a
+    sideways offset of size ~ sqrt(d) so the approach is not purely radial.
     """
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
     u = np.zeros(n, dtype=np.complex128)
     u[0] = 1.0
-    if direction is not None:
-        u = geom.as_point(direction)
-        u = u / np.linalg.norm(u)
     if n > 1:
         v = np.zeros(n, dtype=np.complex128)
         v[1] = 1.0
@@ -250,70 +238,74 @@ def boundary_schedule(
     for k in range(1, k_max + 1):
         d = 2.0 ** (-k)
         centers.append((1.0 - d) * u)
-        if tangential:
-            centers.append((1.0 - d) * (u + tangent_scale * math.sqrt(d) * v))
+        centers.append((1.0 - d) * (u + 0.5 * math.sqrt(d) * v))
     return centers
 
 
-def _fit_loglog(depths, values):
-    """OLS slope of log(value) against log(depth) with its standard error."""
-    x = np.log(np.asarray(depths, dtype=float))
-    y = np.log(np.asarray(values, dtype=float))
-    m = x.size
+def fit_line(x, y) -> tuple[float, float]:
+    """OLS slope of y against x with its standard error."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     xc = x - x.mean()
     sxx = float(np.sum(xc**2))
     slope = float(np.sum(xc * y) / sxx)
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
-    dof = max(m - 2, 1)
+    dof = max(x.size - 2, 1)
     slope_se = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
     return slope, slope_se
 
 
-def _divergence_verdict(depths, values, errors):
-    """Shared pass/fail/inconclusive logic for boundary-approach statistics.
-
-    The log-log slope is fitted on the positive values; empty deep balls are
-    evidence of boundedness, not divergence, so a confident negative slope only
-    fails when the deepest quartile actually carries the largest values.
-    """
-    depths = np.asarray(depths, dtype=float)
-    values = np.asarray(values, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    positive = values > 0.0
-    if np.count_nonzero(positive) < 3:
-        return "inconclusive", math.nan, math.nan, math.nan
-    d, v, e = depths[positive], values[positive], errors[positive]
-    rel = np.where(v > 0, e / v, math.inf)
-    if float(np.median(rel)) > 0.5:
-        return "inconclusive", math.nan, math.nan, math.nan
-    slope, slope_se = _fit_loglog(d, v)
-    order = np.argsort(depths)  # deepest first, zeros included
-    deep = values[order][: max(1, len(values) // 4)]
-    growth = float(np.max(deep) / np.median(v))
-    if growth > 1.0 and slope + 2.0 * slope_se < SLOPE_THRESHOLD:
-        return "fail", slope, slope_se, growth
-    if growth < GROWTH_LIMIT and (slope - 2.0 * slope_se > SLOPE_THRESHOLD or growth <= 1.0):
-        return "pass", slope, slope_se, growth
-    return "inconclusive", slope, slope_se, growth
-
-
 @dataclass
-class RatioTestResult:
-    r: float
+class ApproachTest:
+    """One boundary-approach test: a row per probe (and per test polynomial in
+    the functional test) holding its statistic under ``value``; ``sup``, the
+    largest row; and the divergence verdict of the probe rows' log-log line
+    of value against depth ``d``."""
+
     rows: list[dict]
+    sup: EstimateWithError
     slope: float
     slope_se: float
     growth: float
     verdict: str
 
-    @property
-    def sup_ratio(self) -> float:
-        vals = [row["ratio"] for row in self.rows]
-        return max(vals) if vals else math.nan
+
+def _sup(rows: list[dict], n_samples: int) -> EstimateWithError:
+    best = max(range(len(rows)), key=lambda i: rows[i]["value"])
+    return EstimateWithError(rows[best]["value"], rows[best]["std_error"], n_samples)
 
 
-def carleson_ratio_test(mu: Measure, r: float, centers, cfg: MCConfig) -> RatioTestResult:
+def _approach_test(rows: list[dict], n_samples: int) -> ApproachTest:
+    """The sup of ``rows`` and the pass/fail/inconclusive verdict on their values.
+
+    The log-log slope of value against depth is fitted on the positive values;
+    empty deep balls are evidence of boundedness, not divergence, so a
+    confident negative slope only fails when the deepest quartile actually
+    carries the largest values.
+    """
+    sup = _sup(rows, n_samples)
+    depths = np.asarray([row["d"] for row in rows], dtype=float)
+    values = np.asarray([row["value"] for row in rows], dtype=float)
+    errors = np.asarray([row["std_error"] for row in rows], dtype=float)
+    positive = values > 0.0
+    d, v, e = depths[positive], values[positive], errors[positive]
+    if v.size < 3 or float(np.median(e / v)) > 0.5:
+        return ApproachTest(rows, sup, math.nan, math.nan, math.nan, "inconclusive")
+    slope, slope_se = fit_line(np.log(d), np.log(v))
+    order = np.argsort(depths)  # deepest first, zeros included
+    deep = values[order][: max(1, len(values) // 4)]
+    growth = float(np.max(deep) / np.median(v))
+    if growth > 1.0 and slope + 2.0 * slope_se < SLOPE_THRESHOLD:
+        verdict = "fail"
+    elif growth < GROWTH_LIMIT and (slope - 2.0 * slope_se > SLOPE_THRESHOLD or growth <= 1.0):
+        verdict = "pass"
+    else:
+        verdict = "inconclusive"
+    return ApproachTest(rows, sup, slope, slope_se, growth, verdict)
+
+
+def carleson_ratio_test(mu: Measure, r: float, centers, cfg: MCConfig) -> ApproachTest:
     """Kobayashi-ball mass ratios mu(B)/vol(B) along a boundary schedule.
 
     The verdict flags divergence via the fitted log-log slope of ratio against
@@ -332,27 +324,14 @@ def carleson_ratio_test(mu: Measure, r: float, centers, cfg: MCConfig) -> RatioT
             {
                 "center": ball.base,
                 "d": 1.0 - float(np.linalg.norm(ball.base)),
-                "ratio": float(np.real(est.value)) / vol,
+                "value": float(np.real(est.value)) / vol,
                 "std_error": est.std_error / vol,
             }
         )
-    verdict, slope, slope_se, growth = _divergence_verdict(
-        [row["d"] for row in rows], [row["ratio"] for row in rows], [row["std_error"] for row in rows]
-    )
-    return RatioTestResult(r=r, rows=rows, slope=slope, slope_se=slope_se, growth=growth, verdict=verdict)
+    return _approach_test(rows, cfg.n_samples)
 
 
-@dataclass
-class BerezinTestResult:
-    rows: list[dict]
-    sup: EstimateWithError
-    slope: float
-    slope_se: float
-    growth: float
-    verdict: str
-
-
-def carleson_berezin_test(mu: Measure, probes, cfg: MCConfig) -> BerezinTestResult:
+def carleson_berezin_test(mu: Measure, probes, cfg: MCConfig) -> ApproachTest:
     """Sup of the Berezin transform over a probe grid with divergence detection."""
     rows = []
     for p in probes:
@@ -366,48 +345,27 @@ def carleson_berezin_test(mu: Measure, probes, cfg: MCConfig) -> BerezinTestResu
                 "std_error": est.std_error,
             }
         )
-    best = max(range(len(rows)), key=lambda i: rows[i]["value"])
-    sup = EstimateWithError(rows[best]["value"], rows[best]["std_error"], cfg.n_samples)
-    verdict, slope, slope_se, growth = _divergence_verdict(
-        [row["d"] for row in rows], [row["value"] for row in rows], [row["std_error"] for row in rows]
-    )
-    return BerezinTestResult(rows=rows, sup=sup, slope=slope, slope_se=slope_se, growth=growth, verdict=verdict)
-
-
-@dataclass
-class FunctionalTestResult:
-    rows: list[dict]
-    constant: EstimateWithError
-    slope: float
-    slope_se: float
-    growth: float
-    verdict: str
+    return _approach_test(rows, cfg.n_samples)
 
 
 def carleson_functional_test(
     mu: Measure,
-    kernels: BerezinTestResult,
+    kernels: ApproachTest,
     cfg: MCConfig,
     n_polynomials: int = 10,
     seed: int = 0,
-    p: float = 2.0,
-) -> FunctionalTestResult:
-    """Direct test of the defining embedding inequality over a test family.
+) -> ApproachTest:
+    """Direct test of the defining embedding inequality (p = 2) over a test family.
 
     Family: the normalised kernels k_c at the probes of the Berezin test
     ``kernels``, plus random degree-<=2 polynomials whose squared norms are
     exact by monomial orthogonality.  The kernel family is the Berezin test:
     k_c has unit norm and integral |k_c|^2 dmu is the Berezin transform at c,
-    so its rows are taken from ``kernels`` as they stand and the verdict is the
-    Berezin verdict.  The polynomials add to the embedding constant only.
-    Only p = 2 is supported: it is the exponent with closed norms.
+    so its rows are ``kernels``' rows as they stand and the verdict is the
+    Berezin verdict.  The polynomial rows (depth nan) set only the embedding
+    constant ``sup``.
     """
-    if p != 2.0:
-        raise ParameterError("only p = 2 is supported by the functional test")
-    rows = [
-        {"kind": "kernel", "d": row["d"], "ratio": row["value"], "std_error": row["std_error"]}
-        for row in kernels.rows
-    ]
+    rows = list(kernels.rows)
     rng = np.random.default_rng(seed)
     for _ in range(n_polynomials):
         alphas, coeffs = bergman.random_polynomial(mu.dimension, 2, rng)
@@ -428,20 +386,8 @@ def carleson_functional_test(
             est = integrate_density(integrand, mu.dimension, cfg, boundary_pole_order=mu.pole_order)
             num += float(np.real(est.value))
             num_err = est.std_error
-        rows.append(
-            {
-                "kind": "polynomial",
-                "d": math.nan,
-                "ratio": num / norm_sq,
-                "std_error": num_err / norm_sq,
-            }
-        )
-    best = max(range(len(rows)), key=lambda i: rows[i]["ratio"])
-    constant = EstimateWithError(rows[best]["ratio"], rows[best]["std_error"], cfg.n_samples)
-    return FunctionalTestResult(
-        rows=rows, constant=constant, slope=kernels.slope, slope_se=kernels.slope_se, growth=kernels.growth,
-        verdict=kernels.verdict,
-    )
+        rows.append({"d": math.nan, "value": num / norm_sq, "std_error": num_err / norm_sq})
+    return replace(kernels, rows=rows, sup=_sup(rows, cfg.n_samples))
 
 
 @dataclass(frozen=True)
@@ -468,24 +414,41 @@ class CarlesonVerdict:
     a disagreement is reported through ``defect`` and never silently resolved.
     """
 
-    berezin_sup: EstimateWithError
-    ratio_sup: dict[float, float]
-    functional_constant: EstimateWithError
     verdicts: dict[str, str]
-    agreement: bool
-    defect: str | None
-    ratio_results: dict[float, RatioTestResult] = field(repr=False, default_factory=dict)
-    berezin_result: BerezinTestResult | None = field(repr=False, default=None)
-    functional_result: FunctionalTestResult | None = field(repr=False, default=None)
+    ratio_results: dict[float, ApproachTest] = field(repr=False)
+    berezin_result: ApproachTest = field(repr=False)
+    functional_result: ApproachTest = field(repr=False)
+
+    @property
+    def berezin_sup(self) -> EstimateWithError:
+        return self.berezin_result.sup
+
+    @property
+    def ratio_sup(self) -> dict[float, float]:
+        return {r: res.sup.value for r, res in self.ratio_results.items()}
+
+    @property
+    def functional_constant(self) -> EstimateWithError:
+        return self.functional_result.sup
+
+    @property
+    def _conclusive(self) -> dict[str, str]:
+        return {k: v for k, v in self.verdicts.items() if v != "inconclusive"}
+
+    @property
+    def agreement(self) -> bool:
+        return len(set(self._conclusive.values())) <= 1
+
+    @property
+    def defect(self) -> str | None:
+        if self.agreement:
+            return None
+        return "conclusive tests disagree: " + ", ".join(f"{k}={v}" for k, v in self._conclusive.items())
 
     @property
     def overall(self) -> str:
-        concl = [v for v in self.verdicts.values() if v != "inconclusive"]
-        if not concl:
-            return "inconclusive"
-        if not self.agreement:
-            return "inconclusive"
-        return concl[0]
+        concl = set(self._conclusive.values())
+        return concl.pop() if len(concl) == 1 else "inconclusive"
 
     def to_json_dict(self) -> dict:
         return {
@@ -503,17 +466,14 @@ class CarlesonVerdict:
 
     def schedule_rows(self) -> list[dict]:
         """Plot-ready (center, d, ratio, berezin) rows for the main radius."""
-        if self.berezin_result is None or not self.ratio_results:
-            return []
         main_r = sorted(self.ratio_results)[len(self.ratio_results) // 2]
-        ratio_rows = self.ratio_results[main_r].rows
         rows = []
-        for rr, br in zip(ratio_rows, self.berezin_result.rows):
+        for rr, br in zip(self.ratio_results[main_r].rows, self.berezin_result.rows):
             rows.append(
                 {
                     "center": geom.points_to_rows(rr["center"][None, :])[0].tolist(),
                     "d": rr["d"],
-                    "ratio": rr["ratio"],
+                    "ratio": rr["value"],
                     "berezin": br["value"],
                 }
             )
@@ -545,34 +505,24 @@ def cross_check_equivalence(mu: Measure, config: CrossCheckConfig | None = None)
         "berezin": berezin_result.verdict,
         "ratio": ratio_verdict,
     }
-    conclusive = {k: v for k, v in verdicts.items() if v != "inconclusive"}
-    agreement = len(set(conclusive.values())) <= 1
-    defect = None
-    if not agreement:
-        defect = "conclusive tests disagree: " + ", ".join(f"{k}={v}" for k, v in conclusive.items())
     return CarlesonVerdict(
-        berezin_sup=berezin_result.sup,
-        ratio_sup={r: res.sup_ratio for r, res in ratio_results.items()},
-        functional_constant=functional_result.constant,
         verdicts=verdicts,
-        agreement=agreement,
-        defect=defect,
         ratio_results=ratio_results,
         berezin_result=berezin_result,
         functional_result=functional_result,
     )
 
 
-def bundled_measure_suite(n: int, ladder_count: int = 50) -> list[tuple[str, Measure]]:
+def bundled_measure_suite(n: int) -> list[tuple[str, Measure]]:
     """Reference measures exercised by the cross-consistency tests.
 
     Volume itself, radial power densities straddling the Carleson property, and
-    the Dirac sum of a radial ladder weighted by d^(n+1).
+    the Dirac sum of a 50-rung radial ladder weighted by d^(n+1).
     """
     suite: list[tuple[str, Measure]] = [("lebesgue", Measure.lebesgue(n))]
     for s in (-0.5, 0.5, 1.0):
         suite.append((f"power({s:+g})", Measure.with_power_density(n, s)))
     from .sequences import PointSequence, dirac_carleson_measure  # sequences imports this module
 
-    suite.append(("dirac-ladder", dirac_carleson_measure(PointSequence.radial_ladder(n, ladder_count))))
+    suite.append(("dirac-ladder", dirac_carleson_measure(PointSequence.radial_ladder(n, 50))))
     return suite

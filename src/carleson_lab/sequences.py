@@ -75,8 +75,8 @@ class PointSequence:
 
     # -- generators ----------------------------------------------------------
     @classmethod
-    def radial_ladder(cls, n: int, count: int, direction=None, metric: str = "pseudohyperbolic") -> "PointSequence":
-        """Points (1 - e^-m) u for m = 1..count along a unit direction u.
+    def radial_ladder(cls, n: int, count: int, metric: str = "pseudohyperbolic") -> "PointSequence":
+        """Points (1 - e^-m) e_1 for m = 1..count.
 
         Boundary distances are cached exactly as e^-m; beyond m ~ 37 the point
         coordinate itself saturates double precision and is capped just inside
@@ -87,9 +87,6 @@ class PointSequence:
             raise ParameterError("ladder needs count >= 1")
         u = np.zeros(n, dtype=np.complex128)
         u[0] = 1.0
-        if direction is not None:
-            u = geom.as_point(direction)
-            u = u / np.linalg.norm(u)
         m = np.arange(1, count + 1)
         radii = np.minimum(-np.expm1(-m.astype(float)), np.nextafter(1.0, 0.0))
         pts = radii[:, None] * u
@@ -102,7 +99,6 @@ class PointSequence:
         delta: float,
         epsilon: float,
         seed: int = 0,
-        candidate_factor: float = 6.0,
         metric: str = "pseudohyperbolic",
     ) -> "PointSequence":
         """Greedy near-maximal delta-separated subset of {depth >= epsilon}.
@@ -118,7 +114,7 @@ class PointSequence:
         half = _half_radius(delta, metric)
         u_max = (1.0 - epsilon) ** 2
         volume_scale = (u_max / (1.0 - u_max)) ** n / (half**2 / (1.0 - half**2)) ** n
-        count = int(min(max(candidate_factor * (volume_scale + 8.0), 64), 4_000_000))
+        count = int(min(max(6.0 * (volume_scale + 8.0), 64), 4_000_000))
         cands = _invariant_tilted_candidates(n, count, epsilon, seed)
         kept = greedy_pack(cands, delta, metric=metric)
         return cls(points=cands[kept], metric=metric)
@@ -337,7 +333,7 @@ def _first_fit_colors(metric: str, points: np.ndarray, t: float) -> np.ndarray:
     return colors
 
 
-def greedy_pack(points, threshold: float, metric: str = "pseudohyperbolic", chunk: int = PAIR_BLOCK) -> np.ndarray:
+def greedy_pack(points, threshold: float, metric: str = "pseudohyperbolic") -> np.ndarray:
     """Indices of a greedy subset with pairwise distance >= threshold, in order.
 
     Each point is kept when its distance to every point kept before it is at
@@ -347,12 +343,12 @@ def greedy_pack(points, threshold: float, metric: str = "pseudohyperbolic", chun
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
     if metric == "kobayashi":
-        return greedy_pack(pts, math.tanh(threshold), metric="pseudohyperbolic", chunk=chunk)
+        return greedy_pack(pts, math.tanh(threshold), metric="pseudohyperbolic")
     rows = geom.points_to_rows(pts)
     kept = np.zeros(0, dtype=np.intp)
     tree = None
-    for i0 in range(0, pts.shape[0], chunk):
-        idx = np.arange(i0, min(i0 + chunk, pts.shape[0]))
+    for i0 in range(0, pts.shape[0], PAIR_BLOCK):
+        idx = np.arange(i0, min(i0 + PAIR_BLOCK, pts.shape[0]))
         if tree is not None:
             idx = idx[_nearest_within(metric, pts[idx], pts[kept], tree, threshold) >= threshold]
         fresh = idx[_first_fit_colors(metric, pts[idx], threshold) == 0]
@@ -688,12 +684,5 @@ def shell_counts(seq: PointSequence, z0=None) -> ShellCounts:
         fit_idx = nz[1:-1]
     if len(fit_idx) < 2:
         return ShellCounts(counts=counts, slope=math.nan, slope_se=math.nan, fit_shells=tuple(int(i) for i in fit_idx))
-    x = fit_idx.astype(float)
-    y = np.log(counts[fit_idx].astype(float))
-    xc = x - x.mean()
-    sxx = float(np.sum(xc**2))
-    slope = float(np.sum(xc * y) / sxx)
-    resid = y - (y.mean() + slope * xc)
-    dof = max(len(x) - 2, 1)
-    slope_se = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
+    slope, slope_se = measures.fit_line(fit_idx, np.log(counts[fit_idx]))
     return ShellCounts(counts=counts, slope=slope, slope_se=slope_se, fit_shells=tuple(int(i) for i in fit_idx))

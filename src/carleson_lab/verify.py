@@ -57,13 +57,13 @@ def _over_cases(name: str, reps: list[CheckReport], worst, details: dict, gate: 
 def _row_kernel_reproducing(budget, seed) -> CheckReport:
     cfg = MCConfig(seed=seed, n_samples=budget["mc"])
     cases = []
+    drawn = 0
     for z, alpha in (([0.0], (1,)), ([0.3], (2,)), ([0.0, 0.5], (1, 0)), ([0.3, 0.0], (0, 2))):
         est, expected = bergman.reproducing_check(z, alpha, cfg)
         cases.append({"z": z, "alpha": alpha, "ratio": abs(est.value - expected) / (3 * est.std_error + 1e-12)})
+        drawn += est.n_effective
     worst = max(c["ratio"] for c in cases)
-    return CheckReport(
-        "kernel-reproducing", worst, 1.0, worst <= 1.0, len(cases) * budget["mc"], 0.0, {"seed": seed, "cases": cases}
-    )
+    return CheckReport("kernel-reproducing", worst, 1.0, worst <= 1.0, drawn, 0.0, {"seed": seed, "cases": cases})
 
 
 def _row_volume_sandwich(budget, seed) -> CheckReport:
@@ -127,7 +127,7 @@ def _row_defining_fn(budget, seed) -> CheckReport:
     reps.append(domains.check_defining_fn_inequality(ell, [0.3 + 0.1j], 0.4, max(budget["samples"] // 4, 100), seed))
     spread = max(fits) / min(fits)
     ok = all(rep.passed for rep in reps) and spread < 10.0
-    return CheckReport("defining-fn-bound", spread, 10.0, ok, budget["samples"] * 4, 0.0, {"fits": fits})
+    return CheckReport("defining-fn-bound", spread, 10.0, ok, sum(rep.n_samples for rep in reps), 0.0, {"fits": fits})
 
 
 def _row_covering(budget, seed) -> CheckReport:
@@ -146,7 +146,9 @@ def _row_submean_ball(budget, seed) -> CheckReport:
     passed: bool | None = worst > 0.0
     if worst <= 0 and any(rep.passed is None for rep in reps):
         passed = None
-    return CheckReport("submean-ball", worst, reps[0].bound, passed, 3 * budget["mc"], 0.0, {"seed": seed})
+    return CheckReport(
+        "submean-ball", worst, reps[0].bound, passed, sum(rep.n_samples for rep in reps), 0.0, {"seed": seed}
+    )
 
 
 def _row_submean_mean(budget, seed) -> CheckReport:
@@ -154,11 +156,13 @@ def _row_submean_mean(budget, seed) -> CheckReport:
     # (8 / (1 - r^2))^(n+1) envelope
     cfg = MCConfig(seed=seed, n_samples=budget["mc"])
     worst = 0.0
+    drawn = 0
     for k, (z0, r) in enumerate((([0.3], 0.5), ([0.6], 0.3), ([0.0, 0.4], 0.5))):
         rep = bergman.check_submean(2, z0, r, cfg, seed=seed + 17 + k)
         bound = (8.0 / (1 - r * r)) ** (len(z0) + 1)
         worst = max(worst, rep.details["fitted_mean_constant"] / bound)
-    return CheckReport("submean-mean-comparison", worst, 1.0, worst <= 1.0, 3 * budget["mc"], 0.0, {"seed": seed})
+        drawn += rep.n_samples
+    return CheckReport("submean-mean-comparison", worst, 1.0, worst <= 1.0, drawn, 0.0, {"seed": seed})
 
 
 def _row_submean_neighbor(budget, seed) -> CheckReport:
@@ -166,6 +170,7 @@ def _row_submean_neighbor(budget, seed) -> CheckReport:
     rng = np.random.default_rng(seed)
     cfg = MCConfig(seed=seed, n_samples=budget["mc"])
     worst = 0.0
+    drawn = 0
     for z0_l, r in (([0.3], 0.4), ([0.5], 0.5)):
         z0 = np.asarray(z0_l, dtype=complex)
         alphas, coeffs = bergman.random_polynomial(z0.size, 2, rng)
@@ -177,8 +182,9 @@ def _row_submean_neighbor(budget, seed) -> CheckReport:
         sup_chi = float(np.max(chi(inner)))
         est = integrate_density(chi, geom.kobayashi_ball(z0, 0.5 * (1 + r)), cfg)
         worst = max(worst, sup_chi * geom.ball_volume(z0, r) / float(np.real(est.value)))
+        drawn += len(inner) + est.n_effective
     ok = math.isfinite(worst) and worst > 0.0
-    return CheckReport("submean-neighbor", worst, math.inf, ok, 2 * budget["mc"], 0.0, {"seed": seed})
+    return CheckReport("submean-neighbor", worst, math.inf, ok, drawn, 0.0, {"seed": seed})
 
 
 def _row_kernel_upper(budget, seed) -> CheckReport:
@@ -262,7 +268,8 @@ def _bundled_sequences(disk_eps, ball2_eps, seed) -> tuple:
 def _row_discrete_chain(budget, seed) -> CheckReport:
     config = replace(budget["cross_check"], n_polynomials=4, seed=seed)
     failures = []
-    for name, seq in _bundled_sequences(budget["disk_eps"], budget["ball2_eps"], seed):
+    bundle = _bundled_sequences(budget["disk_eps"], budget["ball2_eps"], seed)
+    for name, seq in bundle:
         verdict = measures.cross_check_equivalence(sequences.dirac_carleson_measure(seq), config)
         if verdict.overall != "pass" or not verdict.agreement:
             failures.append({"sequence": name, "verdicts": verdict.verdicts})
@@ -271,8 +278,10 @@ def _row_discrete_chain(budget, seed) -> CheckReport:
         counts = [sequences.count_in_ball(seq, p, 0.5) for p in probes]
         if max(counts) > 10_000:
             failures.append({"sequence": name, "count": max(counts)})
+    # Dirac measures draw no samples: the row tests the sequences' points
     return CheckReport(
-        "discrete-carleson-chain", len(failures), 0.0, not failures, 0, 0.0, {"failures": failures}
+        "discrete-carleson-chain", len(failures), 0.0, not failures, sum(len(seq) for _, seq in bundle), 0.0,
+        {"failures": failures},
     )
 
 
@@ -291,12 +300,15 @@ def _row_escape_full(budget, seed) -> CheckReport:
 
 def _row_escape_volume(budget, seed) -> CheckReport:
     worst = 0.0
-    for name, seq in _bundled_sequences(budget["disk_eps"], budget["ball2_eps"], seed):
+    bundle = _bundled_sequences(budget["disk_eps"], budget["ball2_eps"], seed)
+    for name, seq in bundle:
         res = sequences.escape_sum(seq, weight=sequences.EscapeWeight.power(2.0), exponent="2n")
         if not math.isfinite(res.total):
             worst = math.inf
         worst = max(worst, res.last_decade_increment / max(res.total, 1e-300))
-    return CheckReport("escape-sum-volume", worst, 0.5, worst < 0.5, 0, 0.0, {"seed": seed})
+    return CheckReport(
+        "escape-sum-volume", worst, 0.5, worst < 0.5, sum(len(seq) for _, seq in bundle), 0.0, {"seed": seed}
+    )
 
 
 def _row_invariant_measure(budget, seed) -> CheckReport:

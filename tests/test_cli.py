@@ -142,6 +142,13 @@ def test_malformed_parameters_and_declarations_exit_usage(tmp_path, capsys):
         (["berezin", "--params", '{"op": "check_kernel_upper", "points": 1e12}'], "parameters/points"),
         (["berezin", "--samples", "1000000000000"], "mc/n_samples"),
         (["seq", "analyze", "--sequence", '{"type": "ladder", "n": 1, "count": 1000000000000}'], "sequence/count"),
+        (["carleson-test", "--measure", '{"dimension": 1}', "--params", '{"ball_samples": 1e15}'],
+         "parameters/ball_samples"),
+        (["carleson-test", "--measure", '{"dimension": 1}', "--params", '{"global_samples": 1e15}'],
+         "parameters/global_samples"),
+        # a size of zero is malformed too, not raised to the 100-sample floor
+        (["carleson-test", "--measure", '{"dimension": 1}', "--params", '{"ball_samples": 0}'],
+         "parameters/ball_samples"),
     ):
         rc = run_cli(argv + ["--out", str(tmp_path)])
         err = capsys.readouterr().err
@@ -165,7 +172,7 @@ _JUNK = st.one_of(
 _CHEAP = {"z": [0.1, 0.0], "w": [0.3, 0.1], "a": [0.2, 0.0], "z0": [0.2, 0.0], "r": 0.5, "n": 1, "k_max": 2,
           "samples": 100, "points": 100, "count": 5, "ball_samples": 100, "global_samples": 100,
           "n_polynomials": 1, "epsilon": 0.5, "weight": {"kind": "power", "s": 2.0}, "exponent": "n"}
-_SIZES = {"samples", "points", "count", "k_max", "probes"}
+_SIZES = {"samples", "points", "count", "k_max", "probes", "ball_samples", "global_samples"}
 _HUGE = st.integers(min_value=10**15, max_value=10**30)
 _DECLARATIONS = {
     "measure": [{"dimension": 1, "density": {"type": "power", "s": 0.5}},
@@ -213,17 +220,21 @@ def test_fuzzed_declarations_exit_without_traceback(tmp_path_factory, argv):
 
 def test_every_operation_refuses_oversized_sizes(tmp_path, capsys):
     # the fuzz seldom pairs an operation with a size field it reads (1,500
-    # examples never did), so every table entry gets every size field at 10^15
+    # examples never did), so every table entry gets each size field at 10^15.
+    # One field at a time: an operation reads its fields in turn, so an earlier
+    # field's refusal would hide a later field's missing ceiling.
     for command, op in sorted(cli.OPERATIONS, key=str):
-        params = {**_CHEAP, "op": op, **dict.fromkeys(_SIZES, 10**15)}
-        argv = ["seq", command[4:]] if command.startswith("seq-") else [command]
-        argv += ["--params", json.dumps(params), "--samples", "200", "--out", str(tmp_path)]
-        for kind, options in _DECLARATIONS.items():
-            argv += [f"--{kind}", json.dumps(options[0])]
-        rc = run_cli(argv)
-        err = capsys.readouterr().err
-        assert rc in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE, cli.EXIT_USAGE), argv
-        assert "Traceback" not in err, argv
+        for size in sorted(_SIZES):
+            probes = 100 if command == "cover" else [[0.5, 0.0], [0.9, 0.0]]
+            params = {**_CHEAP, "op": op, "probes": probes, size: 10**15}
+            argv = ["seq", command[4:]] if command.startswith("seq-") else [command]
+            argv += ["--params", json.dumps(params), "--samples", "200", "--out", str(tmp_path)]
+            for kind, options in _DECLARATIONS.items():
+                argv += [f"--{kind}", json.dumps(options[0])]
+            rc = run_cli(argv)
+            err = capsys.readouterr().err
+            assert rc in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE, cli.EXIT_USAGE), argv
+            assert "Traceback" not in err, argv
 
 
 def test_unknown_operation_lists_the_table():
@@ -270,6 +281,23 @@ def test_berezin_of_volume(tmp_path):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["sup"] == pytest.approx(1.0, abs=0.1)
+
+
+def test_berezin_rows_are_the_berezin_test_rows(tmp_path):
+    # the op writes carleson_berezin_test's rows: probe depth, value, std_error, probe
+    measure = {"dimension": 1, "atoms": [[[0.5, 0.0], 1.0], [[0.0, 0.9], 0.5]], "density": {"type": "power", "s": 0.5}}
+    rc = run_cli(["berezin", "--measure", json.dumps(measure), "--params", '{"k_max": 4}', "--samples", "2000",
+                  "--seed", "3", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    with open(tmp_path / "o" / "results.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["d", "berezin", "std_error", "c0", "c1"]
+    res = measures.carleson_berezin_test(
+        measures.Measure.from_config(measure), measures.boundary_schedule(1, 4), MCConfig(seed=3, n_samples=2000))
+    want = [[r["d"], r["value"], r["std_error"], *geometry_ball.points_to_rows(r["center"][None, :])[0]]
+            for r in res.rows]
+    assert [[float(x) for x in row] for row in rows] == want
+    assert json.loads((tmp_path / "o" / "summary.json").read_text())["sup"] == res.sup.value
 
 
 def test_carleson_test_divergent_density_exit_fail(tmp_path):

@@ -121,7 +121,7 @@ def test_ratio_test_volume_is_flat():
     res = ms.carleson_ratio_test(ms.Measure.lebesgue(1), 0.5, ms.boundary_schedule(1, 8), CFG)
     assert res.verdict == "pass"
     for row in res.rows:
-        assert row["ratio"] == pytest.approx(1.0, abs=1e-12)
+        assert row["value"] == pytest.approx(1.0, abs=1e-12)
     assert res.slope == pytest.approx(0.0, abs=1e-9)
 
 
@@ -136,7 +136,7 @@ def test_ratio_test_subunit_density_passes():
     mu = ms.Measure.with_power_density(1, 0.5)
     res = ms.carleson_ratio_test(mu, 0.5, ms.boundary_schedule(1, 12), CFG)
     assert res.verdict == "pass"
-    assert max(row["ratio"] for row in res.rows) <= 1.0 + 1e-6
+    assert max(row["value"] for row in res.rows) <= 1.0 + 1e-6
 
 
 def test_ratio_test_validates_radius():
@@ -172,7 +172,7 @@ def test_functional_constant_for_volume_is_one():
     mu = ms.Measure.lebesgue(1)
     res = ms.carleson_functional_test(mu, ms.carleson_berezin_test(mu, ms.boundary_schedule(1, 8), CFG), CFG, seed=3)
     assert res.verdict == "pass"
-    assert res.constant.value < 1.2
+    assert res.sup.value < 1.2
 
 
 def test_functional_dirac_kernel_ratios():
@@ -180,9 +180,8 @@ def test_functional_dirac_kernel_ratios():
     mu = ms.Measure.dirac([0.0])
     kernels = ms.carleson_berezin_test(mu, ms.boundary_schedule(1, 6), CFG)
     res = ms.carleson_functional_test(mu, kernels, CFG, n_polynomials=2, seed=1)
-    kernel_rows = [r for r in res.rows if r["kind"] == "kernel"]
-    for row in kernel_rows:
-        assert row["ratio"] <= 1.0 + 1e-12
+    for row in res.rows[: len(kernels.rows)]:
+        assert row["value"] <= 1.0 + 1e-12
 
 
 def test_functional_kernel_rows_are_the_berezin_rows():
@@ -192,20 +191,18 @@ def test_functional_kernel_rows_are_the_berezin_rows():
     centers = ms.boundary_schedule(1, 6)
     kernels = ms.carleson_berezin_test(mu, centers, CFG)
     res = ms.carleson_functional_test(mu, kernels, CFG, n_polynomials=2, seed=1)
-    got = [(r["d"], r["ratio"], r["std_error"]) for r in res.rows if r["kind"] == "kernel"]
+    got = [(r["d"], r["value"], r["std_error"]) for r in res.rows[: len(kernels.rows)]]
     want = []
     for c in centers:
         est = bergman.berezin_transform(mu, c, CFG)
         want.append((1.0 - float(np.linalg.norm(c)), float(np.real(est.value)), est.std_error))
     assert got == want
-    assert [r["kind"] for r in res.rows[len(want):]] == ["polynomial"] * 2
+    assert all(a is b for a, b in zip(res.rows, kernels.rows))
+    assert len(res.rows) == len(want) + 2 and all(math.isnan(r["d"]) for r in res.rows[len(want):])
     assert (res.verdict, res.slope, res.slope_se, res.growth) == (
         kernels.verdict, kernels.slope, kernels.slope_se, kernels.growth)
-
-
-def test_functional_rejects_other_p():
-    with pytest.raises(ParameterError):
-        ms.carleson_functional_test(ms.Measure.lebesgue(1), None, CFG, p=4.0)
+    # the polynomials set only the embedding constant: the largest row of either family
+    assert res.sup.value == max(r["value"] for r in res.rows) >= kernels.sup.value
 
 
 # -- cross-check --------------------------------------------------------------
@@ -230,7 +227,17 @@ def test_cross_check_divergent_fails_and_agrees():
 def test_cross_check_json_and_rows():
     verdict = ms.cross_check_equivalence(ms.Measure.lebesgue(1), fast_config())
     d = verdict.to_json_dict()
-    assert set(d) >= {"berezin_sup", "ratio_sup", "functional_constant", "verdicts", "agreement"}
+    assert set(d) == {"berezin_sup", "ratio_sup", "functional_constant", "verdicts", "agreement", "defect",
+                      "overall"}
+    # each sup is the largest row value of its own test
+    assert set(d["ratio_sup"]) == {str(r) for r in fast_config().r_values}
+    for r, res in verdict.ratio_results.items():
+        assert d["ratio_sup"][str(r)] == max(row["value"] for row in res.rows)
+    assert d["berezin_sup"]["value"] == max(row["value"] for row in verdict.berezin_result.rows)
+    # the embedding constant ranges over the kernel and the polynomial rows
+    functional = verdict.functional_result.rows
+    assert len(functional) == len(verdict.berezin_result.rows) + fast_config().n_polynomials
+    assert d["functional_constant"]["value"] == max(row["value"] for row in functional)
     rows = verdict.schedule_rows()
     assert rows and set(rows[0]) == {"center", "d", "ratio", "berezin"}
 

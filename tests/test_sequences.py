@@ -226,7 +226,7 @@ def test_greedy_pack_tree_path_matches_bruteforce():
     )
     for n, m, radius, t, metric in cases:
         pts = g.uniform_round_ball(rng, n, m) * radius
-        kept = sq.greedy_pack(pts, t, metric=metric, chunk=512)
+        kept = sq.greedy_pack(pts, t, metric=metric)
         assert kept.tolist() == brute_greedy(pts, t, metric), (n, t, metric)
 
 
