@@ -45,6 +45,8 @@ CALLS = {
     "berezin-pole-n2": ["berezin", "--measure", '{"dimension": 2, "density": {"type": "power", "s": -0.5}}'],
     "berezin-probes": ["berezin", "--measure", ATOMS_AND_DENSITY, "--params",
                        '{"probes": [[0.0, 0.0], [0.5, 0.5], [0.9, 0.0], [0.0, -0.99]]}', "--format", "json"],
+    "berezin-one-depth": ["berezin", "--measure", '{"dimension": 1, "atoms": [[[0.5, 0.0], 1.0]], "density": "none"}',
+                          "--params", '{"probes": [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0]]}'],
     "seq-shells-packing": ["seq", "shells", "--sequence", '{"type": "packing", "n": 1, "delta": 0.5, "epsilon": 0.02}'],
     "seq-shells-ladder": ["seq", "shells", "--sequence", '{"type": "ladder", "n": 1, "count": 50}'],
     "seq-analyze-lattice": ["seq", "analyze", "--sequence", '{"type": "lattice", "n": 1}'],

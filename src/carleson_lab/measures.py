@@ -248,6 +248,8 @@ def fit_line(x, y) -> tuple[float, float]:
     y = np.asarray(y, dtype=float)
     xc = x - x.mean()
     sxx = float(np.sum(xc**2))
+    if sxx == 0.0:  # one x value (probes at one depth): no line
+        return math.nan, math.nan
     slope = float(np.sum(xc * y) / sxx)
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)

@@ -121,10 +121,9 @@ class PointSequence:
 
     @classmethod
     def perturbed_lattice(
-        cls, n: int, spacing: float = 0.2, jitter: float = 0.25, seed: int = 0, epsilon: float = 0.05,
-        metric: str = "pseudohyperbolic",
+        cls, n: int, spacing: float = 0.2, jitter: float = 0.25, seed: int = 0, metric: str = "pseudohyperbolic"
     ) -> "PointSequence":
-        """Euclidean grid restricted to {depth >= epsilon}, with seeded jitter."""
+        """Euclidean grid restricted to {depth >= 0.05}, with seeded jitter."""
         if not 0.0 < spacing < math.inf:
             raise ParameterError("spacing must be positive and finite")
         rng = np.random.default_rng(seed)
@@ -133,7 +132,7 @@ class PointSequence:
         rows = np.stack([g.reshape(-1) for g in grids], axis=1)
         rows = rows + jitter * spacing * (rng.random(rows.shape) - 0.5)
         pts = geom.rows_to_points(rows)
-        keep = np.linalg.norm(pts, axis=1) <= 1.0 - epsilon
+        keep = np.linalg.norm(pts, axis=1) <= 1.0 - 0.05
         return cls(points=pts[keep], metric=metric)
 
     # -- serialisation ---------------------------------------------------------

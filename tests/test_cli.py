@@ -224,8 +224,8 @@ def test_every_operation_refuses_oversized_sizes(tmp_path, capsys):
     # One field at a time: an operation reads its fields in turn, so an earlier
     # field's refusal would hide a later field's missing ceiling.
     for command, op in sorted(cli.OPERATIONS, key=str):
+        probes = 100 if command == "cover" else [[0.5, 0.0], [0.9, 0.0]]
         for size in sorted(_SIZES):
-            probes = 100 if command == "cover" else [[0.5, 0.0], [0.9, 0.0]]
             params = {**_CHEAP, "op": op, "probes": probes, size: 10**15}
             argv = ["seq", command[4:]] if command.startswith("seq-") else [command]
             argv += ["--params", json.dumps(params), "--samples", "200", "--out", str(tmp_path)]

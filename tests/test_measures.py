@@ -166,6 +166,14 @@ def test_berezin_test_divergent_density():
     assert res.verdict == "fail"
 
 
+def test_berezin_test_probes_at_one_depth():
+    # probes at one depth leave no line to fit: the rows and sup stand, the slope is nan
+    res = ms.carleson_berezin_test(ms.Measure.dirac([0.0]), [[0.5], [0.5j], [-0.5]], CFG)
+    assert [row["value"] for row in res.rows] == pytest.approx([0.5625] * 3, rel=1e-12)
+    assert res.sup.value == res.rows[0]["value"]
+    assert math.isnan(res.slope) and math.isnan(res.slope_se)
+
+
 # -- functional test ----------------------------------------------------------
 
 def test_functional_constant_for_volume_is_one():
@@ -222,6 +230,15 @@ def test_cross_check_divergent_fails_and_agrees():
     verdict = ms.cross_check_equivalence(ms.Measure.with_power_density(1, -0.5), fast_config())
     assert verdict.agreement
     assert verdict.overall == "fail"
+
+
+def test_verdict_derives_agreement_from_the_verdicts():
+    # agreement, defect and overall are read off the verdict dict, never stored beside it
+    split = ms.CarlesonVerdict({"functional": "pass", "berezin": "pass", "ratio": "fail"}, {}, None, None)
+    assert not split.agreement and split.overall == "inconclusive"
+    assert split.defect == "conclusive tests disagree: functional=pass, berezin=pass, ratio=fail"
+    partial = ms.CarlesonVerdict({"functional": "inconclusive", "berezin": "fail", "ratio": "fail"}, {}, None, None)
+    assert partial.agreement and partial.defect is None and partial.overall == "fail"
 
 
 def test_cross_check_json_and_rows():
