@@ -2,10 +2,10 @@
 
 Subcommands: ball, berezin, carleson-test, seq {analyze|decompose|escape|shells},
 cover, ek, and verify (the table of :mod:`carleson_lab.verify`).  Experiments
-are declared either with flags or a JSON spec file (schema-validated, unknown
-keys rejected); each run writes plot-ready CSV results, a JSON summary, and a
-manifest recording seed/versions/timings so a run can be replayed to
-byte-identical CSV artifacts.
+are declared either with flags or a JSON spec file (every field read by one
+strict reader, unknown keys rejected); each run writes plot-ready CSV results,
+a JSON summary, and a manifest recording seed/versions/timings so a run can be
+replayed to byte-identical CSV artifacts.
 
 Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 usage or spec error.
 """
@@ -20,8 +20,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
-import jsonschema
 import numpy as np
 
 from . import __version__, bergman, domains, geometry_ball as geom, invariant_measure, measures, sequences
@@ -34,117 +34,206 @@ EXIT_USAGE = 3
 
 MAX_COUNT = 10_000_000  # largest size a run accepts; larger ones fail to allocate, or fill memory
 
-_DIMENSION = {"type": "integer", "minimum": 1}
-_COUNT = {"type": "integer", "minimum": 1, "maximum": MAX_COUNT}
-_NUMBER = {"type": "number"}
-_SEED = {"type": "integer", "minimum": 0}
-_ROW = {"type": "array", "items": _NUMBER, "minItems": 1}
-
-
-def _declaration(kinds: dict, **properties) -> dict:
-    """Schema of a ``{"type": kind, ...}`` declaration; ``kinds`` maps each kind
-    to (required fields, typed fields)."""
-    return {
-        "type": "object",
-        "required": ["type"],
-        "properties": {"type": {"enum": list(kinds)}, **properties},
-        "allOf": [
-            {"if": {"required": ["type"], "properties": {"type": {"const": kind}}},
-             "then": {"required": required, "properties": fields}}
-            for kind, (required, fields) in kinds.items()
-        ],
-    }
-
-
-SEQUENCE_SCHEMA = _declaration({
-    "ladder": (["n"], {"n": _DIMENSION, "count": _COUNT}),
-    "packing": (["n"], {"n": _DIMENSION, "delta": _NUMBER, "epsilon": _NUMBER, "seed": _SEED}),
-    "lattice": (["n"], {"n": _DIMENSION, "spacing": _NUMBER, "jitter": _NUMBER, "seed": _SEED}),
-    "csv": (["path"], {"path": {"type": "string"}}),
-    "points": (["rows"], {"rows": {"type": "array", "items": _ROW, "minItems": 1}}),
-}, metric={"enum": list(sequences.METRICS)})
-DOMAIN_SCHEMA = _declaration({
-    "ball": (["dimension"], {"dimension": _DIMENSION}),
-    "ellipsoid": (["semi_axes"], {"semi_axes": _ROW}),
-    "perturbed_ball": (["dimension"], {"dimension": _DIMENSION, "epsilon": _NUMBER, "bump_center": _ROW,
-                                       "bump_width": _NUMBER}),
-})
-MEASURE_SCHEMA = {
-    "type": "object",
-    "required": ["dimension"],
-    "properties": {
-        "dimension": _DIMENSION,
-        "atoms": {"type": "array", "items": {"type": "array", "prefixItems": [_ROW, _NUMBER],
-                                             "minItems": 2, "maxItems": 2}},
-        "density": {"if": {"type": "object"}, "then": _declaration({"power": (["s"], {"s": _NUMBER})}),
-                    "else": {"enum": ["none", None]}},
-    },
-}
-
-SPEC_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name", "operation"],
-    "properties": {
-        "name": {"type": "string"},
-        "operation": {"type": "string"},
-        "domain": DOMAIN_SCHEMA,
-        "measure": MEASURE_SCHEMA,
-        "sequence": SEQUENCE_SCHEMA,
-        "parameters": {"type": "object"},
-        "mc": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "seed": _SEED,
-                "n_samples": {"type": "integer", "minimum": 100, "maximum": MAX_COUNT},
-                "strata": {"type": ["array", "null"], "items": {"type": "number"}},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"dir": {"type": "string"}, "format": {"enum": ["csv", "json"]}},
-        },
-    },
-}
-
 
 class UsageError(CarlesonLabError):
     pass
 
 
+# ---------------------------------------------------------------------------
+# reading input: one reader, _read, and a few strict kinds
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _read(cfg: dict, path: str, key: str, default, kind):
+    """``cfg[key]`` read by ``kind``, or ``default`` when it is absent or null.
+    A missing required key (``default=_REQUIRED``) or a value ``kind`` refuses
+    is a usage error naming ``<path>/<key>``."""
+    if cfg.get(key) is None and default is not _REQUIRED:
+        return default
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError, LookupError, OverflowError) as exc:  # the library's errors are ValueErrors
+        raise UsageError(f"bad {path}/{key} ({type(exc).__name__}: {exc})") from exc
+
+
+def _object(cfg, path: str, *keys: str) -> dict:
+    """``cfg`` as a JSON object, null read as {}; given ``keys``, it holds no other key."""
+    if cfg is None:
+        return {}
+    if not isinstance(cfg, dict):
+        raise UsageError(f"bad {path} (expected an object, got {type(cfg).__name__})")
+    for key in cfg:
+        if keys and key not in keys:
+            raise UsageError(f"bad {path}/{key} (unknown key; valid: {', '.join(keys)})")
+    return cfg
+
+
+def _given(read, **kinds) -> dict:
+    """Each key of ``kinds`` that is given, by ``read(key, None, kind)``; a key
+    left out or null is not passed on, so the constructor's own default applies."""
+    values = {key: read(key, None, kind) for key, kind in kinds.items()}
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _integer(lo: float = -math.inf, hi: float = math.inf):
+    """Kind: an integer in [lo, hi]; an integral float such as 1.0 counts, as in JSON."""
+    def integer(value) -> int:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+            raise TypeError(f"expected an integer, got {value!r}")
+        if not lo <= value <= hi:
+            raise ValueError(f"must be in [{lo}, {hi}]")
+        return int(value)
+    return integer
+
+
+_count = _integer(1, MAX_COUNT)  # a size or a dimension
+_seed = _integer(0)
+
+
+def _number(value) -> float:
+    """Kind: a number; a bool or a numeric string is none."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _choice(*values: str):
+    """Kind: one of ``values``."""
+    def choice(value) -> str:
+        if value not in values:
+            raise ValueError(f"{value!r} is not one of {', '.join(values)}")
+        return value
+    return choice
+
+
+def _numbers(value) -> list[float]:
+    """Kind: a non-empty list of numbers."""
+    if not isinstance(value, list) or not value:
+        raise TypeError(f"expected a non-empty list, got {value!r}")
+    return [_number(x) for x in value]
+
+
+def _points(value) -> np.ndarray:
+    """Kind: points, a non-empty list of rows of re/im pairs, all of one length."""
+    if not isinstance(value, list) or not value:
+        raise TypeError(f"expected a non-empty list of rows, got {value!r}")
+    rows = [_numbers(row) for row in value]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows differ in length")
+    return geom.rows_to_points(rows)
+
+
+def _point_row(value) -> np.ndarray:
+    """Kind: one point, a row of re/im pairs."""
+    return _points([value])[0]
+
+
+def _atoms(value) -> tuple:
+    """Kind: atoms ``[[row, weight], ...]``, as their points and their weights."""
+    if not isinstance(value, list) or not all(isinstance(atom, list) and len(atom) == 2 for atom in value):
+        raise TypeError(f"expected a list of [row, weight] pairs, got {value!r}")
+    return _points([row for row, _ in value]) if value else (), [_number(weight) for _, weight in value]
+
+
+def _density(value) -> measures.PowerDensity | None:
+    """Kind: a measure's density, "none" or ``{"type": "power", "s": ...}``."""
+    if value == "none":
+        return None
+    read = functools.partial(_read, _object(value, "measure/density"), "measure/density")
+    read("type", _REQUIRED, _choice("power"))
+    return measures.PowerDensity(read("s", _REQUIRED, _number))
+
+
+def _escape_weight(value) -> sequences.EscapeWeight:
+    """Kind: an escape weight, ``{"kind": "power", "s": ...}`` or ``{"kind": "exp_inverse"}``."""
+    read = functools.partial(_read, _object(value, "parameters/weight"), "parameters/weight")
+    if read("kind", _REQUIRED, _choice("power", "exp_inverse")) == "power":
+        return sequences.EscapeWeight.power(read("s", _REQUIRED, _number))
+    return sequences.EscapeWeight.exp_inverse()
+
+
+# A declaration is read when the spec is, and built when an operation asks:
+# each reader returns a function of no arguments that builds the object.
+
+def _read_domain(cfg) -> Callable[[], domains.Domain]:
+    read = functools.partial(_read, _object(cfg, "domain"), "domain")
+    kind = read("type", _REQUIRED, _choice("ball", "ellipsoid", "perturbed_ball"))
+    if kind == "ellipsoid":
+        return functools.partial(domains.EllipsoidDomain, read("semi_axes", _REQUIRED, _numbers))
+    dimension = read("dimension", _REQUIRED, _count)
+    if kind == "ball":
+        return functools.partial(domains.BallDomain, dimension)
+    return functools.partial(domains.PerturbedBallDomain, dimension,
+                             **_given(read, epsilon=_number, bump_center=_point_row, bump_width=_number))
+
+
+def _read_measure(cfg) -> Callable[[], measures.Measure]:
+    read = functools.partial(_read, _object(cfg, "measure"), "measure")
+    return functools.partial(measures.Measure, read("dimension", _REQUIRED, _count), *read("atoms", ((), ()), _atoms),
+                             read("density", None, _density))
+
+
+def _read_sequence(cfg) -> Callable[[], sequences.PointSequence]:
+    read = functools.partial(_read, _object(cfg, "sequence"), "sequence")
+    kind = read("type", _REQUIRED, _choice("ladder", "packing", "lattice", "csv", "points"))
+    metric = read("metric", "pseudohyperbolic", _choice(*sequences.METRICS))
+    seq = sequences.PointSequence
+    if kind == "csv":
+        return functools.partial(seq.from_csv, read("path", _REQUIRED, _string), metric=metric)
+    if kind == "points":
+        return functools.partial(seq, points=read("rows", _REQUIRED, _points), metric=metric)
+    n = read("n", _REQUIRED, _count)
+    if kind == "ladder":
+        return functools.partial(seq.radial_ladder, n, read("count", 50, _count), metric=metric)
+    if kind == "packing":
+        return functools.partial(seq.maximal_packing, n, read("delta", 0.5, _number), read("epsilon", 0.05, _number),
+                                 metric=metric, **_given(read, seed=_seed))
+    return functools.partial(seq.perturbed_lattice, n, metric=metric,
+                             **_given(read, spacing=_number, jitter=_number, seed=_seed))
+
+
+_DECLARATIONS = {"domain": _read_domain, "measure": _read_measure, "sequence": _read_sequence}
+
+
 @dataclass
 class ExperimentSpec:
+    """One run.  Its declarations are held read but unbuilt: calling one
+    builds its domain, measure or sequence."""
+
     name: str
     operation: str
-    domain: dict | None = None
-    measure: dict | None = None
-    sequence: dict | None = None
+    domain: Callable[[], domains.Domain] | None = None
+    measure: Callable[[], measures.Measure] | None = None
+    sequence: Callable[[], sequences.PointSequence] | None = None
     parameters: dict = field(default_factory=dict)
     mc: MCConfig = field(default_factory=MCConfig)
     out_dir: str = "out"
     out_format: str = "csv"
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentSpec":
-        try:
-            jsonschema.validate(raw, SPEC_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise UsageError(f"spec invalid at {path}: {exc.message}") from exc
-        out = raw.get("output", {})
+    def from_dict(cls, raw) -> "ExperimentSpec":
+        """Read a JSON spec, each field by :func:`_read`: malformed input,
+        declarations included, fails here, before any work."""
+        raw = _object(raw, "spec", "name", "operation", "parameters", "mc", "output", *_DECLARATIONS)
+        read = functools.partial(_read, raw, "spec")
+        mc = functools.partial(_read, _object(raw.get("mc"), "mc", "seed", "n_samples"), "mc")
+        out = functools.partial(_read, _object(raw.get("output"), "output", "dir", "format"), "output")
         return cls(
-            name=raw["name"],
-            operation=raw["operation"],
-            domain=raw.get("domain"),
-            measure=raw.get("measure"),
-            sequence=raw.get("sequence"),
-            parameters=raw.get("parameters", {}),
-            mc=MCConfig.from_config(raw.get("mc", {})),
-            out_dir=out.get("dir", "out"),
-            out_format=out.get("format", "csv"),
+            name=read("name", _REQUIRED, _string),
+            operation=read("operation", _REQUIRED, _string),
+            parameters=_object(raw.get("parameters"), "parameters"),
+            mc=MCConfig(**_given(mc, seed=_seed, n_samples=_integer(100, MAX_COUNT))),
+            out_dir=out("dir", "out", _string),
+            out_format=out("format", "csv", _choice("csv", "json")),
+            **{key: read(key, None, reader) for key, reader in _DECLARATIONS.items()},
         )
 
     @classmethod
@@ -181,74 +270,25 @@ def _report_outcome(rep: CheckReport) -> Outcome:
     return Outcome(["statistic", "bound"], [[rep.statistic, rep.bound]], rep.to_json_dict(), rep.verdict)
 
 
-_REQUIRED = object()
-
-
 def _param(p: dict, key: str, default, kind):
-    """``parameters[key]`` read by ``kind``, or ``default`` when it is absent or
-    null.  A missing required key (``default=_REQUIRED``) or a value ``kind``
-    cannot read is a usage error naming ``parameters/<key>``."""
-    if p.get(key) is None and default is not _REQUIRED:
-        return default
-    try:
-        return kind(p[key])
-    except (TypeError, ValueError, LookupError, OverflowError) as exc:
-        raise UsageError(f"bad parameters/{key} ({type(exc).__name__}: {exc})") from exc
-
-
-def _count(value) -> int:
-    """A size: an integer in [1, MAX_COUNT]."""
-    if not 1 <= int(value) <= MAX_COUNT:
-        raise ValueError(f"must be in [1, {MAX_COUNT}]")
-    return int(value)
+    """``parameters[key]``, read as :func:`_read` reads it."""
+    return _read(p, "parameters", key, default, kind)
 
 
 def _point(p: dict, key: str, default=_REQUIRED) -> np.ndarray:
-    return _param(p, key, default, lambda row: geom.rows_to_points([row])[0])
-
-
-def _declared(cfg: dict, **kinds) -> dict:
-    """The keys of a declaration named in ``kinds``, each read by its kind; a
-    key left out is not passed, so the generator's own default applies."""
-    return {key: kind(cfg[key]) for key, kind in kinds.items() if key in cfg}
+    return _param(p, key, default, _point_row)
 
 
 def _sequence(spec: ExperimentSpec) -> sequences.PointSequence:
-    cfg = spec.sequence or {"type": "ladder", "n": 1, "count": 30}
-    kind = cfg.get("type")
-    metric = cfg.get("metric", "pseudohyperbolic")
-    if kind == "ladder":
-        return sequences.PointSequence.radial_ladder(int(cfg["n"]), int(cfg.get("count", 50)), metric=metric)
-    if kind == "packing":
-        return sequences.PointSequence.maximal_packing(
-            int(cfg["n"]), float(cfg.get("delta", 0.5)), float(cfg.get("epsilon", 0.05)), metric=metric,
-            **_declared(cfg, seed=int),
-        )
-    if kind == "lattice":
-        return sequences.PointSequence.perturbed_lattice(
-            int(cfg["n"]), metric=metric, **_declared(cfg, spacing=float, jitter=float, seed=int))
-    if kind == "csv":
-        return sequences.PointSequence.from_csv(cfg["path"], metric=metric)
-    return sequences.PointSequence(points=geom.rows_to_points(cfg["rows"]), metric=metric)  # "points"
+    return spec.sequence() if spec.sequence else sequences.PointSequence.radial_ladder(1, 30)
 
 
 def _measure(spec: ExperimentSpec) -> measures.Measure:
-    return measures.Measure.from_config(spec.measure or {"dimension": 1, "density": {"type": "power", "s": 0.0}})
+    return spec.measure() if spec.measure else measures.Measure.with_power_density(1, 0.0)
 
 
 def _domain(spec: ExperimentSpec) -> domains.Domain:
-    return domains.domain_from_config(
-        spec.domain or {"type": "ball", "dimension": _param(spec.parameters, "n", 1, _count)})
-
-
-def _escape_weight(cfg: dict) -> sequences.EscapeWeight | None:
-    if not cfg:
-        return None
-    if cfg["kind"] == "power":
-        return sequences.EscapeWeight.power(float(cfg["s"]))
-    if cfg["kind"] == "exp_inverse":
-        return sequences.EscapeWeight.exp_inverse()
-    raise ValueError(f"unknown escape weight kind {cfg['kind']!r}")
+    return spec.domain() if spec.domain else domains.BallDomain(_param(spec.parameters, "n", 1, _count))
 
 
 def _values(**named) -> Outcome:
@@ -265,7 +305,7 @@ def _ball(spec: ExperimentSpec, check: bool = False, sample: bool = False) -> Ou
     inequality, ``sample`` uniform samples of the ball."""
     p = spec.parameters
     z0 = _point(p, "z0", np.zeros(1, dtype=complex))
-    r = _param(p, "r", 0.5, float)
+    r = _param(p, "r", 0.5, _number)
     ball = geom.kobayashi_ball(z0, r)
     rows = [["volume", geom.ball_volume(z0, r)]]
     summary = {"ball": ball.to_json_dict(), "volume": geom.ball_volume(z0, r)}
@@ -298,7 +338,7 @@ def _sample_unit_ball(spec: ExperimentSpec) -> Outcome:
 
 
 def _boundary_constants(spec: ExperimentSpec) -> Outcome:
-    probes = _param(spec.parameters, "probes", _REQUIRED, geom.rows_to_points)
+    probes = _param(spec.parameters, "probes", _REQUIRED, _points)
     est = domains.estimate_boundary_constants(_domain(spec), _point(spec.parameters, "z0"), probes)
     rows = [[row["d"], row["lower"], row["upper"]] for row in est.rows]
     return Outcome(["d", "lower", "upper"], rows, {"c0": est.c0, "C0": est.C0})
@@ -307,7 +347,7 @@ def _boundary_constants(spec: ExperimentSpec) -> Outcome:
 def _domain_check(spec: ExperimentSpec, checker) -> Outcome:
     p = spec.parameters
     rep = checker(
-        _domain(spec), _point(p, "z0"), _param(p, "r", 0.5, float), _param(p, "samples", 2000, _count), spec.mc.seed
+        _domain(spec), _point(p, "z0"), _param(p, "r", 0.5, _number), _param(p, "samples", 2000, _count), spec.mc.seed
     )
     return _report_outcome(rep)
 
@@ -315,7 +355,7 @@ def _domain_check(spec: ExperimentSpec, checker) -> Outcome:
 def _berezin_transform(spec: ExperimentSpec) -> Outcome:
     p = spec.parameters
     mu = _measure(spec)
-    centers = _param(p, "probes", None, geom.rows_to_points)
+    centers = _param(p, "probes", None, _points)
     if centers is None:
         centers = measures.boundary_schedule(mu.dimension, k_max=_param(p, "k_max", 8, _count))
     res = measures.carleson_berezin_test(mu, centers, spec.mc)
@@ -345,11 +385,11 @@ def _carleson_test(spec: ExperimentSpec) -> Outcome:
         raise UsageError("carleson-test needs a measure or a sequence")
     mu = _measure(spec) if spec.measure is not None else sequences.dirac_carleson_measure(_sequence(spec))
     config = measures.CrossCheckConfig(
-        r_values=_param(p, "r_values", (0.3, 0.5, 0.7), lambda v: tuple(map(float, v))),
+        r_values=_param(p, "r_values", (0.3, 0.5, 0.7), lambda v: tuple(_numbers(v))),
         k_max=_param(p, "k_max", 12, _count),
         ball_samples=max(_param(p, "ball_samples", spec.mc.n_samples // 2, _count), 100),
         global_samples=max(_param(p, "global_samples", spec.mc.n_samples, _count), 100),
-        n_polynomials=_param(p, "n_polynomials", 10, int),
+        n_polynomials=_param(p, "n_polynomials", 10, _integer(0)),
         seed=spec.mc.seed,
     )
     verdict = measures.cross_check_equivalence(mu, config)
@@ -363,14 +403,14 @@ def _seq_analyze(spec: ExperimentSpec) -> Outcome:
     seq = _sequence(spec)
     sep = sequences.separation_constant(seq) if len(seq) >= 2 else math.nan
     z0 = _point(spec.parameters, "z0", np.zeros(seq.dimension, dtype=complex))
-    r = _param(spec.parameters, "r", 0.5, float)
+    r = _param(spec.parameters, "r", 0.5, _number)
     count = sequences.count_in_ball(seq, z0, r)
     rows = [["count", len(seq)], ["separation", sep], [f"ball_count_r={r}", count]]
     return Outcome(["field", "value"], rows, {"separation": sep, "size": len(seq), "ball_count": count})
 
 
 def _seq_decompose(spec: ExperimentSpec) -> Outcome:
-    r = _param(spec.parameters, "r", 0.3, float)
+    r = _param(spec.parameters, "r", 0.3, _number)
     dec = sequences.greedy_decompose(_sequence(spec), r)
     rows = [[i, int(c)] for i, c in enumerate(dec.color_of)]
     return Outcome(["index", "class"], rows, {"n_classes": dec.n_colors, "r": r})
@@ -381,7 +421,7 @@ def _seq_escape(spec: ExperimentSpec) -> Outcome:
     res = sequences.escape_sum(
         _sequence(spec),
         weight=_param(p, "weight", None, _escape_weight),
-        exponent=_param(p, "exponent", "n+1", lambda e: e if isinstance(e, str) else int(e)),
+        exponent=_param(p, "exponent", "n+1", lambda e: e if isinstance(e, str) else _integer()(e)),
     )
     rows = [[m + 1, s] for m, s in enumerate(res.partial_sums)]
     return Outcome(["M", "partial_sum"], rows, {"total": res.total, "last_decade_increment": res.last_decade_increment})
@@ -398,8 +438,8 @@ def _cover(spec: ExperimentSpec) -> Outcome:
     try:
         rep = sequences.greedy_cover(
             n,
-            _param(p, "epsilon", 0.1, float),
-            _param(p, "r", 0.5, float),
+            _param(p, "epsilon", 0.1, _number),
+            _param(p, "r", 0.5, _number),
             seed=spec.mc.seed,
             n_probes=_param(p, "probes", 10_000, _count),
             n_candidates=_param(p, "candidates", None, _count),
@@ -441,8 +481,8 @@ OPERATIONS = {
         _param(s.parameters, "n", 1, _count), samples_per_cell=_param(s.parameters, "samples", 2000, _count),
         seed=s.mc.seed)),
     ("berezin", "check_submean"): lambda s: _report_outcome(bergman.check_submean(
-        _param(s.parameters, "degree", 2, int), _point(s.parameters, "z0", np.asarray([0.3], dtype=complex)),
-        _param(s.parameters, "r", 0.5, float), s.mc, seed=s.mc.seed)),
+        _param(s.parameters, "degree", 2, _integer(0)), _point(s.parameters, "z0", np.asarray([0.3], dtype=complex)),
+        _param(s.parameters, "r", 0.5, _number), s.mc, seed=s.mc.seed)),
     ("carleson-test", None): _carleson_test,
     ("seq-analyze", None): _seq_analyze,
     ("seq-decompose", None): _seq_decompose,
@@ -450,8 +490,8 @@ OPERATIONS = {
     ("seq-shells", None): _seq_shells,
     ("cover", None): _cover,
     ("ek", "ek_ball_measure"): lambda s: _estimate_outcome(invariant_measure.ek_ball_measure(
-        _point(s.parameters, "z0", np.zeros(1, dtype=complex)), _param(s.parameters, "r", 0.5, float), s.mc,
-        backend=_param(s.parameters, "backend", "invariant", str))),
+        _point(s.parameters, "z0", np.zeros(1, dtype=complex)), _param(s.parameters, "r", 0.5, _number), s.mc,
+        backend=_param(s.parameters, "backend", "invariant", _string))),
     ("ek", "ek_density"): lambda s: _values(density=invariant_measure.ek_density(_point(s.parameters, "z"))),
     ("ek", "check_ek_bounds"): lambda s: _report_outcome(
         invariant_measure.check_ek_bounds(_param(s.parameters, "n", 1, _count), cfg=s.mc)),
@@ -461,7 +501,7 @@ OPERATIONS = {
 def _operation(spec: ExperimentSpec):
     """The table entry for ``spec.operation`` and its ``parameters.op``."""
     ops = [op for command, op in OPERATIONS if command == spec.operation]
-    op = _param(spec.parameters, "op", ops[0], str) if ops and ops[0] else None
+    op = _param(spec.parameters, "op", ops[0], _string) if ops and ops[0] else None
     if (spec.operation, op) not in OPERATIONS:
         what = f"{spec.operation} op {op!r}" if ops else f"operation {spec.operation!r}"
         valid = ops or dict.fromkeys(command for command, _ in OPERATIONS)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry_ball as geom
-from .errors import OutsideDomainError, ParameterError, ValidationError
+from .errors import OutsideDomainError, ParameterError
 from .reports import CheckReport
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "PerturbedBallDomain",
     "DistanceBounds",
     "BoundaryEstimate",
-    "domain_from_config",
     "boundary_distance",
     "kobayashi_bounds",
     "estimate_boundary_constants",
@@ -99,9 +98,6 @@ class Domain:
             return 0.0
         return val / self.lipschitz_bound()
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 class BallDomain(Domain):
     """The unit ball, psi = 1 - ||z||^2: every service is exact."""
@@ -132,9 +128,6 @@ class BallDomain(Domain):
     def certified_inner_radius(self, z):
         z = np.asarray(z, dtype=np.complex128).reshape(-1)
         return max(1.0 - float(np.linalg.norm(z)), 0.0)
-
-    def to_config(self):
-        return {"type": "ball", "dimension": self.dimension}
 
 
 class EllipsoidDomain(Domain):
@@ -186,9 +179,6 @@ class EllipsoidDomain(Domain):
         # the secular solve is accurate to ~1e-12; shave a hair to stay a lower bound
         return self.boundary_distance(z) * (1.0 - 1e-9)
 
-    def to_config(self):
-        return {"type": "ellipsoid", "semi_axes": self.semi_axes.tolist()}
-
 
 class PerturbedBallDomain(Domain):
     """Ball dented by a smooth Gaussian bump:
@@ -239,32 +229,6 @@ class PerturbedBallDomain(Domain):
         if self.psi(z) <= 0.0:
             raise OutsideDomainError("point is not interior to the domain")
         return _multistart_boundary_distance(self, z)
-
-    def to_config(self):
-        return {
-            "type": "perturbed_ball",
-            "dimension": self.dimension,
-            "epsilon": self.epsilon,
-            "bump_center": geom.points_to_rows(self.bump_center[None, :])[0].tolist(),
-            "bump_width": self.bump_width,
-        }
-
-
-def domain_from_config(cfg: dict) -> Domain:
-    """Build a domain from its JSON declaration {type: ..., params...}."""
-    kind = cfg.get("type")
-    if kind == "ball":
-        return BallDomain(int(cfg["dimension"]))
-    if kind == "ellipsoid":
-        return EllipsoidDomain(cfg["semi_axes"])
-    if kind == "perturbed_ball":
-        # a key left out takes the constructor's own default
-        declared = {key: float(cfg[key]) for key in ("epsilon", "bump_width") if key in cfg}
-        center = cfg.get("bump_center")
-        if center is not None:
-            center = geom.rows_to_points([center])[0]
-        return PerturbedBallDomain(int(cfg["dimension"]), bump_center=center, **declared)
-    raise ValidationError(f"unknown domain type {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -53,16 +53,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Reproducible Monte Carlo budget.
-
-    ``strata`` optionally lists ascending radii in (0, 1) partitioning the ball
-    into radial shells; by default eight equal-volume shells are used for
-    pole-free integrands.
-    """
+    """Reproducible Monte Carlo budget."""
 
     seed: int = 0
     n_samples: int = 20_000
-    strata: tuple[float, ...] | None = None
 
     def rng_for(self, *key: int) -> np.random.Generator:
         return np.random.default_rng(
@@ -70,20 +64,7 @@ class MCConfig:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "n_samples": int(self.n_samples),
-            "strata": list(self.strata) if self.strata is not None else None,
-        }
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "MCConfig":
-        strata = cfg.get("strata")
-        return cls(
-            seed=int(cfg.get("seed", 0)),
-            n_samples=int(cfg.get("n_samples", 20_000)),
-            strata=tuple(strata) if strata else None,
-        )
+        return {"seed": int(self.seed), "n_samples": int(self.n_samples)}
 
 
 @dataclass(frozen=True)
@@ -133,15 +114,9 @@ def _sample_round_shell(rng, n, count, u_lo, u_hi):
     return geom._scale_directions(g, frac ** (1.0 / (2 * n)))
 
 
-def _strata_fractions(cfg: MCConfig, n: int) -> list[tuple[float, float]]:
-    if cfg.strata is None:
-        edges = np.linspace(0.0, 1.0, 9)
-    else:
-        radii = np.asarray(cfg.strata, dtype=float)
-        if np.any(radii <= 0.0) or np.any(radii >= 1.0) or np.any(np.diff(radii) <= 0.0):
-            raise ParameterError("strata radii must be strictly increasing in (0, 1)")
-        edges = np.concatenate([[0.0], radii ** (2 * n), [1.0]])
-    return list(zip(edges[:-1], edges[1:]))
+# the ball's radial shells, eight of equal volume, as [lo, hi) volume fractions
+_SHELL_EDGES = np.linspace(0.0, 1.0, 9)
+_SHELLS = list(zip(_SHELL_EDGES[:-1], _SHELL_EDGES[1:]))
 
 
 def _keyed_draw(draw, counts, cfg: MCConfig):
@@ -183,11 +158,10 @@ def _fold(groups, weights) -> EstimateWithError:
     return EstimateWithError(value=value, std_error=math.sqrt(var), n_effective=total - bad, n_excluded=bad)
 
 
-def _shells(cfg: MCConfig, n: int):
+def _shells(cfg: MCConfig):
     """Radial shells of the ball, their volume fractions and sample counts."""
-    shells = _strata_fractions(cfg, n)
-    fractions = [hi - lo for lo, hi in shells]
-    return shells, fractions, [max(c, 2) for c in _apportion(cfg.n_samples, fractions)]
+    fractions = [hi - lo for lo, hi in _SHELLS]
+    return _SHELLS, fractions, [max(c, 2) for c in _apportion(cfg.n_samples, fractions)]
 
 
 def integrate_density(f, region, cfg: MCConfig, boundary_pole_order: float = 0.0) -> EstimateWithError:
@@ -216,7 +190,7 @@ def integrate_density(f, region, cfg: MCConfig, boundary_pole_order: float = 0.0
             raise ParameterError("boundary pole order must be < 1 for a finite integral")
         return integrate_mixture(f, [BetaRadialComponent(n, 0.75 * boundary_pole_order)], [1.0], cfg)
 
-    shells, fractions, counts = _shells(cfg, n)
+    shells, fractions, counts = _shells(cfg)
     return _fold(_keyed_draw(lambda k, rng, m: f(_sample_round_shell(rng, n, m, *shells[k])), counts, cfg), fractions)
 
 
@@ -231,7 +205,7 @@ def integrate_over_balls(f, balls, cfg: MCConfig) -> list[EstimateWithError]:
     if not balls:
         return []
     n = balls[0].dimension
-    shells, fractions, counts = _shells(cfg, n)
+    shells, fractions, counts = _shells(cfg)
     draw = _keyed_draw(lambda k, rng, m: _sample_round_shell(rng, n, m, *shells[k]), counts, cfg)
     points = np.concatenate(list(draw))
     cuts = np.cumsum(counts)[:-1]

@@ -54,9 +54,6 @@ class PowerDensity:
     def pole_order(self) -> float:
         return max(0.0, -self.exponent)
 
-    def to_config(self) -> dict:
-        return {"type": "power", "s": self.exponent}
-
 
 @dataclass(frozen=True, eq=False)
 class Measure:
@@ -167,38 +164,6 @@ class Measure:
         est = integrate_density(self.density, self.dimension, cfg, boundary_pole_order=self.pole_order)
         return EstimateWithError(atoms + est.value, est.std_error, est.n_effective, est.n_excluded)
 
-    # -- serialisation -------------------------------------------------------
-    def to_config(self) -> dict:
-        atoms = [
-            [geom.points_to_rows(p[None, :])[0].tolist(), float(w)]
-            for p, w in zip(self.atom_points, self.atom_weights)
-        ]
-        if self.density is None:
-            dens = "none"
-        elif isinstance(self.density, PowerDensity):
-            dens = self.density.to_config()
-        else:
-            raise ValidationError("only power densities serialise to JSON")
-        return {"dimension": self.dimension, "atoms": atoms, "density": dens}
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "Measure":
-        dim = int(cfg["dimension"])
-        atoms = cfg.get("atoms", [])
-        if atoms:
-            pts = np.vstack([geom.rows_to_points([row]) for row, _ in atoms])
-            weights = [float(w) for _, w in atoms]
-        else:
-            pts = np.zeros((0, dim), dtype=np.complex128)
-            weights = np.zeros(0)
-        dens_cfg = cfg.get("density", "none")
-        density = None
-        if dens_cfg not in (None, "none"):
-            if dens_cfg.get("type") != "power":
-                raise ValidationError(f"unknown density type {dens_cfg!r}")
-            density = PowerDensity(float(dens_cfg["s"]))
-        return cls(dimension=dim, atom_points=pts, atom_weights=np.asarray(weights, dtype=float), density=density)
-
 
 def measure_of_ball(mu: Measure, ball, cfg: MCConfig) -> EstimateWithError | list[EstimateWithError]:
     """mu(B) for a metric ball: atoms counted exactly, density part by MC.
@@ -298,7 +263,9 @@ def _approach_test(rows: list[dict], n_samples: int) -> ApproachTest:
     order = np.argsort(depths)  # deepest first, zeros included
     deep = values[order][: max(1, len(values) // 4)]
     growth = float(np.max(deep) / np.median(v))
-    if growth > 1.0 and slope + 2.0 * slope_se < SLOPE_THRESHOLD:
+    if math.isnan(slope):  # probes at one depth: no line, so no verdict
+        verdict = "inconclusive"
+    elif growth > 1.0 and slope + 2.0 * slope_se < SLOPE_THRESHOLD:
         verdict = "fail"
     elif growth < GROWTH_LIMIT and (slope - 2.0 * slope_se > SLOPE_THRESHOLD or growth <= 1.0):
         verdict = "pass"

@@ -34,8 +34,9 @@ def test_ball_summary_artifacts(tmp_path):
     assert manifest["exit_code"] == 0
 
 
-# scipy is imported at its call site: a fresh interpreter that imports the
-# package, or runs one of these calls through cli.main, loads no scipy at all
+# scipy is imported at its call site, and input is read without jsonschema: a
+# fresh interpreter that imports the package, or runs one of these calls
+# through cli.main, loads neither
 _SCIPY_FREE_CALLS = {
     "import": None,
     "ball": ["ball", "--params", '{"z0": [0.6, 0.0], "r": 0.5}'],
@@ -49,6 +50,7 @@ import carleson_lab, carleson_lab.cli as cli
 argv = json.loads(sys.argv[1])
 code = None if argv is None else cli.main(argv)
 print(json.dumps({"code": code, "numpy.random": "numpy.random" in sys.modules,
+                  "jsonschema": "jsonschema" in sys.modules,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
@@ -65,6 +67,7 @@ def test_import_and_light_commands_load_no_scipy(tmp_path, case):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded["scipy"] == [], loaded["scipy"][:5]
+    assert loaded["jsonschema"] is False
     assert loaded["numpy.random"]
     if case in ("ball", "berezin"):
         assert loaded["code"] == cli.EXIT_PASS
@@ -93,6 +96,7 @@ def test_unknown_spec_keys_rejected(tmp_path, capsys):
     for spec, field in (
         ({"name": "x", "operation": "ball", "mystery": 1}, "mystery"),
         ({"name": "x", "operation": "ball", "mc": {"seed": 1, "substreams": 4}}, "substreams"),
+        ({"name": "x", "operation": "ball", "mc": {"strata": [0.3, 0.6, 0.9]}}, "mc/strata"),
     ):
         path.write_text(json.dumps(spec))
         assert run_cli(["ball", "--spec", str(path)]) == cli.EXIT_USAGE
@@ -111,6 +115,9 @@ def test_malformed_sequence_declarations_exit_usage(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == cli.EXIT_USAGE, text
         assert field in err and "Traceback" not in err, err
+
+
+_VOLUME = ["ball", "--params", '{"op": "ball_volume"}']
 
 
 def test_malformed_parameters_and_declarations_exit_usage(tmp_path, capsys):
@@ -149,11 +156,47 @@ def test_malformed_parameters_and_declarations_exit_usage(tmp_path, capsys):
         # a size of zero is malformed too, not raised to the 100-sample floor
         (["carleson-test", "--measure", '{"dimension": 1}', "--params", '{"ball_samples": 0}'],
          "parameters/ball_samples"),
+        # values a loose reader would let through: a bool for an integer, an object or a string for
+        # a list, rows that are empty, odd or ragged, a numeric string for a number, a fraction for an
+        # integer, a dimension of 10^15.  Declarations are read with the spec, so each exits 3 under
+        # ball_volume, which builds none
+        (_VOLUME + ["--sequence", '{"type": "ladder", "n": true}'], "bad sequence/n ("),
+        (_VOLUME + ["--measure", '{"dimension": 1, "atoms": {}}'], "bad measure/atoms ("),
+        (_VOLUME + ["--measure", '{"dimension": 1, "atoms": [[[0.5], 1.0]]}'], "bad measure/atoms ("),
+        (_VOLUME + ["--domain", '{"type": "ellipsoid", "semi_axes": ""}'], "bad domain/semi_axes ("),
+        (_VOLUME + ["--sequence", '{"type": "points", "rows": []}'], "bad sequence/rows ("),
+        (_VOLUME + ["--sequence", '{"type": "points", "rows": [[]]}'], "bad sequence/rows ("),
+        (_VOLUME + ["--sequence", '{"type": "points", "rows": [[0.1, 0.0], [0.2]]}'], "bad sequence/rows ("),
+        (_VOLUME + ["--measure", '{"dimension": 1, "density": {"type": "power", "s": "0.5"}}'],
+         "bad measure/density/s ("),
+        (_VOLUME + ["--sequence", '{"type": "ladder", "n": 1, "count": 1.5}'], "bad sequence/count ("),
+        (_VOLUME + ["--measure", '{"dimension": 1000000000000000}'], "bad measure/dimension ("),
+        (_VOLUME + ["--domain", '{"type": "ball", "dimension": 1000000000000000}'], "bad domain/dimension ("),
+        (_VOLUME + ["--sequence", '{"type": "ladder", "n": 1000000000000000}'], "bad sequence/n ("),
+        (["ball", "--params", '{"r": "0.5"}'], "bad parameters/r ("),
+        (["ball", "--params", '{"samples": 1.5}'], "bad parameters/samples ("),
+        (["ball", "--params", '{"op": "sample_unit_ball", "n": true}'], "bad parameters/n ("),
     ):
         rc = run_cli(argv + ["--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == cli.EXIT_USAGE, argv
         assert field in err and "Traceback" not in err, err
+
+
+def test_readers_take_integral_floats_and_nulls(tmp_path):
+    # 1.0 is an integer, as in JSON; a null optional field takes its default
+    results = []
+    for k, (decl, params) in enumerate((
+        ('{"type": "ladder", "n": 1, "count": 20}', '{"r": 0.5}'),
+        ('{"type": "ladder", "n": 1.0, "count": 20.0}', '{"r": 0.5}'),
+        ('{"type": "ladder", "n": 1, "count": 20, "metric": null}', '{"r": null, "z0": null}'),
+    )):
+        assert run_cli(["seq", "analyze", "--sequence", decl, "--params", params, "--out", str(tmp_path / str(k))]) == 0
+        results.append((tmp_path / str(k) / "results.csv").read_bytes())
+    assert results[0] == results[1] == results[2]
+    spec = cli.ExperimentSpec.from_dict({"name": "x", "operation": "ball", "mc": {"seed": None, "n_samples": 1000.0},
+                                         "output": {"dir": None}, "parameters": None, "measure": None})
+    assert (spec.mc, spec.out_dir, spec.parameters, spec.measure) == (MCConfig(n_samples=1000), "out", {}, None)
 
 
 # Fuzzed declarations: one valid, cheap call per table entry, then one or two of
@@ -292,8 +335,8 @@ def test_berezin_rows_are_the_berezin_test_rows(tmp_path):
     with open(tmp_path / "o" / "results.csv", newline="") as fh:
         header, *rows = list(csv.reader(fh))
     assert header == ["d", "berezin", "std_error", "c0", "c1"]
-    res = measures.carleson_berezin_test(
-        measures.Measure.from_config(measure), measures.boundary_schedule(1, 4), MCConfig(seed=3, n_samples=2000))
+    mu = measures.Measure(1, [[0.5], [0.9j]], [1.0, 0.5], measures.PowerDensity(0.5))
+    res = measures.carleson_berezin_test(mu, measures.boundary_schedule(1, 4), MCConfig(seed=3, n_samples=2000))
     want = [[r["d"], r["value"], r["std_error"], *geometry_ball.points_to_rows(r["center"][None, :])[0]]
             for r in res.rows]
     assert [[float(x) for x in row] for row in rows] == want
@@ -537,15 +580,15 @@ def test_registry_covers_primary_operations(tmp_path, monkeypatch):
                     for attr, val in list(vars(mod).items()):
                         if val is original:
                             patch.setattr(mod, attr, reached)
-            spec = cli.ExperimentSpec(
-                name=name,
-                operation=command,
-                measure={"dimension": 1, "density": {"type": "power", "s": 0.0}} if command == "berezin" else None,
-                sequence={"type": "ladder", "n": 1, "count": 5},
-                parameters={**params, "op": op, "probes": probes.get(command), "epsilon": 0.5},
-                mc=MCConfig(seed=0, n_samples=200),
-                out_dir=str(tmp_path),
-            )
+            spec = cli.ExperimentSpec.from_dict({
+                "name": name,
+                "operation": command,
+                "measure": {"dimension": 1, "density": {"type": "power", "s": 0.0}} if command == "berezin" else None,
+                "sequence": {"type": "ladder", "n": 1, "count": 5},
+                "parameters": {**params, "op": op, "probes": probes.get(command), "epsilon": 0.5},
+                "mc": {"seed": 0, "n_samples": 200},
+                "output": {"dir": str(tmp_path)},
+            })
             with pytest.raises(_Reached, match=name):
                 cli.run(spec)
     # the parser offers every command of the table, and verify

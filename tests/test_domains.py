@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from carleson_lab import cli
 from carleson_lab import domains as dm
 from carleson_lab import geometry_ball as g
-from carleson_lab.errors import OutsideDomainError, ParameterError, ValidationError
+from carleson_lab.errors import OutsideDomainError, ParameterError
 
 
 BALL1 = dm.BallDomain(1)
@@ -190,15 +191,28 @@ def test_defining_fn_inequality_ellipsoid():
     assert rep.passed
 
 
-# -- config ------------------------------------------------------------------
+# -- declarations --------------------------------------------------------------
 
-def test_domain_config_roundtrip():
-    for dom in (BALL2, dm.EllipsoidDomain([1.5, 1.0]), dm.PerturbedBallDomain(1, 0.03)):
-        clone = dm.domain_from_config(dom.to_config())
-        z = np.zeros(dom.dimension, dtype=complex) + 0.1
-        assert clone.psi(z) == pytest.approx(dom.psi(z), rel=1e-12)
+def _declared_domain(decl):
+    return cli.ExperimentSpec.from_dict({"name": "x", "operation": "ball", "domain": decl}).domain()
 
 
-def test_domain_config_unknown_type():
-    with pytest.raises(ValidationError):
-        dm.domain_from_config({"type": "torus"})
+def test_declared_domains_are_the_direct_domains():
+    # a domain declared to the CLI is built from the fields it declares, the
+    # constructor's defaults filling the rest
+    for decl, direct in (
+        ({"type": "ball", "dimension": 2}, BALL2),
+        ({"type": "ellipsoid", "semi_axes": [1.5, 1.0]}, dm.EllipsoidDomain([1.5, 1.0])),
+        ({"type": "perturbed_ball", "dimension": 1, "epsilon": 0.03}, dm.PerturbedBallDomain(1, 0.03)),
+        ({"type": "perturbed_ball", "dimension": 1, "epsilon": 0.1, "bump_center": [0.0, 0.7], "bump_width": 0.4},
+         dm.PerturbedBallDomain(1, 0.1, [0.7j], 0.4)),
+    ):
+        built = _declared_domain(decl)
+        assert type(built) is type(direct) and vars(built).keys() == vars(direct).keys()
+        for key, value in vars(direct).items():
+            assert np.array_equal(vars(built)[key], value), (decl, key)
+
+
+def test_declared_domain_unknown_type_is_a_usage_error():
+    with pytest.raises(cli.UsageError, match="bad domain/type"):
+        _declared_domain({"type": "torus"})

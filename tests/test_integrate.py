@@ -90,14 +90,6 @@ def test_min_samples_enforced():
         integrate_density(lambda p: np.ones(len(p)), 1, MCConfig(seed=0, n_samples=50))
 
 
-def test_custom_strata_radii():
-    cfg = MCConfig(seed=5, n_samples=20_000, strata=(0.3, 0.6, 0.9))
-    est = integrate_density(lambda p: 1.0 - norm_sq_rows(p), 1, cfg)
-    assert abs(est.value - 0.5) < 4 * est.std_error + 1e-3
-    with pytest.raises(ParameterError):
-        integrate_density(lambda p: np.ones(len(p)), 1, MCConfig(seed=0, n_samples=1000, strata=(0.9, 0.3)))
-
-
 def test_pole_importance_matches_exact_mass():
     # integral of (1 - |z|^2)^(-1/2) over the disk: u = t^2, = int_0^1 (1-u)^(-1/2) du = 2
     def f(p):
@@ -184,7 +176,7 @@ def _per_batch_ball_estimate(f, ball, cfg):
     batch (four keyed batches per shell), as before grids shared one draw.
     Returns (value, std_error, n_effective, n_excluded)."""
     n = ball.dimension
-    shells = mc._strata_fractions(cfg, n)
+    shells = mc._SHELLS
     fractions = [hi - lo for lo, hi in shells]
     counts = [max(c, 2) for c in mc._apportion(cfg.n_samples, fractions)]
     value, var, bad = 0j, 0.0, 0
@@ -219,16 +211,16 @@ def test_ball_grid_with_atoms_and_custom_strata():
     balls = [g.kobayashi_ball(c, 0.7) for c in ms.boundary_schedule(2, 6)]
     atoms = ms.Measure.from_atoms([b.center for b in balls[::3]], [0.5, 1.0, 2.0, 0.25])
     mu = ms.Measure.with_power_density(2, 0.5) + atoms
-    for cfg in (MCConfig(seed=3, n_samples=2000), MCConfig(seed=4, n_samples=2500, strata=(0.3, 0.6, 0.9))):
-        masses = ms.measure_of_ball(mu, balls, cfg)
-        with_atoms = 0
-        for ball, est in zip(balls, masses):
-            value, se, n_eff, bad = _per_batch_ball_estimate(mu.density, ball, cfg)
-            atom_part = math.fsum(atoms.atom_weights[ball.contains(atoms.atom_points)])
-            with_atoms += atom_part > 0.0
-            assert _fields(est) == (atom_part + value, se, n_eff, bad)
-            assert est == ms.measure_of_ball(mu, ball, cfg)
-        assert with_atoms >= 4
+    cfg = MCConfig(seed=3, n_samples=2000)
+    masses = ms.measure_of_ball(mu, balls, cfg)
+    with_atoms = 0
+    for ball, est in zip(balls, masses):
+        value, se, n_eff, bad = _per_batch_ball_estimate(mu.density, ball, cfg)
+        atom_part = math.fsum(atoms.atom_weights[ball.contains(atoms.atom_points)])
+        with_atoms += atom_part > 0.0
+        assert _fields(est) == (atom_part + value, se, n_eff, bad)
+        assert est == ms.measure_of_ball(mu, ball, cfg)
+    assert with_atoms >= 4
 
 
 def test_grid_of_one_equals_its_ball_in_a_grid_of_sixteen():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from carleson_lab import bergman
+from carleson_lab import bergman, cli
 from carleson_lab import geometry_ball as g
 from carleson_lab import measures as ms
 from carleson_lab.errors import ParameterError, ValidationError
@@ -62,18 +62,19 @@ def test_scaling_and_additivity():
     assert math.fsum(both.atom_weights) == pytest.approx(8.0)
 
 
-def test_config_roundtrip():
-    mu = ms.Measure(
-        dimension=1,
-        atom_points=np.array([[0.1 + 0.2j]]),
-        atom_weights=np.array([0.5]),
-        density=ms.PowerDensity(-0.5),
-    )
-    clone = ms.Measure.from_config(mu.to_config())
-    assert clone.dimension == 1
-    assert np.allclose(clone.atom_points, mu.atom_points)
-    assert clone.density.exponent == -0.5
-    assert clone.pole_order == 0.5
+def _declared_measure(decl):
+    return cli.ExperimentSpec.from_dict({"name": "x", "operation": "berezin", "measure": decl}).measure()
+
+
+def test_declared_measure_is_the_direct_measure():
+    mu = _declared_measure({"dimension": 1, "atoms": [[[0.1, 0.2], 0.5]], "density": {"type": "power", "s": -0.5}})
+    direct = ms.Measure(1, np.array([[0.1 + 0.2j]]), np.array([0.5]), ms.PowerDensity(-0.5))
+    assert mu.dimension == direct.dimension and mu.density == direct.density and mu.pole_order == 0.5
+    assert np.array_equal(mu.atom_points, direct.atom_points)
+    assert np.array_equal(mu.atom_weights, direct.atom_weights)
+    # no atoms and no density: an empty measure of the declared dimension
+    bare = _declared_measure({"dimension": 2, "density": "none"})
+    assert bare.atom_points.shape == (0, 2) and bare.n_atoms == 0 and bare.density is None
 
 
 # -- measure_of_ball ----------------------------------------------------------
@@ -172,6 +173,14 @@ def test_berezin_test_probes_at_one_depth():
     assert [row["value"] for row in res.rows] == pytest.approx([0.5625] * 3, rel=1e-12)
     assert res.sup.value == res.rows[0]["value"]
     assert math.isnan(res.slope) and math.isnan(res.slope_se)
+
+
+def test_no_fitted_line_is_inconclusive():
+    # the deep rows equal the median (growth 1), which passes a fitted line;
+    # with no line to fit, there is no verdict
+    res = ms.carleson_berezin_test(ms.Measure.dirac([0.0]), [[0.5], [0.5j], [-0.5]], MCConfig(seed=0, n_samples=1000))
+    assert math.isnan(res.slope) and res.growth == 1.0
+    assert res.verdict == "inconclusive"
 
 
 # -- functional test ----------------------------------------------------------
