@@ -33,6 +33,8 @@ from .verify import run_suite as verify
 EXIT_USAGE = 3
 
 MAX_COUNT = 10_000_000  # largest size a run accepts; larger ones fail to allocate, or fill memory
+MAX_POLYNOMIALS = 1_000  # carleson-test: one global MC integral each, ~8 ms at 20,000 samples in C^1
+MAX_DEGREE = 32  # check_submean: C(n + degree, n) monomials per sample, 561 in C^2 (~0.4 s)
 
 
 class UsageError(CarlesonLabError):
@@ -194,10 +196,19 @@ def _read_sequence(cfg) -> Callable[[], sequences.PointSequence]:
     if kind == "ladder":
         return functools.partial(seq.radial_ladder, n, read("count", 50, _count), metric=metric)
     if kind == "packing":
-        return functools.partial(seq.maximal_packing, n, read("delta", 0.5, _number), read("epsilon", 0.05, _number),
-                                 metric=metric, **_given(read, seed=_seed))
+        return functools.partial(_net, "sequence", seq.maximal_packing, n, read("delta", 0.5, _number),
+                                 read("epsilon", 0.05, _number), metric=metric, **_given(read, seed=_seed))
     return functools.partial(seq.perturbed_lattice, n, metric=metric,
                              **_given(read, spacing=_number, jitter=_number, seed=_seed))
+
+
+def _net(path: str, build, n: int, *args, **kwargs):
+    """``build(n, *args, **kwargs)``, a packing or a cover.  Its candidate count
+    is a power of the dimension n, so an overflow there names ``<path>/n``."""
+    try:
+        return build(n, *args, **kwargs)
+    except OverflowError as exc:
+        raise UsageError(f"bad {path}/n ({exc}): no candidate net in dimension {n}") from exc
 
 
 _DECLARATIONS = {"domain": _read_domain, "measure": _read_measure, "sequence": _read_sequence}
@@ -389,7 +400,7 @@ def _carleson_test(spec: ExperimentSpec) -> Outcome:
         k_max=_param(p, "k_max", 12, _count),
         ball_samples=max(_param(p, "ball_samples", spec.mc.n_samples // 2, _count), 100),
         global_samples=max(_param(p, "global_samples", spec.mc.n_samples, _count), 100),
-        n_polynomials=_param(p, "n_polynomials", 10, _integer(0)),
+        n_polynomials=_param(p, "n_polynomials", 10, _integer(0, MAX_POLYNOMIALS)),
         seed=spec.mc.seed,
     )
     verdict = measures.cross_check_equivalence(mu, config)
@@ -434,18 +445,16 @@ def _seq_shells(spec: ExperimentSpec) -> Outcome:
 
 def _cover(spec: ExperimentSpec) -> Outcome:
     p = spec.parameters
-    n = _param(p, "n", 1, _count)
-    try:
-        rep = sequences.greedy_cover(
-            n,
-            _param(p, "epsilon", 0.1, _number),
-            _param(p, "r", 0.5, _number),
-            seed=spec.mc.seed,
-            n_probes=_param(p, "probes", 10_000, _count),
-            n_candidates=_param(p, "candidates", None, _count),
-        )
-    except OverflowError as exc:  # the candidate count is a power of n
-        raise UsageError(f"bad parameters/n ({exc}): no candidate net in dimension {n}") from exc
+    rep = _net(
+        "parameters",
+        sequences.greedy_cover,
+        _param(p, "n", 1, _count),
+        _param(p, "epsilon", 0.1, _number),
+        _param(p, "r", 0.5, _number),
+        seed=spec.mc.seed,
+        n_probes=_param(p, "probes", 10_000, _count),
+        n_candidates=_param(p, "candidates", None, _count),
+    )
     rows = [list(map(float, row)) for row in geom.points_to_rows(rep.centers)]
     header = [f"c{k}" for k in range(len(rows[0]))] if rows else ["c0"]
     return Outcome(header, rows, rep.to_json_dict(), "pass" if rep.passed else "fail")
@@ -481,7 +490,8 @@ OPERATIONS = {
         _param(s.parameters, "n", 1, _count), samples_per_cell=_param(s.parameters, "samples", 2000, _count),
         seed=s.mc.seed)),
     ("berezin", "check_submean"): lambda s: _report_outcome(bergman.check_submean(
-        _param(s.parameters, "degree", 2, _integer(0)), _point(s.parameters, "z0", np.asarray([0.3], dtype=complex)),
+        _param(s.parameters, "degree", 2, _integer(0, MAX_DEGREE)),
+        _point(s.parameters, "z0", np.asarray([0.3], dtype=complex)),
         _param(s.parameters, "r", 0.5, _number), s.mc, seed=s.mc.seed)),
     ("carleson-test", None): _carleson_test,
     ("seq-analyze", None): _seq_analyze,

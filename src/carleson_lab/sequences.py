@@ -5,15 +5,21 @@ separated classes, greedy disjoint-ball coverings with multiplicity reports,
 induced Dirac measures weighted by boundary distance, escape-rate sums, and
 Kobayashi shell counts.  Bundled generators (radial ladders, greedy maximal
 packings, perturbed lattices) span the sparse and dense extremes.
+Packings and covers draw their candidates from a scrambled Sobol sequence,
+computed here in numpy from the Joe-Kuo direction numbers that ship with
+scipy, so no command imports ``scipy.stats``.
 scipy is imported at its call site: a command loads only the scipy it calls.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import importlib.util
 import itertools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -112,9 +118,7 @@ class PointSequence:
         if not 0.0 < epsilon < 1.0:
             raise ParameterError("depth epsilon must be in (0, 1)")
         half = _half_radius(delta, metric)
-        u_max = (1.0 - epsilon) ** 2
-        volume_scale = (u_max / (1.0 - u_max)) ** n / (half**2 / (1.0 - half**2)) ** n
-        count = int(min(max(6.0 * (volume_scale + 8.0), 64), 4_000_000))
+        count = int(min(max(6.0 * (_volume_ratio(n, (1.0 - epsilon) ** 2, half**2) + 8.0), 64), 4_000_000))
         cands = _invariant_tilted_candidates(n, count, epsilon, seed)
         kept = greedy_pack(cands, delta, metric=metric)
         return cls(points=cands[kept], metric=metric)
@@ -167,6 +171,19 @@ def _half_radius(delta: float, metric: str) -> float:
     return delta / 2.0
 
 
+def _volume_ratio(n: int, u: float, v: float) -> float:
+    """(u / (1 - u))^n / (v / (1 - v))^n: the invariant volume of {||z||^2 < u}
+    over that of a ball of pseudo-radius sqrt(v), which sizes a candidate net.
+
+    Where a power of n leaves double range (the dividend overflows or the
+    divisor underflows to 0) there is no net of that size: OverflowError.
+    """
+    try:
+        return (u / (1.0 - u)) ** n / (v / (1.0 - v)) ** n
+    except ZeroDivisionError as exc:
+        raise OverflowError(f"(v / (1 - v))^{n} underflows") from exc
+
+
 def disjointness_threshold(t: float) -> float:
     """Centre separation at which two metric balls of pseudo-radius t touch.
 
@@ -182,14 +199,79 @@ def _invariant_tilted_candidates(n: int, count: int, epsilon: float, seed: int) 
     """Low-discrepancy candidates on {depth >= epsilon}, radially tilted so the
     local density tracks the invariant volume (adaptive to epsilon)."""
     from scipy.special import ndtri
-    from scipy.stats import qmc  # scipy.stats is slow to import and only needed here
 
-    sobol = qmc.Sobol(2 * n + 1, scramble=True, seed=seed)
-    raw = sobol.random_base2(max(int(math.ceil(math.log2(max(count, 2)))), 1))[:count]
+    raw = _scrambled_sobol(2 * n + 1, count, seed)
     u_max = (1.0 - epsilon) ** 2
     u = _invariant_radial_law(n, raw[:, 0], u_max)
     gauss = ndtri(np.clip(raw[:, 1:], 1e-12, 1.0 - 1e-12))
     return geom._scale_directions(gauss, np.sqrt(np.clip(u, 0.0, u_max)))
+
+
+SOBOL_BITS = 30
+
+
+@functools.lru_cache(maxsize=None)
+def _sobol_directions(d: int) -> np.ndarray:
+    """Joe-Kuo direction numbers of the first d dimensions, (d, SOBOL_BITS)
+    uint32, number j shifted so that its top bit is 2^(SOBOL_BITS - 1 - j).
+
+    The table is the ``_sobol_direction_numbers.npz`` that ships beside
+    ``scipy.stats``; finding it by spec does not import ``scipy.stats``.
+    Reading it takes ~10 ms, so the result is kept per d, read-only.
+    """
+    path = Path(importlib.util.find_spec("scipy.stats").origin).with_name("_sobol_direction_numbers.npz")
+    with np.load(path) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    if d > len(poly):
+        raise ParameterError(f"scrambled Sobol points exist up to dimension {len(poly)}, not {d}")
+    v = np.ones((d, SOBOL_BITS), dtype=np.uint32)  # dimension 0, van der Corput's, keeps these
+    for i in range(1, d):  # Bratley-Fox recurrence on the primitive polynomial poly[i] of degree m
+        p = int(poly[i])
+        m = p.bit_length() - 1
+        row = [int(x) for x in vinit[i, :m]]
+        for j in range(m, SOBOL_BITS):
+            new = row[j - m]
+            for k in range(m):
+                if p >> (m - 1 - k) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v[i] = row
+    v <<= np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    v.setflags(write=False)
+    return v
+
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the bits of each uint32."""
+    for shift in (16, 8, 4, 2, 1):
+        x = x ^ (x >> np.uint32(shift))
+    return x & np.uint32(1)
+
+
+def _scrambled_sobol(d: int, count: int, seed: int) -> np.ndarray:
+    """First ``count`` points of the LMS-plus-shift scrambled Sobol sequence in
+    [0, 1)^d, bit for bit ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)``.
+
+    ``default_rng(seed)`` draws a digital shift, then one lower-triangular bit
+    matrix per dimension with a unit diagonal (Matousek's linear scramble);
+    column 0 is a row's top bit.  Each direction number becomes the parities
+    of its AND with the matrix rows.  Points run in Gray-code order, built by
+    doubling: point 2^b + i is point 2^b - 1 - i XOR direction b.
+    """
+    v = _sobol_directions(d)
+    bits = np.arange(SOBOL_BITS, dtype=np.uint32)
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(d, SOBOL_BITS), dtype=np.uint32) @ (np.uint32(1) << bits)
+    ltm = np.tril(rng.integers(2, size=(d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+    ltm[:, bits, bits] = 1
+    rows = np.bitwise_or.reduce(ltm << bits[::-1], axis=2)
+    v = np.bitwise_or.reduce(_parity(rows[:, :, None] & v[:, None, :]) << bits[::-1, None], axis=1)
+    q = np.empty((count, d), dtype=np.uint32)
+    q[:1] = shift  # point 0; a count of 0 draws none
+    for b in range((count - 1).bit_length()):
+        lo, hi = 1 << b, min(2 << b, count)
+        q[lo:hi] = q[2 * lo - hi : lo][::-1] ^ v[:, b]
+    return q * 2.0**-SOBOL_BITS
 
 
 def _invariant_radial_law(n: int, s: np.ndarray, u_max: float) -> np.ndarray:
@@ -469,10 +551,7 @@ def greedy_cover(
     cand_epsilon = 0.7 * epsilon
     if n_candidates is None:
         # net resolution is the (r/3)-ball scale: aim for ~12 candidates per ball
-        u_max = (1.0 - cand_epsilon) ** 2
-        kappa_region = (u_max / (1.0 - u_max)) ** n
-        kappa_ball = (third**2 / (1.0 - third**2)) ** n
-        n_candidates = int(min(max(12.0 * kappa_region / kappa_ball, 4096), 4_000_000))
+        n_candidates = int(min(max(12.0 * _volume_ratio(n, (1.0 - cand_epsilon) ** 2, third**2), 4096), 4_000_000))
     cands = _invariant_tilted_candidates(n, n_candidates, cand_epsilon, seed)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))

@@ -55,9 +55,9 @@ print(json.dumps({"code": code, "numpy.random": "numpy.random" in sys.modules,
 """
 
 
-@pytest.mark.parametrize("case", sorted(_SCIPY_FREE_CALLS))
-def test_import_and_light_commands_load_no_scipy(tmp_path, case):
-    argv = _SCIPY_FREE_CALLS[case]
+def _modules_loaded_by(tmp_path, argv) -> dict:
+    """Exit code and loaded modules of a fresh interpreter that runs ``argv``
+    through cli.main (or, for None, only imports the package)."""
     if argv is not None:
         argv = [*argv, "--out", str(tmp_path / "o")]
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -65,7 +65,13 @@ def test_import_and_light_commands_load_no_scipy(tmp_path, case):
     proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(argv)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("case", sorted(_SCIPY_FREE_CALLS))
+def test_import_and_light_commands_load_no_scipy(tmp_path, case):
+    argv = _SCIPY_FREE_CALLS[case]
+    loaded = _modules_loaded_by(tmp_path, argv)
     assert loaded["scipy"] == [], loaded["scipy"][:5]
     assert loaded["jsonschema"] is False
     assert loaded["numpy.random"]
@@ -74,6 +80,23 @@ def test_import_and_light_commands_load_no_scipy(tmp_path, case):
         assert "scipy" not in json.loads((tmp_path / "o" / "manifest.json").read_text())["versions"]
     elif case == "malformed":
         assert loaded["code"] == cli.EXIT_USAGE
+
+
+# packings and covers draw their scrambled Sobol candidates in numpy, so the
+# calls that build them load scipy but never scipy.stats
+_STATS_FREE_CALLS = {
+    "cover": ["cover", "--params", '{"n": 1, "epsilon": 0.1, "r": 0.5}'],
+    "packing": ["seq", "analyze", "--sequence", '{"type": "packing", "n": 1}'],
+    "verify": ["verify", "quick", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STATS_FREE_CALLS))
+def test_packings_covers_and_verify_load_no_scipy_stats(tmp_path, case):
+    loaded = _modules_loaded_by(tmp_path, _STATS_FREE_CALLS[case])
+    assert loaded["code"] == cli.EXIT_PASS
+    assert "scipy.spatial" in loaded["scipy"]
+    assert "scipy.stats" not in loaded["scipy"]
 
 
 def test_spec_file_roundtrip(tmp_path):
@@ -130,6 +153,9 @@ def test_malformed_parameters_and_declarations_exit_usage(tmp_path, capsys):
         (["cover", "--params", '{"probes": "many"}'], "parameters/probes"),
         (["cover", "--params", '{"n": 0}'], "parameters/n"),
         (["cover", "--params", '{"n": 10000}'], "parameters/n"),
+        # a packing's candidate count is a power of n too: it overflows, or its divisor underflows
+        (["seq", "analyze", "--sequence", '{"type": "packing", "n": 11000}'], "bad sequence/n ("),
+        (["seq", "analyze", "--sequence", '{"type": "packing", "n": 300}'], "bad sequence/n ("),
         (["verify", "quick", "--seed", "-1"], "--seed"),
         (["seq", "escape", "--params", '{"weight": {"kind": "power"}}'], "parameters/weight"),
         (["ball", "--params", '{"op": "pseudo_distance", "w": [0.1, 0.0]}'], "parameters/z"),
@@ -153,6 +179,10 @@ def test_malformed_parameters_and_declarations_exit_usage(tmp_path, capsys):
          "parameters/ball_samples"),
         (["carleson-test", "--measure", '{"dimension": 1}', "--params", '{"global_samples": 1e15}'],
          "parameters/global_samples"),
+        # loop counts, which would run until killed
+        (["carleson-test", "--measure", '{"dimension": 1}', "--params", '{"n_polynomials": 1e15}'],
+         "bad parameters/n_polynomials ("),
+        (["berezin", "--params", '{"op": "check_submean", "degree": 1e15}'], "bad parameters/degree ("),
         # a size of zero is malformed too, not raised to the 100-sample floor
         (["carleson-test", "--measure", '{"dimension": 1}', "--params", '{"ball_samples": 0}'],
          "parameters/ball_samples"),
@@ -199,11 +229,24 @@ def test_readers_take_integral_floats_and_nulls(tmp_path):
     assert (spec.mc, spec.out_dir, spec.parameters, spec.measure) == (MCConfig(n_samples=1000), "out", {}, None)
 
 
+def test_loop_counts_take_zero(tmp_path):
+    # no test polynomials, a constant polynomial and the top degree are valid;
+    # the malformed cases exceed the ceilings
+    measure = '{"dimension": 1, "density": {"type": "power", "s": 0.5}}'
+    params = '{"k_max": 3, "ball_samples": 500, "global_samples": 1000, "n_polynomials": 0}'
+    rc = run_cli(["carleson-test", "--measure", measure, "--params", params, "--out", str(tmp_path)])
+    assert rc in (cli.EXIT_PASS, cli.EXIT_INCONCLUSIVE)
+    for degree in (0, cli.MAX_DEGREE):
+        params = json.dumps({"op": "check_submean", "degree": degree})
+        assert run_cli(["berezin", "--params", params, "--samples", "2000", "--out", str(tmp_path)]) == cli.EXIT_PASS
+
+
 # Fuzzed declarations: one valid, cheap call per table entry, then one or two of
 # its --params/--measure/--domain/--sequence fields replaced by junk or deleted.
 # The junk is malformed (wrong types, out-of-range numbers, broken points); a
 # size field's junk may also be an integer >= 10^15, which numpy refuses to
-# allocate at once, so a missed size ceiling fails fast instead of filling memory.
+# allocate at once, so a missed size ceiling fails fast instead of filling memory
+# (a loop count, n_polynomials or degree, would run until killed instead).
 _JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -214,8 +257,9 @@ _JUNK = st.one_of(
 )
 _CHEAP = {"z": [0.1, 0.0], "w": [0.3, 0.1], "a": [0.2, 0.0], "z0": [0.2, 0.0], "r": 0.5, "n": 1, "k_max": 2,
           "samples": 100, "points": 100, "count": 5, "ball_samples": 100, "global_samples": 100,
-          "n_polynomials": 1, "epsilon": 0.5, "weight": {"kind": "power", "s": 2.0}, "exponent": "n"}
-_SIZES = {"samples", "points", "count", "k_max", "probes", "ball_samples", "global_samples"}
+          "n_polynomials": 1, "degree": 1, "epsilon": 0.5, "weight": {"kind": "power", "s": 2.0}, "exponent": "n"}
+_SIZES = {"samples", "points", "count", "k_max", "probes", "ball_samples", "global_samples", "n_polynomials",
+          "degree"}
 _HUGE = st.integers(min_value=10**15, max_value=10**30)
 _DECLARATIONS = {
     "measure": [{"dimension": 1, "density": {"type": "power", "s": 0.5}},

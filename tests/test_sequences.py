@@ -286,6 +286,45 @@ def seq_depth(seq):
     return 1.0 - np.linalg.norm(seq.points, axis=1)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1])
+@pytest.mark.parametrize("d", [3, 5, 41])
+def test_scrambled_sobol_is_scipy_bit_for_bit(d, seed):
+    # the candidates of packings and covers: LMS + shift scrambled Sobol points,
+    # drawn in numpy without importing scipy.stats
+    from scipy.stats import qmc
+
+    for m in (0, 1, 10, 16):
+        want = qmc.Sobol(d, scramble=True, seed=seed).random_base2(m)
+        got = sq._scrambled_sobol(d, 2**m, seed)
+        assert got.dtype == want.dtype and np.array_equal(got, want), m
+    # a count between powers of two is the head of the sequence
+    assert np.array_equal(sq._scrambled_sobol(d, 777, seed), want[:777])
+
+
+def test_scrambled_sobol_zero_count_is_empty():
+    assert sq._scrambled_sobol(3, 0, 0).shape == (0, 3)
+    with pytest.raises(CoverageError):
+        sq.greedy_cover(1, 0.1, 0.5, n_candidates=0, n_probes=100)
+
+
+def test_scrambled_sobol_dimension_beyond_the_table():
+    from scipy.stats import qmc
+
+    with pytest.raises(ParameterError, match=str(qmc.Sobol.MAXDIM)):
+        sq._scrambled_sobol(qmc.Sobol.MAXDIM + 1, 1, 0)
+
+
+@pytest.mark.parametrize("n", [300, 11_000])
+def test_candidate_nets_overflow_in_high_dimension(n):
+    # the candidate count is a power of n: past double range, packings and
+    # covers raise OverflowError, whether the dividend overflows or the
+    # divisor underflows to 0
+    with pytest.raises(OverflowError):
+        sq.PointSequence.maximal_packing(n, 0.5, 0.05)
+    with pytest.raises(OverflowError):
+        sq.greedy_cover(n, 0.1, 0.5)
+
+
 def test_perturbed_lattice_interior():
     seq = sq.PointSequence.perturbed_lattice(1, spacing=0.25, seed=1)
     assert len(seq) > 10
