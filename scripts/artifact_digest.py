@@ -5,11 +5,11 @@
 Each call runs ``cli.main(argv + ["--out", DIR])`` in this process, with its
 printed output discarded: the README examples, ``verify quick`` and ``full``
 at seed 5, and calls that reach the Carleson testers, the Berezin op, shell
-fits and the sequence and domain declarations.  The JSON holds, per call,
-its argv, exit code and every artifact but ``manifest.json``; CSV files as
-text, JSON files parsed, with ``verify_results.json``'s per-row ``seconds``
-left out.  It holds no timings, so two checkouts that agree write identical
-files.
+fits, the sequence and domain declarations, and the boundary distances and
+Kobayashi bounds of the non-ball domains.  The JSON holds, per call, its argv,
+exit code and every artifact but ``manifest.json``; CSV files as text, JSON
+files parsed, with ``verify_results.json``'s per-row ``seconds`` left out.  It
+holds no timings, so two checkouts that agree write identical files.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from carleson_lab import cli
 
 VOLUME = '{"dimension": 1, "density": {"type": "power", "s": 0.0}}'
 POLE = '{"dimension": 1, "density": {"type": "power", "s": -0.5}}'
+ELLIPSOID = '{"type": "ellipsoid", "semi_axes": [1.5, 1.0, 1.2, 0.9]}'
 ATOMS_AND_DENSITY = '{"dimension": 1, "atoms": [[[0.5, 0.0], 1.0], [[0.0, 0.9], 0.5]], "density": {"type": "power", "s": 0.5}}'
 
 CALLS = {
@@ -58,6 +59,13 @@ CALLS = {
     "perturbed-ball-distance-declared": ["ball", "--domain", '{"type": "perturbed_ball", "dimension": 1, '
                                          '"epsilon": 0.1, "bump_width": 0.4, "bump_center": [0.0, 0.7]}',
                                          "--params", '{"op": "boundary_distance", "z": [0.5, 0.1]}'],
+    "ellipsoid-distance": ["ball", "--domain", ELLIPSOID, "--params",
+                           '{"op": "boundary_distance", "z": [0.3, 0.1, -0.2, 0.4]}'],
+    "ellipsoid-kobayashi-bounds": ["ball", "--domain", ELLIPSOID, "--params", '{"op": "kobayashi_bounds", '
+                                   '"z": [0.3, 0.1, -0.2, 0.4], "w": [-0.5, 0.2, 0.1, 0.0]}'],
+    "perturbed-ball-distance-comparison": ["ball", "--domain", '{"type": "perturbed_ball", "dimension": 2}',
+                                           "--params", '{"op": "check_distance_comparison", '
+                                           '"z0": [0.5, 0.0, 0.0, 0.3], "samples": 2000}'],
 }
 
 

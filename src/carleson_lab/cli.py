@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, bergman, domains, geometry_ball as geom, invariant_measure, measures, sequences
-from .errors import CarlesonLabError, OutsideDomainError, ParameterError, ValidationError
+from .errors import MAX_VALUES, CarlesonLabError, OutsideDomainError, ParameterError, ValidationError
 from .integrate import MCConfig, integrate_density, sample_unit_ball
 from .reports import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, CheckReport, json_default, write_csv
 from .verify import run_suite as verify
@@ -165,14 +165,23 @@ def _escape_weight(value) -> sequences.EscapeWeight:
 # A declaration is read when the spec is, and built when an operation asks:
 # each reader returns a function of no arguments that builds the object.
 
+def _fits(path: str, key: str, values: int, what: str) -> None:
+    """Refuse a build of more than MAX_VALUES values, naming ``<path>/<key>``."""
+    if values > MAX_VALUES:
+        raise UsageError(f"bad {path}/{key} ({what} hold {values:,} values, above the ceiling of {MAX_VALUES:,})")
+
+
 def _read_domain(cfg) -> Callable[[], domains.Domain]:
     read = functools.partial(_read, _object(cfg, "domain"), "domain")
     kind = read("type", _REQUIRED, _choice("ball", "ellipsoid", "perturbed_ball"))
     if kind == "ellipsoid":
-        return functools.partial(domains.EllipsoidDomain, read("semi_axes", _REQUIRED, _numbers))
+        axes = read("semi_axes", _REQUIRED, _numbers)
+        _fits("domain", "semi_axes", domains.projection_values(len(axes) // 2), "the boundary projection's systems")
+        return functools.partial(domains.EllipsoidDomain, axes)
     dimension = read("dimension", _REQUIRED, _count)
     if kind == "ball":
         return functools.partial(domains.BallDomain, dimension)
+    _fits("domain", "dimension", domains.projection_values(dimension), "the boundary projection's systems")
     return functools.partial(domains.PerturbedBallDomain, dimension,
                              **_given(read, epsilon=_number, bump_center=_point_row, bump_width=_number))
 
@@ -194,7 +203,9 @@ def _read_sequence(cfg) -> Callable[[], sequences.PointSequence]:
         return functools.partial(seq, points=read("rows", _REQUIRED, _points), metric=metric)
     n = read("n", _REQUIRED, _count)
     if kind == "ladder":
-        return functools.partial(seq.radial_ladder, n, read("count", 50, _count), metric=metric)
+        count = read("count", 50, _count)
+        _fits("sequence", "n", n * count, f"{count:,} ladder points in dimension {n:,}")
+        return functools.partial(seq.radial_ladder, n, count, metric=metric)
     if kind == "packing":
         return functools.partial(_net, "sequence", seq.maximal_packing, n, read("delta", 0.5, _number),
                                  read("epsilon", 0.05, _number), metric=metric, **_given(read, seed=_seed))
@@ -204,7 +215,8 @@ def _read_sequence(cfg) -> Callable[[], sequences.PointSequence]:
 
 def _net(path: str, build, n: int, *args, **kwargs):
     """``build(n, *args, **kwargs)``, a packing or a cover.  Its candidate count
-    is a power of the dimension n, so an overflow there names ``<path>/n``."""
+    is a power of the dimension n, and its candidates hold 2n + 1 coordinates
+    each, so a count that overflows or exceeds MAX_VALUES names ``<path>/n``."""
     try:
         return build(n, *args, **kwargs)
     except OverflowError as exc:
@@ -295,7 +307,10 @@ def _sequence(spec: ExperimentSpec) -> sequences.PointSequence:
 
 
 def _measure(spec: ExperimentSpec) -> measures.Measure:
-    return spec.measure() if spec.measure else measures.Measure.with_power_density(1, 0.0)
+    mu = spec.measure() if spec.measure else measures.Measure.with_power_density(1, 0.0)
+    samples = spec.mc.n_samples
+    _fits("measure", "dimension", samples * mu.dimension, f"{samples:,} samples in dimension {mu.dimension:,}")
+    return mu
 
 
 def _domain(spec: ExperimentSpec) -> domains.Domain:

@@ -7,8 +7,10 @@ estimates: the invariant distance of a general domain is delivered as an
 interval), and the comparison-inequality checkers that accompany them.
 
 Built-in domains: the unit ball (exact geometry), axis-aligned real ellipsoids
-in the 2n real coordinates, and a smoothly perturbed ball.
-scipy is imported at its call site: a command loads only the scipy it calls.
+in the 2n real coordinates, and a smoothly perturbed ball.  Each non-ball domain
+gives psi, its gradient and its Hessian in closed form over real rows, and its
+boundary distances come from one batched Newton projection onto {psi = 0}
+(:func:`_project_to_boundary`), in numpy alone: the module loads no scipy.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "estimate_boundary_constants",
     "check_distance_comparison",
     "check_defining_fn_inequality",
-    "fd_holomorphic_gradient",
 ]
 
 
@@ -58,24 +59,41 @@ class BoundaryEstimate:
 
 
 class Domain:
-    """Base class; subclasses provide psi, its holomorphic gradient, and geometry hints."""
+    """Base class; subclasses provide psi over real rows, its gradient and Hessian
+    (which the boundary projection reads), and geometry hints."""
 
     dimension: int
-    bounding_radius: float
-    inner_radius: float
+    bounding_radius: float  # the domain lies in the Euclidean ball of this radius about the origin
 
     def psi(self, z) -> float:
-        z = np.asarray(z, dtype=np.complex128)
-        if z.shape != (self.dimension,):
-            raise ParameterError(f"a point of this domain has {self.dimension} coordinates, not {z.size}")
-        return float(self.psi_values(z[None, :])[0])
+        return float(self.psi_values(self._points(np.reshape(z, (1, -1))))[0])
+
+    def _points(self, points) -> np.ndarray:
+        """``points`` as an (m, n) complex array of this domain's dimension."""
+        pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
+        if pts.ndim != 2 or pts.shape[1] != self.dimension:
+            raise ParameterError(f"a point of this domain has {self.dimension} coordinates, not {pts.shape[-1]}")
+        return pts
 
     def psi_values(self, points) -> np.ndarray:
+        return self.psi_rows(geom.points_to_rows(points))
+
+    def psi_rows(self, x) -> np.ndarray:
+        """psi at real rows x (..., 2n), in :func:`geom.points_to_rows` order."""
         raise NotImplementedError
 
-    def holomorphic_gradient(self, z) -> np.ndarray | None:
-        """Wirtinger gradient (d psi / d z_k)_k, or None to fall back on differences."""
-        return None
+    def psi_gradient_rows(self, x) -> np.ndarray:
+        """Real gradient of psi at real rows x (..., 2n)."""
+        raise NotImplementedError
+
+    def psi_hessian_rows(self, x) -> np.ndarray:
+        """Real Hessian of psi at real rows x (..., 2n), shape (..., 2n, 2n)."""
+        raise NotImplementedError
+
+    def holomorphic_gradient(self, z) -> np.ndarray:
+        """Wirtinger gradient (d psi / d z_k)_k = (d/dx_k - i d/dy_k) psi / 2."""
+        g = self.psi_gradient_rows(geom.points_to_rows(self._points(np.reshape(z, (1, -1))))[0])
+        return 0.5 * (g[0::2] - 1j * g[1::2])
 
     def lipschitz_bound(self) -> float:
         """Upper bound for ||grad psi|| on the domain closure."""
@@ -85,11 +103,19 @@ class Domain:
     def center(self) -> np.ndarray:
         return np.zeros(self.dimension, dtype=np.complex128)
 
-    def contains(self, z) -> bool:
-        return self.psi(z) > 0.0
-
     def boundary_distance(self, z) -> float:
-        raise NotImplementedError
+        return float(self.boundary_distances(np.reshape(z, (1, -1)))[0])
+
+    def boundary_distances(self, points) -> np.ndarray:
+        """Euclidean distances from interior points (m, n) to the boundary, by
+        one batched projection onto {psi = 0} (:func:`_project_to_boundary`)."""
+        return _project_to_boundary(self, geom.points_to_rows(self._interior(points)))
+
+    def _interior(self, points) -> np.ndarray:
+        pts = self._points(points)
+        if not np.all(self.psi_values(pts) > 0.0):
+            raise OutsideDomainError("point is not interior to the domain")
+        return pts
 
     def certified_inner_radius(self, z) -> float:
         """Cheap lower bound on the boundary distance (psi / Lipschitz by default)."""
@@ -107,13 +133,12 @@ class BallDomain(Domain):
             raise ParameterError("dimension must be >= 1")
         self.dimension = int(dimension)
         self.bounding_radius = 1.0
-        self.inner_radius = 1.0
 
     def psi_values(self, points):
         return geom.one_minus_norm_sq(np.atleast_2d(points))
 
-    def holomorphic_gradient(self, z):
-        return -np.conj(np.asarray(z, dtype=np.complex128).reshape(-1))
+    def psi_gradient_rows(self, x):
+        return -2.0 * x
 
     def lipschitz_bound(self):
         return 2.0
@@ -124,6 +149,9 @@ class BallDomain(Domain):
         if d <= 0.0:
             raise OutsideDomainError("point is not interior to the unit ball")
         return d
+
+    def boundary_distances(self, points):
+        return 1.0 - np.linalg.norm(self._interior(points), axis=1)
 
     def certified_inner_radius(self, z):
         z = np.asarray(z, dtype=np.complex128).reshape(-1)
@@ -143,40 +171,23 @@ class EllipsoidDomain(Domain):
         self.semi_axes = axes
         self.dimension = axes.size // 2
         self.bounding_radius = float(np.max(axes))
-        self.inner_radius = float(np.min(axes) ** 2 / np.max(axes))
 
-    def _real(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-        return geom.points_to_rows(pts)
+    def psi_rows(self, x):
+        return 1.0 - np.sum((x / self.semi_axes) ** 2, axis=-1)
 
-    def psi_values(self, points):
-        x = self._real(points)
-        return 1.0 - np.sum((x / self.semi_axes) ** 2, axis=1)
+    def psi_gradient_rows(self, x):
+        return -2.0 * x / self.semi_axes**2
 
-    def holomorphic_gradient(self, z):
-        z = np.asarray(z, dtype=np.complex128).reshape(-1)
-        ax = self.semi_axes[0::2]
-        ay = self.semi_axes[1::2]
-        # (d/dx - i d/dy)/2 applied to -x^2/ax^2 - y^2/ay^2
-        return -z.real / ax**2 + 1j * z.imag / ay**2
+    def psi_hessian_rows(self, x):
+        return np.broadcast_to(np.diag(-2.0 / self.semi_axes**2), x.shape + x.shape[-1:])
 
     def lipschitz_bound(self):
         return 2.0 * math.sqrt(float(np.sum(1.0 / self.semi_axes**2)))
 
-    def boundary_distance(self, z):
-        z = np.asarray(z, dtype=np.complex128).reshape(-1)
-        if self.psi(z) <= 0.0:
-            raise OutsideDomainError("point is not interior to the ellipsoid")
-        x = geom.points_to_rows(z[None, :])[0]
-        d = _ellipsoid_distance(self.semi_axes, x)
-        if d is None:
-            d = _multistart_boundary_distance(self, z)
-        return d
-
     def certified_inner_radius(self, z):
         if self.psi(z) <= 0.0:
             return 0.0
-        # the secular solve is accurate to ~1e-12; shave a hair to stay a lower bound
+        # the projection is accurate to ~1e-12; shave a hair to stay a lower bound
         return self.boundary_distance(z) * (1.0 - 1e-9)
 
 
@@ -202,125 +213,116 @@ class PerturbedBallDomain(Domain):
             if b.size != dimension:
                 raise ParameterError("bump center dimension mismatch")
         self.bump_center = b
+        self.bump_row = geom.points_to_rows(b)[0]
         self.bounding_radius = 1.0
-        self.inner_radius = 0.25
 
-    def _bump(self, pts):
-        diff = pts - self.bump_center
-        return np.exp(-np.einsum("ij,ij->i", diff, np.conj(diff)).real / self.bump_width**2)
+    def _bump(self, x):
+        """x - b and exp(-|x - b|^2 / w^2) at real rows x."""
+        diff = x - self.bump_row
+        return diff, np.exp(-np.sum(diff * diff, axis=-1) / self.bump_width**2)
 
-    def psi_values(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-        return geom.one_minus_norm_sq(pts) - self.epsilon * self._bump(pts)
+    def psi_rows(self, x):
+        return 1.0 - np.sum(x * x, axis=-1) - self.epsilon * self._bump(x)[1]
 
-    def holomorphic_gradient(self, z):
-        z = np.asarray(z, dtype=np.complex128).reshape(-1)
-        diff = z - self.bump_center
-        bump = float(self._bump(z[None, :])[0])
-        # d/dz_k of ||z - b||^2 is conj(z_k - b_k)
-        return -np.conj(z) + self.epsilon * bump / self.bump_width**2 * np.conj(diff)
+    def psi_gradient_rows(self, x):
+        diff, bump = self._bump(x)
+        return -2.0 * x + (2.0 * self.epsilon * bump / self.bump_width**2)[..., None] * diff
+
+    def psi_hessian_rows(self, x):
+        # -2 I + c (I - 2 (x - b)(x - b)^T / w^2), c = 2 epsilon bump / w^2
+        diff, bump = self._bump(x)
+        c = 2.0 * self.epsilon * bump / self.bump_width**2
+        eye = np.eye(diff.shape[-1])
+        outer = diff[..., :, None] * diff[..., None, :]
+        return (c - 2.0)[..., None, None] * eye - (2.0 * c / self.bump_width**2)[..., None, None] * outer
 
     def lipschitz_bound(self):
         w = self.bump_width
         return 2.2 + self.epsilon * math.sqrt(2.0) / (w * math.sqrt(math.e))
-
-    def boundary_distance(self, z):
-        z = np.asarray(z, dtype=np.complex128).reshape(-1)
-        if self.psi(z) <= 0.0:
-            raise OutsideDomainError("point is not interior to the domain")
-        return _multistart_boundary_distance(self, z)
 
 
 # ---------------------------------------------------------------------------
 # boundary distance machinery
 # ---------------------------------------------------------------------------
 
-def _ellipsoid_distance(semi_axes: np.ndarray, x: np.ndarray) -> float | None:
-    """Distance from an interior point to the ellipsoid sum x_i^2/a_i^2 = 1.
+_CHUNK_VALUES = 1 << 22  # float64 values in one chunk of the projection's batch (32 MiB)
 
-    Solves the secular equation of the nearest-point projection; returns None
-    in the degenerate axis cases, which the multistart fallback then covers.
+
+def projection_values(dimension: int) -> int:
+    """Values the boundary projection holds per point in complex dimension n:
+    2(2n + 1) rays, each with a (2n + 1)^2 Newton matrix."""
+    return 2 * (2 * dimension + 1) ** 3
+
+
+def _project_to_boundary(domain: Domain, z_rows: np.ndarray) -> np.ndarray:
+    """Distances from interior real rows z (k, 2n) to {psi = 0}, certified on both sides.
+
+    Each z casts rays (radial, along -grad psi(z), and along +-each axis), marched
+    to their first sign change of psi and bisected there.  Each hit starts Newton
+    on the KKT system x - z = lam grad psi(x), psi(x) = 0 of a nearest boundary
+    point, Jacobian [[I - lam H, -grad psi], [grad psi^T, 0]], with one batched
+    solve per step.  The ray hits and the Newton end points with |psi| < 1e-12
+    lie on the boundary, so the least |x - z| among them bounds the distance
+    from above; psi(z) / lipschitz_bound() bounds it from below.  Points go in
+    chunks of about _CHUNK_VALUES values, so memory stays bounded.
     """
-    from scipy.optimize import brentq
-    a2 = semi_axes.astype(float) ** 2
-    s = float(np.sum(x**2 / a2))
-    if s >= 1.0:
-        return 0.0
-    if np.allclose(x, 0.0):
-        return float(np.min(semi_axes))
-
-    def secular(t):
-        return float(np.sum(a2 * x**2 / (a2 + t) ** 2)) - 1.0
-
-    t_lo = -float(np.min(a2[x != 0.0])) if np.any(x != 0.0) else -float(np.min(a2))
-    lo = t_lo * (1.0 - 1e-12)
-    if secular(lo) <= 0.0:
-        return None
-    t_star = brentq(secular, lo, 0.0, xtol=1e-15, rtol=1e-14)
-    nearest = a2 * x / (a2 + t_star)
-    d = float(np.linalg.norm(nearest - x))
-    # the secular root can be a saddle when the point sits on a symmetry axis
-    if np.any(x == 0.0) and np.any(-a2[x == 0.0] > t_star):
-        return None
-    return d
+    chunk = max(1, _CHUNK_VALUES // projection_values(z_rows.shape[1] // 2))
+    return np.concatenate([_project_chunk(domain, z_rows[i:i + chunk]) for i in range(0, len(z_rows), chunk)])
 
 
-def _ray_boundary_point(domain: Domain, z: np.ndarray, direction: np.ndarray) -> np.ndarray | None:
-    """March along a real-2n direction until psi changes sign, then bisect."""
-    from scipy.optimize import brentq
-    u = direction / np.linalg.norm(direction)
-    z_rows = geom.points_to_rows(z[None, :])[0]
-
-    def psi_at(s):
-        pt = geom.rows_to_points([(z_rows + s * u)])[0]
-        return domain.psi(pt)
-
-    s_hi = 2.5 * domain.bounding_radius
-    lo, hi = 0.0, None
-    for s in np.linspace(1e-6, s_hi, 64):
-        if psi_at(s) <= 0.0:
-            hi = s
+def _project_chunk(domain: Domain, z: np.ndarray) -> np.ndarray:
+    k, m = z.shape
+    eye = np.eye(m)
+    rays = np.concatenate([z[:, None, :], -domain.psi_gradient_rows(z)[:, None, :],
+                           np.broadcast_to(eye, (k, m, m)), np.broadcast_to(-eye, (k, m, m))], axis=1)
+    norms = np.linalg.norm(rays, axis=2, keepdims=True)
+    rays = np.divide(rays, norms, out=np.zeros_like(rays), where=norms > 0.0)  # z = 0 has no radial ray
+    zs = np.broadcast_to(z[:, None, :], rays.shape)
+    # march each ray out of the bounding ball to its first sign change, then bisect it
+    lo = np.zeros(rays.shape[:2])
+    hi = np.full(rays.shape[:2], np.inf)
+    for s in np.linspace(0.0, 2.0 * domain.bounding_radius, 65)[1:]:
+        open_ = np.isinf(hi)
+        out = domain.psi_rows(zs + s * rays) <= 0.0
+        hi[open_ & out] = s
+        lo[open_ & ~out] = s
+        if not np.isinf(hi).any():
             break
-        lo = s
-    if hi is None:
-        return None
-    s_star = brentq(psi_at, lo, hi, xtol=1e-13)
-    return z_rows + s_star * u
-
-
-def _multistart_boundary_distance(domain: Domain, z: np.ndarray) -> float:
-    """Multi-start constrained minimisation of ||x - z|| over {psi = 0}."""
-    from scipy.optimize import minimize
-    m = 2 * domain.dimension
-    z_rows = geom.points_to_rows(z[None, :])[0]
-    rng = np.random.default_rng(1234)  # fixed: the routine must be deterministic
-    directions = [np.eye(m)[i] * sgn for i in range(m) for sgn in (1.0, -1.0)]
-    directions += [rng.standard_normal(m) for _ in range(6)]
-    best = math.inf
-
-    def objective(x):
-        return float(np.sum((x - z_rows) ** 2))
-
-    def constraint(x):
-        return domain.psi(geom.rows_to_points([x])[0])
-
-    for u in directions:
-        start = _ray_boundary_point(domain, z, np.asarray(u))
-        if start is None:
-            continue
-        best = min(best, float(np.linalg.norm(start - z_rows)))
-        res = minimize(
-            objective,
-            start,
-            method="SLSQP",
-            constraints=[{"type": "eq", "fun": constraint}],
-            options={"maxiter": 80, "ftol": 1e-14},
-        )
-        if res.success and abs(constraint(res.x)) < 1e-8:
-            best = min(best, math.sqrt(max(res.fun, 0.0)))
-    if not math.isfinite(best):
-        raise OutsideDomainError("could not locate the domain boundary from this point")
-    return best
+    hit = np.isfinite(hi)
+    lo[~hit] = hi[~hit] = 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        out = domain.psi_rows(zs + mid[..., None] * rays) <= 0.0
+        hi = np.where(out, mid, hi)
+        lo = np.where(out, lo, mid)
+    best = np.where(hit, hi, np.inf)
+    # Newton on the KKT system from every hit, at most 40 steps; a row stops once its step is below 1e-14
+    zb = zs[hit]
+    x = zb + hi[hit][:, None] * rays[hit]
+    g = domain.psi_gradient_rows(x)
+    lam = np.einsum("bi,bi->b", x - zb, g) / np.einsum("bi,bi->b", g, g)
+    active = np.arange(len(x))
+    jac = np.zeros((len(x), m + 1, m + 1))
+    for _ in range(40):
+        if active.size == 0:
+            break
+        xa, la, ja = x[active], lam[active], jac[:active.size]
+        g = domain.psi_gradient_rows(xa)
+        ja[:, :m, :m] = eye - la[:, None, None] * domain.psi_hessian_rows(xa)
+        ja[:, :m, m] = -g
+        ja[:, m, :m] = g
+        res = np.concatenate([xa - zb[active] - la[:, None] * g, domain.psi_rows(xa)[:, None]], axis=1)
+        try:
+            step = np.linalg.solve(ja, -res[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # z at a centre of curvature: a singular system has a least-norm step
+            step = (np.linalg.pinv(ja) @ -res[..., None])[..., 0]
+        x[active] += step[:, :m]
+        lam[active] += step[:, m]
+        active = active[np.max(np.abs(step), axis=1) > 1e-14]
+    on_boundary = np.abs(domain.psi_rows(x)) < 1e-12
+    best[hit] = np.minimum(best[hit], np.where(on_boundary, np.linalg.norm(x - zb, axis=1), np.inf))
+    lower = domain.psi_rows(z) / domain.lipschitz_bound()
+    return np.maximum(best.min(axis=1), lower)
 
 
 def boundary_distance(domain: Domain, z) -> float:
@@ -401,12 +403,12 @@ def estimate_boundary_constants(domain: Domain, z0, probes) -> BoundaryEstimate:
     probe_list = [geom.as_point(p) for p in probes]
     if len(probe_list) < 2:
         raise ParameterError("need at least two probe points")
+    bounds = [kobayashi_bounds(domain, z0, p) for p in probe_list]
     rows = []
     c0 = math.inf
     C0 = -math.inf
-    for p in probe_list:
-        b = kobayashi_bounds(domain, z0, p)
-        d = boundary_distance(domain, p)
+    for b, d in zip(bounds, domain.boundary_distances(probe_list)):
+        d = float(d)
         lo_term = b.lower + 0.5 * math.log(d)
         hi_term = b.upper + 0.5 * math.log(d) if math.isfinite(b.upper) else math.inf
         c0 = min(c0, lo_term)
@@ -444,10 +446,7 @@ def check_distance_comparison(domain: Domain, z0, r: float, n_samples: int = 200
         raise ParameterError("radius must be in (0, 1)")
     pts = _sample_metric_ball(domain, z0, r, n_samples, seed)
     d0 = boundary_distance(domain, z0)
-    if isinstance(domain, BallDomain):
-        dz = 1.0 - np.linalg.norm(pts, axis=1)
-    else:
-        dz = np.array([domain.boundary_distance(p) for p in pts])
+    dz = domain.boundary_distances(pts)
     ratio = np.maximum(dz / d0, d0 / dz)
     c2 = float((1.0 - r) * np.max(ratio))
     return CheckReport(
@@ -459,23 +458,6 @@ def check_distance_comparison(domain: Domain, z0, r: float, n_samples: int = 200
         std_error=0.0,
         details={"r": float(r), "d0": d0, "seed": int(seed)},
     )
-
-
-def fd_holomorphic_gradient(domain: Domain, z, h: float | None = None) -> np.ndarray:
-    """Central-difference Wirtinger gradient (d/dx - i d/dy)/2 of psi."""
-    z = geom.as_point(z)
-    if h is None:
-        h = 1e-6 * (1.0 + float(np.linalg.norm(z)))
-    grad = np.zeros(z.size, dtype=np.complex128)
-    for k in range(z.size):
-        ex = np.zeros(z.size, dtype=np.complex128)
-        ex[k] = h
-        dx = (domain.psi(z + ex) - domain.psi(z - ex)) / (2.0 * h)
-        ey = np.zeros(z.size, dtype=np.complex128)
-        ey[k] = 1j * h
-        dy = (domain.psi(z + ey) - domain.psi(z - ey)) / (2.0 * h)
-        grad[k] = 0.5 * (dx - 1j * dy)
-    return grad
 
 
 def check_defining_fn_inequality(domain: Domain, z0, r: float, n_samples: int = 2000, seed: int = 0) -> CheckReport:
@@ -490,8 +472,6 @@ def check_defining_fn_inequality(domain: Domain, z0, r: float, n_samples: int = 
         raise ParameterError("radius must be in (0, 1)")
     pts = _sample_metric_ball(domain, z0, r, n_samples, seed)
     grad = domain.holomorphic_gradient(z0)
-    if grad is None:
-        grad = fd_holomorphic_gradient(domain, z0)
     d0 = boundary_distance(domain, z0)
     diff = pts - z0
     gauge = np.einsum("ij,ij->i", diff, np.conj(diff)).real + np.abs(diff @ grad)

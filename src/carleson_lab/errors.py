@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the ceiling on what one build may allocate."""
+
+MAX_VALUES = 50_000_000  # values one array of a build may hold (400 MB of float64); a larger build is refused
 
 
 class CarlesonLabError(Exception):

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry_ball as geom, measures
-from .errors import CoverageError, ParameterError, ValidationError
+from .errors import MAX_VALUES, CoverageError, ParameterError, ValidationError
 
 __all__ = [
     "PointSequence",
@@ -198,6 +198,8 @@ def disjointness_threshold(t: float) -> float:
 def _invariant_tilted_candidates(n: int, count: int, epsilon: float, seed: int) -> np.ndarray:
     """Low-discrepancy candidates on {depth >= epsilon}, radially tilted so the
     local density tracks the invariant volume (adaptive to epsilon)."""
+    if count * (2 * n + 1) > MAX_VALUES:
+        raise OverflowError(f"{count:,} candidates of {2 * n + 1} coordinates exceed {MAX_VALUES:,} values")
     from scipy.special import ndtri
 
     raw = _scrambled_sobol(2 * n + 1, count, seed)

@@ -36,13 +36,20 @@ def test_ball_summary_artifacts(tmp_path):
 
 # scipy is imported at its call site, and input is read without jsonschema: a
 # fresh interpreter that imports the package, or runs one of these calls
-# through cli.main, loads neither
+# through cli.main, loads neither.  Boundary distances on the non-ball domains
+# are a numpy projection, so they load no scipy either
+_ELLIPSOID = '{"type": "ellipsoid", "semi_axes": [1.5, 1.0, 1.2, 0.9]}'
+_PERTURBED_BALL = '{"type": "perturbed_ball", "dimension": 2, "epsilon": 0.1}'
 _SCIPY_FREE_CALLS = {
     "import": None,
     "ball": ["ball", "--params", '{"z0": [0.6, 0.0], "r": 0.5}'],
     "berezin": ["berezin", "--measure", '{"dimension": 1, "density": {"type": "power", "s": 0.0}}',
                 "--params", '{"k_max": 8}', "--samples", "40000"],
     "malformed": ["seq", "analyze", "--sequence", '{"type": "ladder"}'],
+    **{f"{op}-{name}": ["ball", "--domain", domain, "--params", json.dumps({"op": op, **params})]
+       for name, domain in (("ellipsoid", _ELLIPSOID), ("perturbed-ball", _PERTURBED_BALL))
+       for op, params in (("boundary_distance", {"z": [0.3, 0.1, 0.0, 0.2]}),
+                          ("check_distance_comparison", {"z0": [0.3, 0.1, 0.0, 0.2], "r": 0.5, "samples": 200}))},
 }
 _LOADED_MODULES = """
 import json, sys
@@ -55,14 +62,18 @@ print(json.dumps({"code": code, "numpy.random": "numpy.random" in sys.modules,
 """
 
 
+def _package_env() -> dict:
+    """The environment, with this package's sources first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _modules_loaded_by(tmp_path, argv) -> dict:
     """Exit code and loaded modules of a fresh interpreter that runs ``argv``
     through cli.main (or, for None, only imports the package)."""
     if argv is not None:
         argv = [*argv, "--out", str(tmp_path / "o")]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(argv)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(argv)], cwd=tmp_path, env=_package_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -75,15 +86,16 @@ def test_import_and_light_commands_load_no_scipy(tmp_path, case):
     assert loaded["scipy"] == [], loaded["scipy"][:5]
     assert loaded["jsonschema"] is False
     assert loaded["numpy.random"]
-    if case in ("ball", "berezin"):
+    if case not in ("import", "malformed"):
         assert loaded["code"] == cli.EXIT_PASS
         assert "scipy" not in json.loads((tmp_path / "o" / "manifest.json").read_text())["versions"]
     elif case == "malformed":
         assert loaded["code"] == cli.EXIT_USAGE
 
 
-# packings and covers draw their scrambled Sobol candidates in numpy, so the
-# calls that build them load scipy but never scipy.stats
+# packings and covers draw their scrambled Sobol candidates in numpy, and
+# boundary distances are a numpy projection, so the calls that build them load
+# scipy but never scipy.stats or scipy.optimize
 _STATS_FREE_CALLS = {
     "cover": ["cover", "--params", '{"n": 1, "epsilon": 0.1, "r": 0.5}'],
     "packing": ["seq", "analyze", "--sequence", '{"type": "packing", "n": 1}'],
@@ -97,6 +109,33 @@ def test_packings_covers_and_verify_load_no_scipy_stats(tmp_path, case):
     assert loaded["code"] == cli.EXIT_PASS
     assert "scipy.spatial" in loaded["scipy"]
     assert "scipy.stats" not in loaded["scipy"]
+    assert "scipy.optimize" not in loaded["scipy"]
+
+
+# Builds above MAX_VALUES values exit 3 naming the field, in a process whose
+# address space is capped at 3 GiB, where each allocation would fail
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from carleson_lab import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv,field", [
+    pytest.param(["seq", "analyze", "--sequence", '{"type": "ladder", "n": 10000000}'], "bad sequence/n (",
+                 id="ladder"),
+    pytest.param(["berezin", "--measure", '{"dimension": 10000000}'], "bad measure/dimension (", id="measure"),
+    pytest.param(["seq", "analyze", "--sequence", '{"type": "packing", "n": 60}'], "bad sequence/n (", id="packing"),
+    pytest.param(["ball", "--domain", '{"type": "perturbed_ball", "dimension": 1000}', "--params",
+                  json.dumps({"op": "boundary_distance", "z": [0.0] * 2000})], "bad domain/dimension (",
+                 id="projection"),
+])
+def test_builds_above_the_value_ceiling_exit_usage(tmp_path, argv, field):
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv, "--out", str(tmp_path)], cwd=tmp_path,
+                          env=_package_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    assert field in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_spec_file_roundtrip(tmp_path):
@@ -264,9 +303,8 @@ _HUGE = st.integers(min_value=10**15, max_value=10**30)
 _DECLARATIONS = {
     "measure": [{"dimension": 1, "density": {"type": "power", "s": 0.5}},
                 {"dimension": 1, "atoms": [[[0.5, 0.0], 1.0]], "density": "none"}],
-    # the perturbed ball's distance comparison costs seconds per call: its
-    # boundary distances are found by multistart search
-    "domain": [{"type": "ball", "dimension": 1}, {"type": "ellipsoid", "semi_axes": [1.5, 1.0]}],
+    "domain": [{"type": "ball", "dimension": 1}, {"type": "ellipsoid", "semi_axes": [1.5, 1.0]},
+               {"type": "perturbed_ball", "dimension": 1, "epsilon": 0.1}],
     "sequence": [{"type": "ladder", "n": 1, "count": 10}, {"type": "packing", "n": 1, "delta": 0.5, "epsilon": 0.2},
                  {"type": "lattice", "n": 1, "spacing": 0.3}, {"type": "points", "rows": [[0.1, 0.0], [0.5, 0.0]]}],
 }

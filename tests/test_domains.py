@@ -48,16 +48,101 @@ def test_ellipsoid_distance_off_axis_analytic():
     assert d == pytest.approx(exact, abs=1e-8)
 
 
+# A multistart oracle, kept here as the reference for the batched projection:
+# SLSQP minimisation of |x - z|^2 subject to psi(x) = 0, started from ray hits.
+
+def _ray_hit(domain, z_rows, u) -> float:
+    """Distance from z along the direction u to its first sign change of psi
+    (a march of 64 steps, then brentq), or inf."""
+    from scipy.optimize import brentq
+    u = u / np.linalg.norm(u)
+
+    def psi_at(s):
+        return domain.psi(g.rows_to_points([z_rows + s * u])[0])
+
+    lo = 0.0
+    for s in np.linspace(1e-6, 2.5 * domain.bounding_radius, 64):
+        if psi_at(s) <= 0.0:
+            return brentq(psi_at, lo, s, xtol=1e-16, rtol=8.9e-16)
+        lo = s
+    return math.inf
+
+
+def _multistart_distance(domain, z) -> tuple[float, float]:
+    """The least |x - z| over the ray hits and the SLSQP minimisers started
+    from them (rays along +-each axis and six fixed random directions), and
+    the least ray hit alone."""
+    from scipy.optimize import minimize
+    m = 2 * domain.dimension
+    z_rows = g.points_to_rows(np.asarray(z)[None, :])[0]
+    rng = np.random.default_rng(1234)
+    rays = [sgn * np.eye(m)[i] for i in range(m) for sgn in (1.0, -1.0)] + [rng.standard_normal(m) for _ in range(6)]
+    hits = [_ray_hit(domain, z_rows, u) for u in rays]
+    best = min(hits)
+    for u, s in zip(rays, hits):
+        # in units of the ray hit about z, so that the search has unit scale at every depth
+        res = minimize(lambda y: (float(y @ y), 2.0 * y), u / np.linalg.norm(u), jac=True, method="SLSQP",
+                       constraints=[{"type": "eq", "fun": lambda y: domain.psi(g.rows_to_points([z_rows + s * y])[0])}],
+                       options={"maxiter": 200, "ftol": 1e-16})
+        x = z_rows + s * res.x
+        if res.success and abs(domain.psi(g.rows_to_points([x])[0])) < 1e-15:
+            best = min(best, float(np.linalg.norm(x - z_rows)))
+    return best, min(hits)
+
+
+def _assert_matches_oracle(domain, points):
+    dist = domain.boundary_distances(points)
+    for z, d in zip(points, dist):
+        assert d == domain.boundary_distance(z)
+        oracle, ray = _multistart_distance(domain, z)
+        assert d == pytest.approx(oracle, rel=1e-12, abs=0.0), z
+        assert domain.psi(z) / domain.lipschitz_bound() <= d <= ray * (1.0 + 1e-12), z
+
+
 def test_ellipsoid_distance_against_multistart_oracle():
     ell = dm.EllipsoidDomain([1.5, 1.0, 2.0, 0.8])
     rng = np.random.default_rng(3)
-    for _ in range(6):
-        z = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * 0.15
-        if ell.psi(z) <= 0:
-            continue
-        d = ell.boundary_distance(z)
-        oracle = dm._multistart_boundary_distance(ell, z)
-        assert d == pytest.approx(oracle, abs=1e-6)
+    points = [z for z in (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))) * 0.15 if ell.psi(z) > 0]
+    _assert_matches_oracle(ell, np.array(points))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_perturbed_ball_distance_against_multistart_oracle(n):
+    pb = dm.PerturbedBallDomain(n, epsilon=0.1)
+    rng = np.random.default_rng(n)
+    b = pb.bump_center
+    points = [*g.uniform_round_ball(rng, n, 4) * 0.95, *(b + 0.1 * g.uniform_round_ball(rng, n, 3))]
+    # depth < 1e-3, towards the bump and away from it
+    for u in (b + 0.3 * g.uniform_round_ball(rng, n, 2), -b + 0.3 * g.uniform_round_ball(rng, n, 1)):
+        u = u / np.linalg.norm(u, axis=1, keepdims=True)
+        for ui in u:
+            edge = _ray_hit(pb, np.zeros(2 * n), g.points_to_rows(ui[None, :])[0])
+            points += [(edge - depth) * ui for depth in (5e-4, 2e-4)]
+    points = np.array(points)
+    assert np.all(pb.psi_values(points) > 0.0)
+    _assert_matches_oracle(pb, points)
+
+
+def test_projection_handles_the_centre_of_curvature():
+    # from the centre of the unperturbed ball every boundary point is nearest:
+    # the Newton systems are singular there, and the ray hits give the distance
+    ball = dm.PerturbedBallDomain(2, epsilon=0.0)
+    assert dm.boundary_distance(ball, np.zeros(2)) == pytest.approx(1.0, rel=1e-15)
+
+
+def _fd_holomorphic_gradient(domain, z) -> np.ndarray:
+    """Central-difference Wirtinger gradient (d/dx - i d/dy)/2 of psi, the
+    reference for the closed forms."""
+    z = g.as_point(z)
+    h = 1e-6 * (1.0 + float(np.linalg.norm(z)))
+    grad = np.zeros(z.size, dtype=np.complex128)
+    for k in range(z.size):
+        e = np.zeros(z.size, dtype=np.complex128)
+        e[k] = h
+        dx = (domain.psi(z + e) - domain.psi(z - e)) / (2.0 * h)
+        dy = (domain.psi(z + 1j * e) - domain.psi(z - 1j * e)) / (2.0 * h)
+        grad[k] = 0.5 * (dx - 1j * dy)
+    return grad
 
 
 def test_perturbed_ball_gradient_matches_differences():
@@ -66,14 +151,29 @@ def test_perturbed_ball_gradient_matches_differences():
     for _ in range(5):
         z = g.uniform_round_ball(rng, 2, 1)[0] * 0.7
         ana = pb.holomorphic_gradient(z)
-        num = dm.fd_holomorphic_gradient(pb, z)
+        num = _fd_holomorphic_gradient(pb, z)
         assert np.max(np.abs(ana - num)) < 1e-6
 
 
 def test_ellipsoid_gradient_matches_differences():
     ell = dm.EllipsoidDomain([1.5, 1.0])
     z = np.array([0.3 + 0.2j])
-    assert np.max(np.abs(ell.holomorphic_gradient(z) - dm.fd_holomorphic_gradient(ell, z))) < 1e-7
+    assert np.max(np.abs(ell.holomorphic_gradient(z) - _fd_holomorphic_gradient(ell, z))) < 1e-7
+
+
+@pytest.mark.parametrize("dom", [dm.EllipsoidDomain([1.5, 1.0, 2.0, 0.8]),
+                                 dm.PerturbedBallDomain(2, epsilon=0.3, bump_center=[0.5, 0.2j], bump_width=0.4)])
+def test_psi_row_derivatives_match_differences(dom):
+    # the boundary projection's Newton steps read these closed forms
+    x = np.random.default_rng(4).uniform(-0.5, 0.5, (3, 4))
+    h = 1e-6
+    for k in range(4):
+        e = np.zeros(4)
+        e[k] = h
+        grad_k = (dom.psi_rows(x + e) - dom.psi_rows(x - e)) / (2 * h)
+        hess_k = (dom.psi_gradient_rows(x + e) - dom.psi_gradient_rows(x - e)) / (2 * h)
+        assert np.max(np.abs(dom.psi_gradient_rows(x)[:, k] - grad_k)) < 1e-8
+        assert np.max(np.abs(dom.psi_hessian_rows(x)[:, k, :] - hess_k)) < 1e-7
 
 
 def test_certified_radius_is_lower_bound():
