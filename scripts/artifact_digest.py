@@ -1,6 +1,7 @@
 """Run a fixed list of CLI calls and record their exit codes and artifacts in one JSON.
 
     PYTHONPATH=src python scripts/artifact_digest.py --json digest.json
+    PYTHONPATH=src python scripts/artifact_digest.py --check scripts/artifact_digest.json
 
 Each call runs ``cli.main(argv + ["--out", DIR])`` in this process, with its
 printed output discarded: the README examples, ``verify quick`` and ``full``
@@ -10,14 +11,24 @@ Kobayashi bounds of the non-ball domains.  The JSON holds, per call, its argv,
 exit code and every artifact but ``manifest.json``; CSV files as text, JSON
 files parsed, with ``verify_results.json``'s per-row ``seconds`` left out.  It
 holds no timings, so two checkouts that agree write identical files.
+
+``--check GOLDEN`` compares the digest with a committed one (``GOLDEN``) and
+exits 1 on any difference, printing each, the first call and field first.
+Exit codes, statuses, verdicts, integers and non-numeric CSV cells must be
+equal.  Floats may differ by ``REL_TOL`` of the larger magnitude, taken as at
+least ``FLOOR``: other numpy builds may round the last digits differently, and
+rounding residues (an identity deviation of 3e-16) may differ in every digit.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
+import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -90,16 +101,91 @@ def digest() -> dict:
     return out
 
 
+REL_TOL = 1e-9
+FLOOR = 1e-6
+
+
+def _number(cell: str):
+    """A CSV cell as an int or a float, or None when it is no number."""
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return None
+
+
+def _same(golden, got) -> bool:
+    """Equal, or two floats within REL_TOL (a bool or an int is compared exactly)."""
+    if type(golden) is float or type(got) is float:
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (golden, got)):
+            return False
+        if math.isnan(golden) or math.isnan(got):
+            return math.isnan(golden) and math.isnan(got)
+        return golden == got or abs(golden - got) <= REL_TOL * max(abs(golden), abs(got), FLOOR)
+    return type(golden) is type(got) and golden == got
+
+
+def _csv_diffs(field: str, golden: str, got: str) -> list[tuple[str, object, object]]:
+    rows = [list(csv.reader(io.StringIO(text))) for text in (golden, got)]
+    if len(rows[0]) != len(rows[1]):
+        return [(f"{field}: rows", len(rows[0]), len(rows[1]))]
+    out = []
+    for i, (want, have) in enumerate(zip(*rows)):
+        if len(want) != len(have):
+            out.append((f"{field}: row {i} cells", len(want), len(have)))
+            continue
+        for j, (a, b) in enumerate(zip(want, have)):
+            x, y = _number(a), _number(b)
+            if not (_same(x, y) if x is not None and y is not None else a == b):
+                out.append((f"{field}: row {i} column {j}", a, b))
+    return out
+
+
+def _diffs(field: str, golden, got) -> list[tuple[str, object, object]]:
+    """(field, golden value, value) for each difference below ``field``."""
+    if isinstance(golden, dict) and isinstance(got, dict):
+        out = [(f"{field}/{key}", golden.get(key, "<absent>"), got.get(key, "<absent>"))
+               for key in sorted(golden.keys() ^ got.keys())]
+        for key in (key for key in golden if key in got):
+            diff = _csv_diffs if key.endswith(".csv") else _diffs
+            out += diff(f"{field}/{key}", golden[key], got[key])
+        return out
+    if isinstance(golden, list) and isinstance(got, list):
+        if len(golden) != len(got):
+            return [(f"{field}: length", len(golden), len(got))]
+        return [d for i, (a, b) in enumerate(zip(golden, got)) for d in _diffs(f"{field}/{i}", a, b)]
+    return [] if _same(golden, got) else [(field, golden, got)]
+
+
+def compare(golden: dict, current: dict) -> list[str]:
+    """Every difference of ``current`` from ``golden``, call by call in the
+    golden's order, as "call/field: golden X, got Y" lines."""
+    lines = []
+    for name in [*golden, *(name for name in current if name not in golden)]:
+        want, have = golden.get(name, "<absent>"), current.get(name, "<absent>")
+        lines += [f"{field}: golden {a!r}, got {b!r}" for field, a, b in _diffs(name, want, have)]
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--json", type=Path, default=None, help="write the digest here (default: stdout)")
+    parser.add_argument("--check", type=Path, default=None, help="compare the digest with this golden one")
     args = parser.parse_args(argv)
-    text = json.dumps(digest(), indent=2) + "\n"
-    if args.json is None:
-        print(text, end="")
-    else:
+    current = digest()
+    text = json.dumps(current, indent=2) + "\n"
+    if args.json is not None:
         args.json.write_text(text)
-    return 0
+    elif args.check is None:
+        print(text, end="")
+    if args.check is None:
+        return 0
+    lines = compare(json.loads(args.check.read_text()), json.loads(text))
+    for line in lines:
+        print(line, file=sys.stderr)
+    print(f"{len(lines)} fields differ from {args.check}" if lines else f"the digest matches {args.check}")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from .integrate import (
     UniformBallComponent,
     integrate_density,
     integrate_mixture,
+    integrate_over_balls,
 )
 from .reports import CheckReport
 
@@ -249,7 +250,7 @@ def check_submean(
     def chi(pts):
         return np.abs(evaluate_polynomial(alphas, coeffs, pts)) ** 2
 
-    est = integrate_density(chi, ball, cfg)
+    est = integrate_over_balls(chi, [ball], cfg)[0]
     const = 4.0 ** (n + 1) / (r ** (2 * n) * d ** (n + 1))
     rhs = const * est.value
     rhs_err = const * est.std_error
@@ -283,11 +284,7 @@ def reproducing_check(z, alpha, cfg: MCConfig) -> tuple[EstimateWithError, compl
         raise ParameterError("multi-index length must match the dimension")
 
     def integrand(pts):
-        mono = np.ones(len(pts), dtype=np.complex128)
-        for k, a in enumerate(alpha):
-            if a:
-                mono = mono * pts[:, k] ** a
-        return kernel_values(z, pts) * mono
+        return kernel_values(z, pts) * evaluate_polynomial([alpha], [1.0], pts)
 
     est = integrate_density(integrand, z.size, cfg)
     expected = complex(np.prod([z[k] ** a for k, a in enumerate(alpha)]))

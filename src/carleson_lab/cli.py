@@ -151,7 +151,7 @@ def _density(value) -> measures.PowerDensity | None:
         return None
     read = functools.partial(_read, _object(value, "measure/density"), "measure/density")
     read("type", _REQUIRED, _choice("power"))
-    return measures.PowerDensity(read("s", _REQUIRED, _number))
+    return measures.PowerDensity(((1.0, read("s", _REQUIRED, _number)),))
 
 
 def _escape_weight(value) -> sequences.EscapeWeight:
@@ -418,6 +418,17 @@ def _carleson_test(spec: ExperimentSpec) -> Outcome:
         n_polynomials=_param(p, "n_polynomials", 10, _integer(0, MAX_POLYNOMIALS)),
         seed=spec.mc.seed,
     )
+    n = mu.dimension
+    for key in ("ball_samples", "global_samples"):
+        _fits("parameters", key, getattr(config, key) * n, f"{getattr(config, key):,} samples in dimension {n:,}")
+    # the ratio test divides by ball volumes, which fall with the dimension and the depth
+    centers = measures.boundary_schedule(n, config.k_max)
+    r = min(config.r_values)
+    for path, center in (("measure/dimension" if spec.measure else "sequence/n", centers[1]),
+                         ("parameters/k_max", centers[-1])):
+        if geom.ball_volume(center, r) == 0.0:
+            raise UsageError(f"bad {path} (a metric ball of radius {r} at depth "
+                             f"{1.0 - float(np.linalg.norm(center)):.3g} in dimension {n:,} has volume 0.0 in doubles)")
     verdict = measures.cross_check_equivalence(mu, config)
     rows = [[*r["center"], r["d"], r["ratio"], r["berezin"]] for r in verdict.schedule_rows()]
     header = [f"c{k}" for k in range(2 * mu.dimension)] + ["d", "ratio", "berezin"]

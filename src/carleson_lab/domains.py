@@ -6,11 +6,12 @@ distance bounds built from inscribed/circumscribed Euclidean balls (never point
 estimates: the invariant distance of a general domain is delivered as an
 interval), and the comparison-inequality checkers that accompany them.
 
-Built-in domains: the unit ball (exact geometry), axis-aligned real ellipsoids
-in the 2n real coordinates, and a smoothly perturbed ball.  Each non-ball domain
-gives psi, its gradient and its Hessian in closed form over real rows, and its
-boundary distances come from one batched Newton projection onto {psi = 0}
-(:func:`_project_to_boundary`), in numpy alone: the module loads no scipy.
+Built-in domains: axis-aligned real ellipsoids in the 2n real coordinates, the
+unit ball as the ellipsoid with unit semi-axes (exact geometry), and a smoothly
+perturbed ball.  Each gives psi, its gradient and its Hessian in closed form
+over real rows; the non-ball boundary distances come from one batched Newton
+projection onto {psi = 0} (:func:`_project_to_boundary`), in numpy alone: the
+module loads no scipy.
 """
 
 from __future__ import annotations
@@ -59,8 +60,12 @@ class BoundaryEstimate:
 
 
 class Domain:
-    """Base class; subclasses provide psi over real rows, its gradient and Hessian
-    (which the boundary projection reads), and geometry hints."""
+    """Base class.  Each domain gives the psi-row protocol, which the boundary
+    projection reads: ``psi_rows(x)``, ``psi_gradient_rows(x)`` and
+    ``psi_hessian_rows(x)``, psi and its real gradient (..., 2n) and Hessian
+    (..., 2n, 2n) at real rows x (..., 2n) in :func:`geom.points_to_rows`
+    order, and ``lipschitz_bound()``, an upper bound for ||grad psi|| on the
+    domain closure."""
 
     dimension: int
     bounding_radius: float  # the domain lies in the Euclidean ball of this radius about the origin
@@ -78,33 +83,14 @@ class Domain:
     def psi_values(self, points) -> np.ndarray:
         return self.psi_rows(geom.points_to_rows(points))
 
-    def psi_rows(self, x) -> np.ndarray:
-        """psi at real rows x (..., 2n), in :func:`geom.points_to_rows` order."""
-        raise NotImplementedError
-
-    def psi_gradient_rows(self, x) -> np.ndarray:
-        """Real gradient of psi at real rows x (..., 2n)."""
-        raise NotImplementedError
-
-    def psi_hessian_rows(self, x) -> np.ndarray:
-        """Real Hessian of psi at real rows x (..., 2n), shape (..., 2n, 2n)."""
-        raise NotImplementedError
-
     def holomorphic_gradient(self, z) -> np.ndarray:
         """Wirtinger gradient (d psi / d z_k)_k = (d/dx_k - i d/dy_k) psi / 2."""
         g = self.psi_gradient_rows(geom.points_to_rows(self._points(np.reshape(z, (1, -1))))[0])
         return 0.5 * (g[0::2] - 1j * g[1::2])
 
-    def lipschitz_bound(self) -> float:
-        """Upper bound for ||grad psi|| on the domain closure."""
-        raise NotImplementedError
-
     @property
     def center(self) -> np.ndarray:
         return np.zeros(self.dimension, dtype=np.complex128)
-
-    def boundary_distance(self, z) -> float:
-        return float(self.boundary_distances(np.reshape(z, (1, -1)))[0])
 
     def boundary_distances(self, points) -> np.ndarray:
         """Euclidean distances from interior points (m, n) to the boundary, by
@@ -123,39 +109,6 @@ class Domain:
         if val <= 0.0:
             return 0.0
         return val / self.lipschitz_bound()
-
-
-class BallDomain(Domain):
-    """The unit ball, psi = 1 - ||z||^2: every service is exact."""
-
-    def __init__(self, dimension: int):
-        if dimension < 1:
-            raise ParameterError("dimension must be >= 1")
-        self.dimension = int(dimension)
-        self.bounding_radius = 1.0
-
-    def psi_values(self, points):
-        return geom.one_minus_norm_sq(np.atleast_2d(points))
-
-    def psi_gradient_rows(self, x):
-        return -2.0 * x
-
-    def lipschitz_bound(self):
-        return 2.0
-
-    def boundary_distance(self, z):
-        z = np.asarray(z, dtype=np.complex128).reshape(-1)
-        d = 1.0 - float(np.linalg.norm(z))
-        if d <= 0.0:
-            raise OutsideDomainError("point is not interior to the unit ball")
-        return d
-
-    def boundary_distances(self, points):
-        return 1.0 - np.linalg.norm(self._interior(points), axis=1)
-
-    def certified_inner_radius(self, z):
-        z = np.asarray(z, dtype=np.complex128).reshape(-1)
-        return max(1.0 - float(np.linalg.norm(z)), 0.0)
 
 
 class EllipsoidDomain(Domain):
@@ -188,7 +141,27 @@ class EllipsoidDomain(Domain):
         if self.psi(z) <= 0.0:
             return 0.0
         # the projection is accurate to ~1e-12; shave a hair to stay a lower bound
-        return self.boundary_distance(z) * (1.0 - 1e-9)
+        return boundary_distance(self, z) * (1.0 - 1e-9)
+
+
+class BallDomain(EllipsoidDomain):
+    """The unit ball, the ellipsoid with unit semi-axes, psi = 1 - ||z||^2:
+    its boundary distances and inner radii are exact."""
+
+    def __init__(self, dimension: int):
+        if dimension < 1:
+            raise ParameterError("dimension must be >= 1")
+        super().__init__(np.ones(2 * int(dimension)))
+
+    def lipschitz_bound(self):
+        return 2.0
+
+    def boundary_distances(self, points):
+        return 1.0 - np.linalg.norm(self._interior(points), axis=1)
+
+    def certified_inner_radius(self, z):
+        z = np.asarray(z, dtype=np.complex128).reshape(-1)
+        return max(1.0 - float(np.linalg.norm(z)), 0.0)
 
 
 class PerturbedBallDomain(Domain):
@@ -326,11 +299,9 @@ def _project_chunk(domain: Domain, z: np.ndarray) -> np.ndarray:
 
 
 def boundary_distance(domain: Domain, z) -> float:
-    """Euclidean distance from an interior point to the boundary of the domain."""
-    z = geom.as_point(z)
-    if domain.psi(z) <= 0.0:
-        raise OutsideDomainError("point is not interior to the domain")
-    return domain.boundary_distance(z)
+    """Euclidean distance from an interior point to the boundary of the domain,
+    the one-point case of ``domain.boundary_distances``."""
+    return float(domain.boundary_distances(geom.as_point(z)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +395,9 @@ def _sample_metric_ball(domain: Domain, z0: np.ndarray, r: float, count: int, se
     Euclidean ball of radius r * certified_inner_radius(z0), which the
     inclusion-decreasing property places inside the metric ball.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is returned as it is
     if isinstance(domain, BallDomain):
-        ball = geom.kobayashi_ball(z0, r)
-        return geom.sample_ball_uniform(ball, count, rng)
+        return geom.sample_ball_uniform(geom.kobayashi_ball(z0, r), count, rng)
     rad = domain.certified_inner_radius(z0)
     if rad <= 0.0:
         raise OutsideDomainError("base point is not interior")

@@ -264,17 +264,22 @@ def kobayashi_ball(z0, r: float) -> KobayashiBall:
         raise ParameterError(f"pseudohyperbolic radius must be in (0, 1), got {r!r}")
     _require_interior(z0, "base point")
     nz2 = norm_sq(z0)
-    denom = 1.0 - r * r * nz2
-    center = ((1.0 - r * r) / denom) * z0
-    radial = r * (1.0 - nz2) / denom
-    transverse = r * math.sqrt((1.0 - nz2) / denom)
+    _, denom, radial, transverse = _ball_axes(nz2, r)
     return KobayashiBall(
         base=z0,
         pseudo_radius=float(r),
-        center=center,
+        center=((1.0 - r * r) / denom) * z0,
         radial_axis=radial,
-        transverse_axis=transverse,
+        transverse_axis=float(transverse),
     )
+
+
+def _ball_axes(nz2, r: float):
+    """delta = 1 - |z|^2, denom = 1 - r^2 |z|^2, and the radial and transverse
+    axes r delta / denom and r sqrt(delta / denom) of the metric r-ball about z."""
+    delta = 1.0 - nz2
+    denom = 1.0 - r * r * nz2
+    return delta, denom, r * delta / denom, r * np.sqrt(delta / denom)
 
 
 def metric_ball_reach(points, r: float) -> np.ndarray:
@@ -289,9 +294,8 @@ def metric_ball_reach(points, r: float) -> np.ndarray:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
     nz2 = np.einsum("ij,ij->i", pts, np.conj(pts)).real
-    delta = 1.0 - nz2
-    denom = 1.0 - r * r * nz2
-    axis = r * delta / denom if pts.shape[1] == 1 else r * np.sqrt(delta / denom)
+    delta, denom, radial, transverse = _ball_axes(nz2, r)
+    axis = radial if pts.shape[1] == 1 else transverse
     return (1.0 + 1e-9) * (np.sqrt(nz2) * (r * r * delta / denom) + axis)
 
 
@@ -319,10 +323,16 @@ def _scale_directions(g: np.ndarray, radii) -> np.ndarray:
     return dirs * (radii / norms)[:, None]
 
 
-def uniform_round_ball(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """Uniform samples from the round unit ball of C^n (= R^(2n))."""
+def uniform_round_shell(rng: np.random.Generator, n: int, count: int, lo: float, hi: float) -> np.ndarray:
+    """Uniform samples in the shell of the round unit ball of C^n (= R^(2n))
+    that holds the volume fractions [lo, hi): the package's one uniform draw."""
     g = rng.standard_normal((count, 2 * n))
-    return _scale_directions(g, rng.random(count) ** (1.0 / (2 * n)))
+    return _scale_directions(g, (lo + (hi - lo) * rng.random(count)) ** (1.0 / (2 * n)))
+
+
+def uniform_round_ball(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """Uniform samples from the round unit ball of C^n, the shell [0, 1)."""
+    return uniform_round_shell(rng, n, count, 0.0, 1.0)
 
 
 def map_round_to_ellipsoid(ball: KobayashiBall, round_points: np.ndarray) -> np.ndarray:
@@ -340,9 +350,8 @@ def sample_ball_uniform(ball: KobayashiBall, count: int, seed) -> np.ndarray:
     """
     if count < 1:
         raise ParameterError(f"sample count must be >= 1, got {count!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    w = uniform_round_ball(rng, ball.dimension, count)
-    return map_round_to_ellipsoid(ball, w)
+    rng = np.random.default_rng(seed)  # a Generator is returned as it is
+    return map_round_to_ellipsoid(ball, uniform_round_ball(rng, ball.dimension, count))
 
 
 def check_lemma_ball_inequality(z0, r: float, n_samples: int = 10_000, seed: int = 0) -> CheckReport:

@@ -103,15 +103,7 @@ def sample_unit_ball(n: int, count: int, seed) -> np.ndarray:
         raise ParameterError(f"sample count must be >= 1, got {count!r}")
     if n < 1:
         raise ParameterError(f"dimension must be >= 1, got {n!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return geom.uniform_round_ball(rng, n, count)
-
-
-def _sample_round_shell(rng, n, count, u_lo, u_hi):
-    """Uniform samples in the radial shell with volume fractions [u_lo, u_hi)."""
-    g = rng.standard_normal((count, 2 * n))
-    frac = u_lo + (u_hi - u_lo) * rng.random(count)
-    return geom._scale_directions(g, frac ** (1.0 / (2 * n)))
+    return geom.uniform_round_ball(np.random.default_rng(seed), n, count)  # a Generator is used as it is
 
 
 # the ball's radial shells, eight of equal volume, as [lo, hi) volume fractions
@@ -165,23 +157,18 @@ def _shells(cfg: MCConfig):
 
 
 def integrate_density(f, region, cfg: MCConfig, boundary_pole_order: float = 0.0) -> EstimateWithError:
-    """Monte Carlo integral of ``f`` against normalised volume on a region.
+    """Monte Carlo integral of ``f`` against normalised volume on the unit ball
+    of C^n, n = ``region``; ``f`` maps an (m, n) array of points to m real or
+    complex values.  Metric balls go to :func:`integrate_over_balls`.
 
-    ``region`` is either an integer n (the unit ball of C^n) or a
-    :class:`~carleson_lab.geometry_ball.KobayashiBall` ellipsoid, which is
-    integrated as a grid of one (:func:`integrate_over_balls`).  ``f`` maps an
-    (m, n) array of points to m real or complex values.
-
-    A declared ``boundary_pole_order`` p in (0, 1) makes the ball case a
+    A declared ``boundary_pole_order`` p in (0, 1) makes the estimate a
     one-component mixture (:func:`integrate_mixture`) whose Beta-radial
     proposal deliberately underfits the pole (exponent 0.75 * p): weights then
     have finite variance without collapsing the estimate onto its analytic
-    normalisation.  Ellipsoids are compactly interior and ignore it.
+    normalisation.
     """
-    if isinstance(region, geom.KobayashiBall):
-        return integrate_over_balls(f, [region], cfg)[0]
     if not isinstance(region, (int, np.integer)):
-        raise ParameterError(f"region must be a dimension or a KobayashiBall, got {type(region)!r}")
+        raise ParameterError(f"region must be a dimension, got {type(region)!r}")
     n = int(region)
     if n < 1:
         raise ParameterError("dimension must be >= 1")
@@ -191,7 +178,8 @@ def integrate_density(f, region, cfg: MCConfig, boundary_pole_order: float = 0.0
         return integrate_mixture(f, [BetaRadialComponent(n, 0.75 * boundary_pole_order)], [1.0], cfg)
 
     shells, fractions, counts = _shells(cfg)
-    return _fold(_keyed_draw(lambda k, rng, m: f(_sample_round_shell(rng, n, m, *shells[k])), counts, cfg), fractions)
+    draw = _keyed_draw(lambda k, rng, m: f(geom.uniform_round_shell(rng, n, m, *shells[k])), counts, cfg)
+    return _fold(draw, fractions)
 
 
 def integrate_over_balls(f, balls, cfg: MCConfig) -> list[EstimateWithError]:
@@ -206,7 +194,7 @@ def integrate_over_balls(f, balls, cfg: MCConfig) -> list[EstimateWithError]:
         return []
     n = balls[0].dimension
     shells, fractions, counts = _shells(cfg)
-    draw = _keyed_draw(lambda k, rng, m: _sample_round_shell(rng, n, m, *shells[k]), counts, cfg)
+    draw = _keyed_draw(lambda k, rng, m: geom.uniform_round_shell(rng, n, m, *shells[k]), counts, cfg)
     points = np.concatenate(list(draw))
     cuts = np.cumsum(counts)[:-1]
     estimates = []
@@ -263,7 +251,7 @@ class PullbackBallComponent:
 
     def sample(self, rng, count):
         n = self.z.size
-        w = _sample_round_shell(rng, n, count, 0.0, self.t ** (2 * n))
+        w = geom.uniform_round_shell(rng, n, count, 0.0, self.t ** (2 * n))
         return geom.ball_automorphism_many(self.z, w)
 
     def density(self, pts):

@@ -8,9 +8,9 @@ three verdicts: "pass", "fail", or an explicit "inconclusive".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -43,26 +43,32 @@ GROWTH_LIMIT = 10.0
 
 @dataclass(frozen=True)
 class PowerDensity:
-    """Radial density (1 - ||zeta||^2)^exponent against normalised volume."""
+    """Radial density sum_k c_k (1 - ||zeta||^2)^(s_k) against normalised
+    volume, held as its terms (c_k, s_k)."""
 
-    exponent: float
+    terms: tuple[tuple[float, float], ...]
 
     def __call__(self, points) -> np.ndarray:
-        return np.maximum(geom.one_minus_norm_sq(np.atleast_2d(points)), 0.0) ** self.exponent
+        delta = np.maximum(geom.one_minus_norm_sq(np.atleast_2d(points)), 0.0)
+        return functools.reduce(np.add, [c * delta**s for c, s in self.terms])
 
     @property
     def pole_order(self) -> float:
-        return max(0.0, -self.exponent)
+        """The order of the boundary pole, max(0, -min_k s_k)."""
+        return max(0.0, *(-s for _, s in self.terms))
+
+    def scaled(self, factor: float) -> "PowerDensity":
+        return PowerDensity(tuple((factor * c, s) for c, s in self.terms))
 
 
 @dataclass(frozen=True, eq=False)
 class Measure:
-    """Finite positive Borel measure: atoms plus a density against volume."""
+    """Finite positive Borel measure: atoms plus a power density against volume."""
 
     dimension: int
     atom_points: np.ndarray
     atom_weights: np.ndarray
-    density: Callable[[np.ndarray], np.ndarray] | None = None
+    density: PowerDensity | None = None
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.atom_points, dtype=np.complex128))
@@ -77,8 +83,8 @@ class Measure:
             raise ValidationError("atom weights must be positive and finite")
         if pts.shape[0] and np.any(np.linalg.norm(pts, axis=1) >= 1.0):
             raise ValidationError("atoms must lie inside the unit ball")
-        if self.density is not None and not callable(self.density):
-            raise ValidationError("density must be callable or None")
+        if self.density is not None and not isinstance(self.density, PowerDensity):
+            raise ValidationError("density must be a PowerDensity or None")
         object.__setattr__(self, "atom_points", pts)
         object.__setattr__(self, "atom_weights", w)
 
@@ -93,7 +99,7 @@ class Measure:
             dimension=dimension,
             atom_points=np.zeros((0, dimension), dtype=np.complex128),
             atom_weights=np.zeros(0),
-            density=PowerDensity(exponent),
+            density=PowerDensity(((1.0, exponent),)),
         )
 
     @classmethod
@@ -113,25 +119,16 @@ class Measure:
 
     @property
     def pole_order(self) -> float:
-        return float(getattr(self.density, "pole_order", 0.0)) if self.density is not None else 0.0
+        return self.density.pole_order if self.density is not None else 0.0
 
     def scaled(self, factor: float) -> "Measure":
         if factor <= 0.0:
             raise ValidationError("scale factor must be positive")
-        dens = self.density
-        if dens is not None:
-            base = dens
-
-            def scaled_density(pts, _b=base, _f=factor):
-                return _f * np.asarray(_b(pts), dtype=float)
-
-            scaled_density.pole_order = getattr(base, "pole_order", 0.0)
-            dens = scaled_density
         return Measure(
             dimension=self.dimension,
             atom_points=self.atom_points,
             atom_weights=self.atom_weights * factor,
-            density=dens,
+            density=self.density.scaled(factor) if self.density is not None else None,
         )
 
     def __add__(self, other: "Measure") -> "Measure":
@@ -139,22 +136,12 @@ class Measure:
             return NotImplemented
         if other.dimension != self.dimension:
             raise ValidationError("cannot add measures of different dimension")
-        dens = None
-        if self.density is not None and other.density is not None:
-            a, b = self.density, other.density
-
-            def summed(pts, _a=a, _b=b):
-                return np.asarray(_a(pts), dtype=float) + np.asarray(_b(pts), dtype=float)
-
-            summed.pole_order = max(getattr(a, "pole_order", 0.0), getattr(b, "pole_order", 0.0))
-            dens = summed
-        else:
-            dens = self.density if self.density is not None else other.density
+        terms = tuple(term for mu in (self, other) if mu.density is not None for term in mu.density.terms)
         return Measure(
             dimension=self.dimension,
             atom_points=np.vstack([self.atom_points, other.atom_points]),
             atom_weights=np.concatenate([self.atom_weights, other.atom_weights]),
-            density=dens,
+            density=PowerDensity(terms) if terms else None,
         )
 
     def total_mass(self, cfg: MCConfig) -> EstimateWithError:

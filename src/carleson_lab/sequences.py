@@ -26,6 +26,7 @@ import numpy as np
 
 from . import geometry_ball as geom, measures
 from .errors import MAX_VALUES, CoverageError, ParameterError, ValidationError
+from .reports import write_csv
 
 __all__ = [
     "PointSequence",
@@ -118,7 +119,7 @@ class PointSequence:
         if not 0.0 < epsilon < 1.0:
             raise ParameterError("depth epsilon must be in (0, 1)")
         half = _half_radius(delta, metric)
-        count = int(min(max(6.0 * (_volume_ratio(n, (1.0 - epsilon) ** 2, half**2) + 8.0), 64), 4_000_000))
+        count = _net_size(6.0 * (_volume_ratio(n, (1.0 - epsilon) ** 2, half**2) + 8.0), 64)
         cands = _invariant_tilted_candidates(n, count, epsilon, seed)
         kept = greedy_pack(cands, delta, metric=metric)
         return cls(points=cands[kept], metric=metric)
@@ -141,15 +142,8 @@ class PointSequence:
 
     # -- serialisation ---------------------------------------------------------
     def to_csv(self, path):
-        rows = geom.points_to_rows(self.points)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = []
-            for k in range(self.dimension):
-                header += [f"re{k}", f"im{k}"]
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(float(x)) for x in row])
+        header = [f"{part}{k}" for k in range(self.dimension) for part in ("re", "im")]
+        write_csv(path, header, geom.points_to_rows(self.points))
 
     @classmethod
     def from_csv(cls, path, metric: str = "pseudohyperbolic") -> "PointSequence":
@@ -182,6 +176,11 @@ def _volume_ratio(n: int, u: float, v: float) -> float:
         return (u / (1.0 - u)) ** n / (v / (1.0 - v)) ** n
     except ZeroDivisionError as exc:
         raise OverflowError(f"(v / (1 - v))^{n} underflows") from exc
+
+
+def _net_size(wanted: float, least: int) -> int:
+    """Candidate count of a packing or cover net: ``wanted`` in [``least``, 4,000,000]."""
+    return int(min(max(wanted, least), 4_000_000))
 
 
 def disjointness_threshold(t: float) -> float:
@@ -319,7 +318,7 @@ def count_in_ball(seq: PointSequence, z0, r: float) -> int:
     """Number of sequence points with metric distance < r from z0."""
     if len(seq) == 0:
         return 0
-    metric, t = ("pseudohyperbolic", math.tanh(r)) if seq.metric == "kobayashi" else (seq.metric, r)
+    metric, t = _pseudo_threshold(seq.metric, r)
     return int(np.count_nonzero(_pair_distance(metric, geom.as_point(z0), seq.points) < t))
 
 
@@ -341,7 +340,7 @@ def greedy_decompose(seq: PointSequence, r: float) -> Decomposition:
     distance < r; the colour count never exceeds the largest ball count
     N(x_j, r, sequence).
     """
-    metric, t = ("pseudohyperbolic", math.tanh(r)) if seq.metric == "kobayashi" else (seq.metric, r)
+    metric, t = _pseudo_threshold(seq.metric, r)
     colors = _first_fit_colors(metric, seq.points, t)
     return Decomposition(color_of=colors, n_colors=int(colors.max(initial=-1)) + 1)
 
@@ -355,6 +354,12 @@ def _kdtree(rows: np.ndarray):
     """KD-tree over real rows, the tree every neighbour-engine call takes."""
     from scipy.spatial import cKDTree
     return cKDTree(rows)
+
+
+def _pseudo_threshold(metric: str, t: float) -> tuple[str, float]:
+    """The metric and threshold the engine compares: a Kobayashi threshold t
+    as the pseudohyperbolic tanh(t), any other as it is."""
+    return ("pseudohyperbolic", math.tanh(t)) if metric == "kobayashi" else (metric, t)
 
 
 def _pair_distance(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -425,8 +430,7 @@ def greedy_pack(points, threshold: float, metric: str = "pseudohyperbolic") -> n
     candidates, and only those are coloured first-fit among themselves.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-    if metric == "kobayashi":
-        return greedy_pack(pts, math.tanh(threshold), metric="pseudohyperbolic")
+    metric, threshold = _pseudo_threshold(metric, threshold)
     rows = geom.points_to_rows(pts)
     kept = np.zeros(0, dtype=np.intp)
     tree = None
@@ -553,7 +557,7 @@ def greedy_cover(
     cand_epsilon = 0.7 * epsilon
     if n_candidates is None:
         # net resolution is the (r/3)-ball scale: aim for ~12 candidates per ball
-        n_candidates = int(min(max(12.0 * _volume_ratio(n, (1.0 - cand_epsilon) ** 2, third**2), 4096), 4_000_000))
+        n_candidates = _net_size(12.0 * _volume_ratio(n, (1.0 - cand_epsilon) ** 2, third**2), 4096)
     cands = _invariant_tilted_candidates(n, n_candidates, cand_epsilon, seed)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))

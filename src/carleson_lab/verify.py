@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bergman, domains, geometry_ball as geom, invariant_measure, measures, sequences
-from .integrate import MCConfig, integrate_density
+from .integrate import MCConfig, integrate_over_balls
 from .reports import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, CheckReport, json_default, write_csv
 
 # escape-series target: sum of e^-m / m^2, cross-checked in the test suite
@@ -180,7 +180,7 @@ def _row_submean_neighbor(budget, seed) -> CheckReport:
 
         inner = geom.sample_ball_uniform(geom.kobayashi_ball(z0, r), 512, rng)
         sup_chi = float(np.max(chi(inner)))
-        est = integrate_density(chi, geom.kobayashi_ball(z0, 0.5 * (1 + r)), cfg)
+        est = integrate_over_balls(chi, [geom.kobayashi_ball(z0, 0.5 * (1 + r))], cfg)[0]
         worst = max(worst, sup_chi * geom.ball_volume(z0, r) / float(np.real(est.value)))
         drawn += len(inner) + est.n_effective
     ok = math.isfinite(worst) and worst > 0.0

@@ -82,6 +82,18 @@ def test_reproducing_property(z, alpha):
     assert abs(est.value - expected) <= 3 * est.std_error + 1e-12
 
 
+def test_reproducing_monomial_is_the_polynomial_toolkit_monomial():
+    # the reproducing check evaluates zeta^alpha as a one-term polynomial,
+    # bit for bit the product of coordinate powers it used to build
+    pts = g.uniform_round_ball(np.random.default_rng(2), 3, 500)
+    for alpha in ((0, 0, 0), (1, 0, 0), (0, 2, 1), (3, 1, 2)):
+        mono = np.ones(len(pts), dtype=np.complex128)
+        for k, a in enumerate(alpha):
+            if a:
+                mono = mono * pts[:, k] ** a
+        assert np.array_equal(bg.evaluate_polynomial([alpha], [1.0], pts), mono)
+
+
 def test_diagonal_identity():
     for z in ([0.0], [0.3], [0.5, 0.2j]):
         est, expected = bg.diagonal_check(z, MCConfig(seed=7, n_samples=120_000))

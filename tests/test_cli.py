@@ -122,11 +122,18 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+_POWER_10 = '{"dimension": 10, "density": {"type": "power", "s": 0.5}}'
+
+
 @pytest.mark.parametrize("argv,field", [
     pytest.param(["seq", "analyze", "--sequence", '{"type": "ladder", "n": 10000000}'], "bad sequence/n (",
                  id="ladder"),
     pytest.param(["berezin", "--measure", '{"dimension": 10000000}'], "bad measure/dimension (", id="measure"),
     pytest.param(["seq", "analyze", "--sequence", '{"type": "packing", "n": 60}'], "bad sequence/n (", id="packing"),
+    pytest.param(["carleson-test", "--measure", _POWER_10, "--params", '{"ball_samples": 10000000}'],
+                 "bad parameters/ball_samples (", id="ball_samples"),
+    pytest.param(["carleson-test", "--measure", _POWER_10, "--params", '{"global_samples": 10000000}'],
+                 "bad parameters/global_samples (", id="global_samples"),
     pytest.param(["ball", "--domain", '{"type": "perturbed_ball", "dimension": 1000}', "--params",
                   json.dumps({"op": "boundary_distance", "z": [0.0] * 2000})], "bad domain/dimension (",
                  id="projection"),
@@ -218,6 +225,11 @@ def test_malformed_parameters_and_declarations_exit_usage(tmp_path, capsys):
          "parameters/ball_samples"),
         (["carleson-test", "--measure", '{"dimension": 1}', "--params", '{"global_samples": 1e15}'],
          "parameters/global_samples"),
+        # the ratio test divides by ball volumes, which underflow to 0 in high dimension or at great depth
+        (["carleson-test", "--measure", '{"dimension": 1000, "density": {"type": "power", "s": 0.5}}', "--params",
+          '{"k_max": 2}', "--samples", "100"], "bad measure/dimension ("),
+        (["carleson-test", "--measure", '{"dimension": 25, "density": {"type": "power", "s": 0.5}}', "--params",
+          '{"k_max": 39}', "--samples", "100"], "bad parameters/k_max ("),
         # loop counts, which would run until killed
         (["carleson-test", "--measure", '{"dimension": 1}', "--params", '{"n_polynomials": 1e15}'],
          "bad parameters/n_polynomials ("),
@@ -417,7 +429,7 @@ def test_berezin_rows_are_the_berezin_test_rows(tmp_path):
     with open(tmp_path / "o" / "results.csv", newline="") as fh:
         header, *rows = list(csv.reader(fh))
     assert header == ["d", "berezin", "std_error", "c0", "c1"]
-    mu = measures.Measure(1, [[0.5], [0.9j]], [1.0, 0.5], measures.PowerDensity(0.5))
+    mu = measures.Measure(1, [[0.5], [0.9j]], [1.0, 0.5], measures.PowerDensity(((1.0, 0.5),)))
     res = measures.carleson_berezin_test(mu, measures.boundary_schedule(1, 4), MCConfig(seed=3, n_samples=2000))
     want = [[r["d"], r["value"], r["std_error"], *geometry_ball.points_to_rows(r["center"][None, :])[0]]
             for r in res.rows]

@@ -168,6 +168,19 @@ def test_ball_transverse_axis_dim_two():
     assert b.radial_axis <= b.transverse_axis
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_axes_are_the_reach_axes(n):
+    # metric_ball_reach is |z - center| plus an axis of kobayashi_ball's
+    # ellipsoid: the radial one in C^1, the transverse one above
+    rng = np.random.default_rng(n)
+    for z0 in g.uniform_round_ball(rng, n, 20) * 0.999:
+        for r in (0.1, 0.5, 0.9):
+            b = g.kobayashi_ball(z0, r)
+            axis = b.radial_axis if n == 1 else b.transverse_axis
+            want = (1.0 + 1e-9) * (float(np.linalg.norm(z0 - b.center)) + axis)
+            assert g.metric_ball_reach(z0[None, :], r)[0] == pytest.approx(want, rel=1e-13)
+
+
 def test_ball_rejects_bad_radius():
     with pytest.raises(ParameterError):
         g.kobayashi_ball([0.1], 1.0)
@@ -227,6 +240,22 @@ def test_sampler_rejects_zero_count():
     ball = g.kobayashi_ball([0.1], 0.5)
     with pytest.raises(ParameterError):
         g.sample_ball_uniform(ball, 0, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_round_ball_draw_is_the_whole_shell(n):
+    # the uniform ball draw is the shell draw on [0, 1), bit for bit, and both
+    # are the direction-and-radius draw the ball sampler always made
+    draws = [g.uniform_round_ball(np.random.default_rng(9), n, 1000),
+             g.uniform_round_shell(np.random.default_rng(9), n, 1000, 0.0, 1.0)]
+    rng = np.random.default_rng(9)
+    gauss = rng.standard_normal((1000, 2 * n))
+    dirs = gauss[:, :n] + 1j * gauss[:, n:]
+    draws.append(dirs * (rng.random(1000) ** (1.0 / (2 * n)) / np.linalg.norm(dirs, axis=1))[:, None])
+    assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[0], draws[2])
+    # a shell's points hold its volume fractions
+    frac = np.linalg.norm(g.uniform_round_shell(np.random.default_rng(9), n, 1000, 0.25, 0.5), axis=1) ** (2 * n)
+    assert 0.25 <= frac.min() and frac.max() < 0.5 + 1e-12
 
 
 def test_sampler_deterministic():

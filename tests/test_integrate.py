@@ -72,7 +72,7 @@ def test_radial_integrand_dim_one():
 
 def test_ellipsoid_region_with_constant_gives_volume():
     ball = g.kobayashi_ball([0.6], 0.5)
-    est = integrate_density(lambda p: np.ones(len(p)), ball, MCConfig(seed=2, n_samples=2000))
+    est = integrate_over_balls(lambda p: np.ones(len(p)), [ball], MCConfig(seed=2, n_samples=2000))[0]
     assert est.value == pytest.approx(g.ball_volume([0.6], 0.5), rel=1e-12)
     assert est.std_error == 0.0
 
@@ -81,8 +81,14 @@ def test_ellipsoid_region_nonconstant():
     # integral over a metric ball at the origin of |z|^2 (n=1):
     # = int_0^r t^2 2t dt = r^4 / 2
     ball = g.kobayashi_ball(np.zeros(1), 0.5)
-    est = integrate_density(lambda p: norm_sq_rows(p), ball, MCConfig(seed=3, n_samples=60_000))
+    est = integrate_over_balls(lambda p: norm_sq_rows(p), [ball], MCConfig(seed=3, n_samples=60_000))[0]
     assert abs(est.value - 0.5**4 / 2) < 3 * est.std_error
+
+
+def test_integrate_density_takes_a_dimension_only():
+    # metric balls go to integrate_over_balls
+    with pytest.raises(ParameterError, match="region must be a dimension"):
+        integrate_density(lambda p: np.ones(len(p)), g.kobayashi_ball([0.6], 0.5), MCConfig(seed=2, n_samples=2000))
 
 
 def test_min_samples_enforced():
@@ -182,7 +188,7 @@ def _per_batch_ball_estimate(f, ball, cfg):
     value, var, bad = 0j, 0.0, 0
     for k, ck in enumerate(counts):
         vals = np.concatenate([
-            f(g.map_round_to_ellipsoid(ball, mc._sample_round_shell(cfg.rng_for(k, s), n, m, *shells[k])))
+            f(g.map_round_to_ellipsoid(ball, g.uniform_round_shell(cfg.rng_for(k, s), n, m, *shells[k])))
             for s, m in enumerate(mc._apportion(ck, [1.0] * 4)) if m > 0
         ])
         vals = vals[np.isfinite(vals)]
@@ -201,7 +207,7 @@ def _fields(est):
 def test_ball_grid_matches_per_batch_layout(n):
     balls = [g.kobayashi_ball(c, 0.5) for c in ms.boundary_schedule(n, 8)]
     for s in (-0.5, 0.0, 1.0):
-        density = ms.PowerDensity(s)
+        density = ms.PowerDensity(((1.0, s),))
         cfg = MCConfig(seed=10 + n, n_samples=3000)
         grid = integrate_over_balls(density, balls, cfg)
         assert [_fields(est) for est in grid] == [_per_batch_ball_estimate(density, b, cfg) for b in balls]
@@ -229,7 +235,7 @@ def test_grid_of_one_equals_its_ball_in_a_grid_of_sixteen():
     f = lambda p: 1.0 + norm_sq_rows(p) ** 2
     cfg = MCConfig(seed=9, n_samples=12_000)
     for ball, est in zip(balls, integrate_over_balls(f, balls, cfg)):
-        assert est == integrate_density(f, ball, cfg) == integrate_over_balls(f, [ball], cfg)[0]
+        assert est == integrate_over_balls(f, [ball], cfg)[0]
         assert _fields(est) == _per_batch_ball_estimate(f, ball, cfg)
 
 
@@ -255,9 +261,9 @@ def test_ball_grid_excludes_nonfinite_like_per_batch_layout():
     for ball, ref in zip(balls, refs):
         if ref[3]:
             with pytest.warns(RuntimeWarning, match=f"excluded {ref[3]} non-finite"):
-                assert _fields(integrate_density(f, ball, cfg)) == ref
+                assert _fields(integrate_over_balls(f, [ball], cfg)[0]) == ref
         else:
-            assert _fields(integrate_density(f, ball, cfg)) == ref
+            assert _fields(integrate_over_balls(f, [ball], cfg)[0]) == ref
     with pytest.warns(RuntimeWarning, match="non-finite"):
         assert [_fields(est) for est in integrate_over_balls(f, balls, cfg)] == refs
     # above the tolerance the estimate aborts, in a grid as alone
@@ -266,7 +272,7 @@ def test_ball_grid_excludes_nonfinite_like_per_batch_layout():
     with pytest.raises(AnalysisError, match="of 40000 integrand evaluations were non-finite"):
         integrate_over_balls(f, balls, cfg)
     with pytest.raises(AnalysisError):
-        integrate_density(f, balls[0], cfg)
+        integrate_over_balls(f, balls[:1], cfg)
 
 
 # -- mixture sampler ---------------------------------------------------------

@@ -62,13 +62,39 @@ def test_scaling_and_additivity():
     assert math.fsum(both.atom_weights) == pytest.approx(8.0)
 
 
+def test_scaled_and_summed_densities_are_power_sums():
+    # a density is its (coefficient, exponent) terms: scaling and adding
+    # combine terms, and the pole order is that of the most negative exponent
+    w = g.uniform_round_ball(np.random.default_rng(5), 2, 500) * 0.999
+    delta = 1.0 - np.sum(np.abs(w) ** 2, axis=1)
+    mu = ms.Measure.with_power_density(2, -0.5)
+    nu = ms.Measure.with_power_density(2, 1.5) + ms.Measure.dirac([0.1, 0.2j], 2.0)
+    cases = (
+        (mu.scaled(3.0), 3.0 * delta**-0.5, 0.5),
+        (nu.scaled(0.25), 0.25 * delta**1.5, 0.0),
+        (mu + nu, delta**-0.5 + delta**1.5, 0.5),
+        ((mu + nu).scaled(7.0), 7.0 * (delta**-0.5 + delta**1.5), 0.5),
+        (nu + ms.Measure.with_power_density(2, -0.75).scaled(2.0), delta**1.5 + 2.0 * delta**-0.75, 0.75),
+    )
+    for measure, want, pole in cases:
+        assert measure.pole_order == pole
+        np.testing.assert_allclose(measure.density(w), want, rtol=1e-12, atol=0.0)
+    assert (mu + nu).density == ms.PowerDensity(((1.0, -0.5), (1.0, 1.5)))
+    assert (mu + nu).scaled(7.0).density == ms.PowerDensity(((7.0, -0.5), (7.0, 1.5)))
+    assert (mu + nu).n_atoms == 1 and math.fsum((mu + nu).scaled(7.0).atom_weights) == 14.0
+    # no density plus a density is that density; a density is a value, not a callable
+    assert (ms.Measure.dirac([0.1, 0.0]) + mu).density == mu.density
+    with pytest.raises(ValidationError):
+        ms.Measure(1, [], [], lambda p: np.ones(len(p)))
+
+
 def _declared_measure(decl):
     return cli.ExperimentSpec.from_dict({"name": "x", "operation": "berezin", "measure": decl}).measure()
 
 
 def test_declared_measure_is_the_direct_measure():
     mu = _declared_measure({"dimension": 1, "atoms": [[[0.1, 0.2], 0.5]], "density": {"type": "power", "s": -0.5}})
-    direct = ms.Measure(1, np.array([[0.1 + 0.2j]]), np.array([0.5]), ms.PowerDensity(-0.5))
+    direct = ms.Measure(1, np.array([[0.1 + 0.2j]]), np.array([0.5]), ms.PowerDensity(((1.0, -0.5),)))
     assert mu.dimension == direct.dimension and mu.density == direct.density and mu.pole_order == 0.5
     assert np.array_equal(mu.atom_points, direct.atom_points)
     assert np.array_equal(mu.atom_weights, direct.atom_weights)

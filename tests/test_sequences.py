@@ -348,6 +348,10 @@ def test_csv_roundtrip(tmp_path):
     seq.to_csv(path)
     back = sq.PointSequence.from_csv(path)
     assert np.array_equal(back.points, seq.points)
+    # written by the run artifacts' CSV writer: re/im column pairs, full-precision reprs
+    lines = path.read_text().splitlines()
+    assert lines[0] == "re0,im0,re1,im1"
+    assert lines[1] == f"{repr(1.0 - math.exp(-1.0))},0.0,0.0,0.0"
 
 
 # -- dirac measure ------------------------------------------------------------
