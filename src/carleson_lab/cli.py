@@ -378,12 +378,25 @@ def _domain_check(spec: ExperimentSpec, checker) -> Outcome:
     return _report_outcome(rep)
 
 
+def _schedule(p: dict, n: int, default: int) -> list[np.ndarray]:
+    """The boundary schedule to the depth 2^-k_max that ``parameters/k_max``
+    asks for.  A k_max whose deepest centres lie within BOUNDARY_MARGIN of the
+    sphere (from 40 on) is refused, one past depth BOUNDARY_MARGIN before any
+    centre is built."""
+    k_max = _param(p, "k_max", default, _count)
+    centers = measures.boundary_schedule(n, k_max) if 2.0**-k_max >= geom.BOUNDARY_MARGIN else []
+    if not centers or max(float(np.linalg.norm(c)) for c in centers[-2:]) >= 1.0 - geom.BOUNDARY_MARGIN:
+        raise UsageError(f"bad parameters/k_max ({k_max}: the centres at depth 2^-{k_max} lie within "
+                         f"{geom.BOUNDARY_MARGIN:g} of the sphere)")
+    return centers
+
+
 def _berezin_transform(spec: ExperimentSpec) -> Outcome:
     p = spec.parameters
     mu = _measure(spec)
     centers = _param(p, "probes", None, _points)
     if centers is None:
-        centers = measures.boundary_schedule(mu.dimension, k_max=_param(p, "k_max", 8, _count))
+        centers = _schedule(p, mu.dimension, 8)
     res = measures.carleson_berezin_test(mu, centers, spec.mc)
     rows = [[r["d"], r["value"], r["std_error"], *geom.points_to_rows(r["center"][None, :])[0].tolist()]
             for r in res.rows]
@@ -410,19 +423,19 @@ def _carleson_test(spec: ExperimentSpec) -> Outcome:
     if spec.measure is None and spec.sequence is None:
         raise UsageError("carleson-test needs a measure or a sequence")
     mu = _measure(spec) if spec.measure is not None else sequences.dirac_carleson_measure(_sequence(spec))
+    n = mu.dimension
+    centers = _schedule(p, n, 12)
     config = measures.CrossCheckConfig(
         r_values=_param(p, "r_values", (0.3, 0.5, 0.7), lambda v: tuple(_numbers(v))),
-        k_max=_param(p, "k_max", 12, _count),
+        k_max=len(centers) // 2,  # two centres a depth
         ball_samples=max(_param(p, "ball_samples", spec.mc.n_samples // 2, _count), 100),
         global_samples=max(_param(p, "global_samples", spec.mc.n_samples, _count), 100),
         n_polynomials=_param(p, "n_polynomials", 10, _integer(0, MAX_POLYNOMIALS)),
         seed=spec.mc.seed,
     )
-    n = mu.dimension
     for key in ("ball_samples", "global_samples"):
         _fits("parameters", key, getattr(config, key) * n, f"{getattr(config, key):,} samples in dimension {n:,}")
     # the ratio test divides by ball volumes, which fall with the dimension and the depth
-    centers = measures.boundary_schedule(n, config.k_max)
     r = min(config.r_values)
     for path, center in (("measure/dimension" if spec.measure else "sequence/n", centers[1]),
                          ("parameters/k_max", centers[-1])):
@@ -534,14 +547,34 @@ OPERATIONS = {
 }
 
 
+# The declarations a table entry reads, the one it prefers first.  Any other
+# declaration given is refused before the operation runs.
+READS = {
+    **{("ball", op): ("domain",) for op in ("boundary_distance", "kobayashi_bounds", "estimate_boundary_constants",
+                                             "check_distance_comparison", "check_defining_fn_inequality")},
+    ("berezin", "berezin_transform"): ("measure",),
+    ("berezin", "integrate_density"): ("measure",),
+    ("carleson-test", None): ("measure", "sequence"),
+    **{(f"seq-{mode}", None): ("sequence",) for mode in ("analyze", "decompose", "escape", "shells")},
+}
+
+
 def _operation(spec: ExperimentSpec):
-    """The table entry for ``spec.operation`` and its ``parameters.op``."""
+    """The table entry for ``spec.operation`` and its ``parameters.op``, once
+    every declaration given is one that the entry reads."""
     ops = [op for command, op in OPERATIONS if command == spec.operation]
     op = _param(spec.parameters, "op", ops[0], _string) if ops and ops[0] else None
     if (spec.operation, op) not in OPERATIONS:
         what = f"{spec.operation} op {op!r}" if ops else f"operation {spec.operation!r}"
         valid = ops or dict.fromkeys(command for command, _ in OPERATIONS)
         raise UsageError(f"unknown {what}; valid: {', '.join(valid)}")
+    given = [key for key in _DECLARATIONS if getattr(spec, key) is not None]
+    read = next((key for key in READS.get((spec.operation, op), ()) if key in given), None)
+    for key in given:
+        if key != read:
+            what = f"{spec.operation} op {op!r}" if op else spec.operation
+            beside = f" beside a {read}" if read else ""
+            raise UsageError(f"bad {key} ({what} does not read a {key}{beside})")
     return OPERATIONS[spec.operation, op]
 
 

@@ -5,6 +5,13 @@ separated classes, greedy disjoint-ball coverings with multiplicity reports,
 induced Dirac measures weighted by boundary distance, escape-rate sums, and
 Kobayashi shell counts.  Bundled generators (radial ladders, greedy maximal
 packings, perturbed lattices) span the sparse and dense extremes.
+Packings and covers ask two questions of a KD-tree neighbour engine.  "Is
+some target within t?" (a packing's admission, a cover's net and coverage)
+tries each query's Euclidean-nearest target first, and only the queries it
+leaves open build neighbour lists.  "How many centres lie within R?" (a
+cover's multiplicity) goes in blocks of queries adjacent in a KD-tree: by the
+strong triangle inequality one product-form call against a block's first
+point keeps every centre that can count, and only those are tested.
 Packings and covers draw their candidates from a scrambled Sobol sequence,
 computed here in numpy from the Joe-Kuo direction numbers that ship with
 scipy, so no command imports ``scipy.stats``.
@@ -348,6 +355,8 @@ def greedy_decompose(seq: PointSequence, r: float) -> Decomposition:
 # -- neighbour engine -----------------------------------------------------------
 # queries per block of neighbour lists: bounds the flattened pair arrays
 PAIR_BLOCK = 512
+# queries per pivot block of a multiplicity count
+PIVOT_BLOCK = 64
 
 
 def _kdtree(rows: np.ndarray):
@@ -396,14 +405,24 @@ def _near_pairs(metric: str, queries: np.ndarray, tree, t: float, earlier: bool 
         yield owner, index
 
 
-def _nearest_within(metric: str, queries: np.ndarray, targets: np.ndarray, tree, t: float) -> np.ndarray:
-    """Distance from each query to the nearest target (``tree`` holds the
-    targets' rows), exact where it is below t and +inf where no target is in
-    reach."""
-    out = np.full(len(queries), math.inf)
-    for owner, index in _near_pairs(metric, queries, tree, t):
-        np.minimum.at(out, owner, _pair_distance(metric, queries[owner], targets[index]))
-    return out
+def _has_within(metric: str, queries: np.ndarray, targets: np.ndarray, tree, t: float) -> np.ndarray:
+    """Whether some target lies at distance < t from each query (``tree``
+    holds the targets' rows).
+
+    Each query's Euclidean-nearest target is tried first; only the queries it
+    leaves undecided are matched against their neighbour lists.
+    """
+    found = np.zeros(len(queries), dtype=bool)
+    if len(targets) == 0:
+        return found
+    rows = geom.points_to_rows(queries)
+    for i0 in range(0, len(queries), PAIR_BLOCK):
+        q = np.arange(i0, min(i0 + PAIR_BLOCK, len(queries)))
+        found[q] = _pair_distance(metric, queries[q], targets[tree.query(rows[q])[1]]) < t
+        left = q[~found[q]]
+        for owner, index in _near_pairs(metric, queries[left], tree, t):
+            found[left[owner[_pair_distance(metric, queries[left[owner]], targets[index]) < t]]] = True
+    return found
 
 
 def _first_fit_colors(metric: str, points: np.ndarray, t: float) -> np.ndarray:
@@ -437,7 +456,7 @@ def greedy_pack(points, threshold: float, metric: str = "pseudohyperbolic") -> n
     for i0 in range(0, pts.shape[0], PAIR_BLOCK):
         idx = np.arange(i0, min(i0 + PAIR_BLOCK, pts.shape[0]))
         if tree is not None:
-            idx = idx[_nearest_within(metric, pts[idx], pts[kept], tree, threshold) >= threshold]
+            idx = idx[~_has_within(metric, pts[idx], pts[kept], tree, threshold)]
         fresh = idx[_first_fit_colors(metric, pts[idx], threshold) == 0]
         if fresh.size:
             kept = np.concatenate([kept, fresh])
@@ -481,15 +500,33 @@ class CoverReport:
         }
 
 
-def _count_within(queries: np.ndarray, targets: np.ndarray, radius: float, block: int = 512) -> np.ndarray:
-    """Targets at pseudo distance < radius from each query, decided in blocks
-    of queries by the product form 1 - rho^2 = delta_q q_c(q) > 1 - radius^2."""
+def _count_within(queries: np.ndarray, targets: np.ndarray, radius: float) -> np.ndarray:
+    """Targets at pseudo distance < radius from each query, decided by the
+    product form 1 - rho^2 = delta_q q_c(q) > 1 - radius^2.
+
+    Queries go in blocks of PIVOT_BLOCK, adjacent in a KD-tree over them.  A
+    block's first point p is its pivot and rho_b its largest distance to p; by
+    the strong triangle inequality every target that counts for the block lies
+    within (radius + rho_b) / (1 + radius rho_b) of p.  One product-form call
+    against p keeps those targets, lowered by a relative margin of 1e-12 plus
+    64 eps / delta at the deepest point for rounding, and the block's pairs are
+    decided against them only.
+    """
     counts = np.zeros(len(queries), dtype=int)
     floor = 1.0 - radius * radius
-    for i0 in range(0, len(queries), block):
-        chunk = queries[i0 : i0 + block]
-        inside = geom.one_minus_norm_sq(chunk)[:, None] * geom.mobius_factor(targets, chunk) > floor
-        counts[i0 : i0 + block] = np.count_nonzero(inside, axis=1)
+    target_delta = geom.one_minus_norm_sq(targets)
+    deepest = min(target_delta.min(initial=1.0), geom.one_minus_norm_sq(queries).min(initial=1.0))
+    keep = 1.0 - (1e-12 + 64.0 * np.finfo(float).eps / deepest)
+    order = _kdtree(geom.points_to_rows(queries)).indices
+    for i0 in range(0, len(order), PIVOT_BLOCK):
+        block = order[i0 : i0 + PIVOT_BLOCK]
+        chunk = queries[block]
+        rho_b = float(geom.pseudo_rho(chunk[0], chunk).max())
+        # 1 - bound^2 for the bound (radius + rho_b) / (1 + radius rho_b)
+        reach = floor * (1.0 - rho_b * rho_b) / (1.0 + radius * rho_b) ** 2
+        near = targets[target_delta * geom.mobius_factor(chunk[0], targets) > keep * reach]
+        inside = geom.one_minus_norm_sq(chunk)[:, None] * geom.mobius_factor(near, chunk) > floor
+        counts[block] = np.count_nonzero(inside, axis=1)
     return counts
 
 
@@ -565,9 +602,9 @@ def greedy_cover(
     probes = probes_all[:n_probes]
 
     cand_tree = _kdtree(geom.points_to_rows(cands))
-    gaps = _nearest_within("pseudohyperbolic", probes_all, cands, cand_tree, third)
-    if not np.all(gaps < third):
-        worst = int(np.count_nonzero(gaps >= third))
+    netted = _has_within("pseudohyperbolic", probes_all, cands, cand_tree, third)
+    if not np.all(netted):
+        worst = int(np.count_nonzero(~netted))
         raise CoverageError(
             f"candidate net misses {worst} probes at resolution r/3 = {third:.4g}; "
             f"retry with n_candidates > {4 * n_candidates}"
@@ -578,8 +615,7 @@ def greedy_cover(
     centers = cands[kept]
 
     center_tree = _kdtree(geom.points_to_rows(centers))
-    cover_gaps = _nearest_within("pseudohyperbolic", probes_all, centers, center_tree, r)
-    uncovered = int(np.count_nonzero(cover_gaps >= r))
+    uncovered = int(np.count_nonzero(~_has_within("pseudohyperbolic", probes_all, centers, center_tree, r)))
 
     # empirical multiplicity: max overlap count over (centers + nested probes),
     # polished by a deterministic hill climb anchored at the global argmax

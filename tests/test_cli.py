@@ -186,6 +186,30 @@ def test_malformed_sequence_declarations_exit_usage(tmp_path, capsys):
         assert field in err and "Traceback" not in err, err
 
 
+def test_unread_declarations_exit_usage_before_any_work(tmp_path, capsys):
+    # a declaration that the operation would ignore is refused, naming it,
+    # and the run writes nothing
+    ladder = '{"type": "ladder", "n": 1, "count": 5}'
+    pair = '{"op": "pseudo_distance", "z": [0.1, 0.0], "w": [0.2, 0.0]}'
+    for k, (argv, field) in enumerate((
+        (["ball", "--measure", '{"dimension": 1}'], "bad measure (ball op 'summary' does not read a measure)"),
+        (["ball", "--sequence", ladder], "bad sequence (ball op 'summary' does not read a sequence)"),
+        (["ball", "--params", pair, "--domain", '{"type": "ball", "dimension": 1}'], "bad domain ("),
+        (["berezin", "--params", pair.replace("pseudo_distance", "kernel"), "--measure", '{"dimension": 1}'],
+         "bad measure ("),
+        (["cover", "--sequence", ladder], "bad sequence (cover does not read a sequence)"),
+        (["seq", "analyze", "--sequence", ladder, "--domain", '{"type": "ball", "dimension": 1}'], "bad domain ("),
+        (["carleson-test", "--measure", '{"dimension": 1}', "--sequence", ladder],
+         "bad sequence (carleson-test does not read a sequence beside a measure)"),
+    )):
+        out = tmp_path / str(k)
+        rc = run_cli(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE, argv
+        assert field in err and "Traceback" not in err, err
+        assert not out.exists(), argv
+
+
 _VOLUME = ["ball", "--params", '{"op": "ball_volume"}']
 
 
@@ -230,6 +254,10 @@ def test_malformed_parameters_and_declarations_exit_usage(tmp_path, capsys):
           '{"k_max": 2}', "--samples", "100"], "bad measure/dimension ("),
         (["carleson-test", "--measure", '{"dimension": 25, "density": {"type": "power", "s": 0.5}}', "--params",
           '{"k_max": 39}', "--samples", "100"], "bad parameters/k_max ("),
+        # from depth 2^-40 on, a schedule's centres lie within the boundary margin of the sphere
+        (["carleson-test", "--measure", '{"dimension": 1}', "--params", '{"k_max": 40}'], "bad parameters/k_max ("),
+        (["berezin", "--params", '{"k_max": 40}'], "bad parameters/k_max ("),
+        (["berezin", "--params", '{"k_max": 10000000}'], "bad parameters/k_max ("),
         # loop counts, which would run until killed
         (["carleson-test", "--measure", '{"dimension": 1}', "--params", '{"n_polynomials": 1e15}'],
          "bad parameters/n_polynomials ("),
@@ -292,8 +320,9 @@ def test_loop_counts_take_zero(tmp_path):
         assert run_cli(["berezin", "--params", params, "--samples", "2000", "--out", str(tmp_path)]) == cli.EXIT_PASS
 
 
-# Fuzzed declarations: one valid, cheap call per table entry, then one or two of
-# its --params/--measure/--domain/--sequence fields replaced by junk or deleted.
+# Fuzzed declarations: one valid, cheap call per table entry, with the one
+# declaration it reads, if any, then one or two of its --params/--measure/
+# --domain/--sequence fields replaced by junk or deleted.
 # The junk is malformed (wrong types, out-of-range numbers, broken points); a
 # size field's junk may also be an integer >= 10^15, which numpy refuses to
 # allocate at once, so a missed size ceiling fails fast instead of filling memory
@@ -326,7 +355,10 @@ _DECLARATIONS = {
 def _fuzzed_call(draw):
     command, op = draw(st.sampled_from(sorted(cli.OPERATIONS, key=str)))
     params = {**_CHEAP, "op": op, "probes": 100 if command == "cover" else [[0.5, 0.0], [0.9, 0.0]]}
-    declarations = {kind: dict(draw(st.sampled_from(options))) for kind, options in _DECLARATIONS.items()}
+    reads = cli.READS.get((command, op), ())
+    if command == "carleson-test" and draw(st.booleans()):
+        reads = reads[1:]  # the Dirac measure of the sequence
+    declarations = {kind: dict(draw(st.sampled_from(_DECLARATIONS[kind]))) for kind in reads[:1]}
     targets = [params, *declarations.values()]
     for _ in range(draw(st.integers(1, 2))):
         target = draw(st.sampled_from(targets))
@@ -337,8 +369,6 @@ def _fuzzed_call(draw):
             target[key] = draw(st.one_of(_JUNK, _HUGE) if key in _SIZES else _JUNK)
     argv = ["seq", command[4:]] if command.startswith("seq-") else [command]
     argv += ["--params", json.dumps(params), "--samples", "200"]
-    if command == "carleson-test" and draw(st.booleans()):
-        del declarations["measure"]  # the Dirac measure of the sequence
     for kind, decl in declarations.items():
         argv += [f"--{kind}", json.dumps(decl)]
     return argv
@@ -366,8 +396,8 @@ def test_every_operation_refuses_oversized_sizes(tmp_path, capsys):
             params = {**_CHEAP, "op": op, "probes": probes, size: 10**15}
             argv = ["seq", command[4:]] if command.startswith("seq-") else [command]
             argv += ["--params", json.dumps(params), "--samples", "200", "--out", str(tmp_path)]
-            for kind, options in _DECLARATIONS.items():
-                argv += [f"--{kind}", json.dumps(options[0])]
+            for kind in cli.READS.get((command, op), ())[:1]:
+                argv += [f"--{kind}", json.dumps(_DECLARATIONS[kind][0])]
             rc = run_cli(argv)
             err = capsys.readouterr().err
             assert rc in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE, cli.EXIT_USAGE), argv
@@ -668,6 +698,7 @@ def test_registry_covers_primary_operations(tmp_path, monkeypatch):
         def reached(*args, _name=name, **kwargs):
             raise _Reached(_name)
 
+        reads = cli.READS.get((command, op), ())
         with monkeypatch.context() as patch:
             for mod_name, mod in list(sys.modules.items()):
                 if mod_name.startswith("carleson_lab"):
@@ -677,8 +708,10 @@ def test_registry_covers_primary_operations(tmp_path, monkeypatch):
             spec = cli.ExperimentSpec.from_dict({
                 "name": name,
                 "operation": command,
-                "measure": {"dimension": 1, "density": {"type": "power", "s": 0.0}} if command == "berezin" else None,
-                "sequence": {"type": "ladder", "n": 1, "count": 5},
+                # the declarations the entry reads; carleson-test reads the sequence's Dirac measure
+                "measure": ({"dimension": 1, "density": {"type": "power", "s": 0.0}}
+                            if command == "berezin" and "measure" in reads else None),
+                "sequence": {"type": "ladder", "n": 1, "count": 5} if "sequence" in reads else None,
                 "parameters": {**params, "op": op, "probes": probes.get(command), "epsilon": 0.5},
                 "mc": {"seed": 0, "n_samples": 200},
                 "output": {"dir": str(tmp_path)},

@@ -102,6 +102,45 @@ def test_pair_kernel_near_boundary_close_pairs():
             assert np.max(np.abs(rho - exact) / exact) <= 1e-12
 
 
+def unit_directions(rng, n, m):
+    d = g.uniform_round_ball(rng, n, m)
+    return d / np.linalg.norm(d, axis=1)[:, None]
+
+
+def at_distance(z, w):
+    """phi_z(w) for each pair of rows: the point at pseudo distance |w| from z."""
+    return np.array([g.ball_automorphism_many(a, b[None, :])[0] for a, b in zip(z, w)])
+
+
+def beside(t):
+    """t and the doubles one ulp either side of it."""
+    return np.array([np.nextafter(t, 0.0), t, np.nextafter(t, 2.0)])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_has_within_decides_like_all_pairs_at_the_threshold(n):
+    # each query gets one target at distance t from it, or one ulp either side,
+    # out to |z| = 0.999; the thresholds also include the computed distance of
+    # a query's own pair (a tie) and the doubles beside it
+    rng = np.random.default_rng(17)
+    m = 700  # more than one PAIR_BLOCK of queries
+    queries = unit_directions(rng, n, m) * (0.999 * rng.random(m) ** 0.1)[:, None]
+    queries[:20] *= 0.999 / np.linalg.norm(queries[:20], axis=1)[:, None]
+    for metric, t in (("pseudohyperbolic", 0.5), ("kobayashi", 1.2), ("euclidean", 0.02)):
+        engine, t = sq._pseudo_threshold(metric, t)
+        w = unit_directions(rng, n, m) * beside(t)[rng.integers(3, size=m)][:, None]
+        targets = queries + w if engine == "euclidean" else at_distance(queries, w)
+        tree = sq._kdtree(g.points_to_rows(targets))
+        dist = sq._pair_distance(engine, queries[:, None, :], targets[None, :, :])
+        nearest = dist[np.arange(m), tree.query(g.points_to_rows(queries))[1]]
+        for tie in np.diagonal(dist)[:3]:
+            for thr in (t, *beside(tie)):
+                want = (dist < thr).any(axis=1)
+                assert np.array_equal(sq._has_within(engine, queries, targets, tree, thr), want), (metric, thr)
+        # both paths decide: the nearest target, and the neighbour lists
+        assert (nearest < t).any() and (want & (nearest >= t)).any(), metric
+
+
 def test_count_within_matches_reference_on_cover_centres():
     # the product-form multiplicity count against the textbook distance, with
     # the cover's centres and with queries out to |z| = 0.999
@@ -112,6 +151,28 @@ def test_count_within_matches_reference_on_cover_centres():
         for radius in (0.75, 0.3):
             brute = np.count_nonzero(rho_block(queries, centers) < radius, axis=1)
             assert np.array_equal(sq._count_within(queries, centers, radius), brute), (n, radius)
+        # pivot blocks at their extreme: 16 queries are one KD-tree leaf, so the
+        # first is the pivot; the other 15 lie at up to R from it, the last at
+        # exactly R.  Extra targets lie on the geodesic from the pivot through
+        # each of the 15, at R (1 -+ 1e-9) beyond it, so within about 1e-9 of
+        # the pivot's bound 2R / (1 + R^2).  Nearer R the product form's
+        # rounding decides (~1e-13 relative at |z| = 0.999), and BLAS rounds a
+        # pair differently in blocks of other shapes, so no count is fixed there
+        pivots = np.vstack([np.zeros((1, n)), centers[:: len(centers) // 4],
+                            unit_directions(rng, n, 4) * np.array([0.9, 0.99, 0.999, 0.999])[:, None]])
+        for radius in (0.75, 0.3):
+            for p in pivots:
+                reach = radius * np.linspace(0.4, 1.0, 15)
+                ring = at_distance(np.tile(p, (15, 1)), unit_directions(rng, n, 15) * reach[:, None])
+                group = np.vstack([p, ring])
+                assert sq._kdtree(g.points_to_rows(group)).indices.tolist() == list(range(16))
+                pulled = np.array([g.ball_automorphism_many(q, p[None, :])[0] for q in ring])
+                away = -pulled / np.linalg.norm(pulled, axis=1)[:, None]
+                steps = np.tile(radius * np.array([1.0 - 1e-9, 1.0 + 1e-9]), 15)
+                far = at_distance(np.repeat(ring, 2, axis=0), np.repeat(away, 2, axis=0) * steps[:, None])
+                targets = np.vstack([centers, far])
+                inside = g.one_minus_norm_sq(group)[:, None] * g.mobius_factor(targets, group) > 1.0 - radius**2
+                assert np.array_equal(sq._count_within(group, targets, radius), np.count_nonzero(inside, axis=1))
 
 
 def test_separation_kobayashi_metric():
