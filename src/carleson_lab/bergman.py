@@ -178,14 +178,14 @@ def kernel_lower_bound(r: float, n: int) -> float:
     return ((1.0 - r) ** 2 * (1.0 + r) / 16.0) ** (n + 1)
 
 
-def check_kernel_lower(
-    n: int,
-    depths=(1e-3, 1e-2, 0.1, 0.3, 0.5),
-    r_values=(0.3, 0.5, 0.7),
-    samples_per_cell: int = 10_000,
-    seed: int = 0,
-) -> CheckReport:
-    """Normalised-kernel lower estimate on metric balls, sampled per (z0, r) cell.
+# the cells of check_kernel_lower: base points (1 - depth) u, metric radii r
+KERNEL_LOWER_DEPTHS = (1e-3, 1e-2, 0.1, 0.3, 0.5)
+KERNEL_LOWER_RADII = (0.3, 0.5, 0.7)
+
+
+def check_kernel_lower(n: int, samples_per_cell: int = 10_000, seed: int = 0) -> CheckReport:
+    """Normalised-kernel lower estimate on metric balls, sampled per (z0, r) cell
+    of KERNEL_LOWER_DEPTHS x KERNEL_LOWER_RADII.
 
     Checks |k_{z0}(z)|^2 * d(z0)^(n+1) >= ((1-r)^2 (1+r) / 16)^(n+1) at every
     sample; the statistic is the worst ratio to the bound (>= 1 means zero
@@ -200,9 +200,9 @@ def check_kernel_lower(
     total = 0
     cell_idx = 0
     for u in directions:
-        for d in depths:
+        for d in KERNEL_LOWER_DEPTHS:
             z0 = (1.0 - d) * u
-            for r in r_values:
+            for r in KERNEL_LOWER_RADII:
                 ball = geom.kobayashi_ball(z0, r)
                 rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(cell_idx,)))
                 pts = geom.sample_ball_uniform(ball, samples_per_cell, rng)

@@ -226,6 +226,14 @@ def _net(path: str, build, n: int, *args, **kwargs):
 _DECLARATIONS = {"domain": _read_domain, "measure": _read_measure, "sequence": _read_sequence}
 
 
+class Parameters(dict):
+    """A run's ``parameters`` object; ``read`` holds each key :func:`_param` has read."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read: set[str] = set()
+
+
 @dataclass
 class ExperimentSpec:
     """One run.  Its declarations are held read but unbuilt: calling one
@@ -236,10 +244,13 @@ class ExperimentSpec:
     domain: Callable[[], domains.Domain] | None = None
     measure: Callable[[], measures.Measure] | None = None
     sequence: Callable[[], sequences.PointSequence] | None = None
-    parameters: dict = field(default_factory=dict)
+    parameters: Parameters = field(default_factory=Parameters)
     mc: MCConfig = field(default_factory=MCConfig)
     out_dir: str = "out"
     out_format: str = "csv"
+
+    def __post_init__(self):
+        self.parameters = Parameters(self.parameters)
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentSpec":
@@ -293,12 +304,13 @@ def _report_outcome(rep: CheckReport) -> Outcome:
     return Outcome(["statistic", "bound"], [[rep.statistic, rep.bound]], rep.to_json_dict(), rep.verdict)
 
 
-def _param(p: dict, key: str, default, kind):
-    """``parameters[key]``, read as :func:`_read` reads it."""
+def _param(p: Parameters, key: str, default, kind):
+    """``parameters[key]``, read as :func:`_read` reads it, and recorded as read."""
+    p.read.add(key)
     return _read(p, "parameters", key, default, kind)
 
 
-def _point(p: dict, key: str, default=_REQUIRED) -> np.ndarray:
+def _point(p: Parameters, key: str, default=_REQUIRED) -> np.ndarray:
     return _param(p, key, default, _point_row)
 
 
@@ -378,7 +390,7 @@ def _domain_check(spec: ExperimentSpec, checker) -> Outcome:
     return _report_outcome(rep)
 
 
-def _schedule(p: dict, n: int, default: int) -> list[np.ndarray]:
+def _schedule(p: Parameters, n: int, default: int) -> list[np.ndarray]:
     """The boundary schedule to the depth 2^-k_max that ``parameters/k_max``
     asks for.  A k_max whose deepest centres lie within BOUNDARY_MARGIN of the
     sphere (from 40 on) is refused, one past depth BOUNDARY_MARGIN before any
@@ -561,27 +573,33 @@ READS = {
 
 def _operation(spec: ExperimentSpec):
     """The table entry for ``spec.operation`` and its ``parameters.op``, once
-    every declaration given is one that the entry reads."""
+    every declaration given is one that the entry reads, and its name in errors."""
     ops = [op for command, op in OPERATIONS if command == spec.operation]
     op = _param(spec.parameters, "op", ops[0], _string) if ops and ops[0] else None
     if (spec.operation, op) not in OPERATIONS:
         what = f"{spec.operation} op {op!r}" if ops else f"operation {spec.operation!r}"
         valid = ops or dict.fromkeys(command for command, _ in OPERATIONS)
         raise UsageError(f"unknown {what}; valid: {', '.join(valid)}")
+    what = f"{spec.operation} op {op!r}" if op else spec.operation
     given = [key for key in _DECLARATIONS if getattr(spec, key) is not None]
     read = next((key for key in READS.get((spec.operation, op), ()) if key in given), None)
     for key in given:
         if key != read:
-            what = f"{spec.operation} op {op!r}" if op else spec.operation
             beside = f" beside a {read}" if read else ""
             raise UsageError(f"bad {key} ({what} does not read a {key}{beside})")
-    return OPERATIONS[spec.operation, op]
+    return what, OPERATIONS[spec.operation, op]
 
 
 def run(spec: ExperimentSpec) -> int:
-    """Execute one experiment spec: write results, summary, and manifest."""
+    """Execute one experiment spec: write results, summary, and manifest.  A
+    parameter that the operation has not read when it returns is refused,
+    before any artifact is written."""
     started = time.time()
-    outcome = _operation(spec)(spec)
+    what, operation = _operation(spec)
+    outcome = operation(spec)
+    for key, value in spec.parameters.items():
+        if value is not None and key not in spec.parameters.read:  # null counts as absent, as in _read
+            raise UsageError(f"bad parameters/{key} ({what} does not read it)")
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if spec.out_format == "csv":

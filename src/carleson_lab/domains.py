@@ -316,11 +316,15 @@ def _scaled_ball_distance(c: np.ndarray, radius: float, z: np.ndarray, w: np.nda
     return math.atanh(min(rho, 1.0 - 1e-16))
 
 
-def _chain_upper(domain: Domain, z: np.ndarray, w: np.ndarray, step: float = 0.5, max_steps: int = 20_000) -> float:
+_CHAIN_STEP = 0.5  # each hop of the chain spans this fraction of its inscribed ball's radius
+_CHAIN_MAX_STEPS = 20_000
+
+
+def _chain_upper(domain: Domain, z: np.ndarray, w: np.ndarray) -> float:
     """Upper bound via a chain of inscribed Euclidean balls along the segment."""
     total = 0.0
     p = z.copy()
-    for _ in range(max_steps):
+    for _ in range(_CHAIN_MAX_STEPS):
         gap = w - p
         dist = float(np.linalg.norm(gap))
         if dist == 0.0:
@@ -328,7 +332,7 @@ def _chain_upper(domain: Domain, z: np.ndarray, w: np.ndarray, step: float = 0.5
         rad = domain.certified_inner_radius(p)
         if rad <= 0.0:
             return math.inf
-        hop = min(dist, step * rad)
+        hop = min(dist, _CHAIN_STEP * rad)
         total += math.atanh(min(hop / rad, 1.0 - 1e-16))
         p = p + (hop / dist) * gap
         if hop == dist:

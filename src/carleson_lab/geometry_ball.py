@@ -133,20 +133,15 @@ class KobayashiBall:
             return e
         return self.base / nb
 
-    def contains(self, points, shell: float = 0.0) -> np.ndarray:
-        """Ellipsoid-equation membership for an (m, n) array of points.
-
-        ``shell`` > 0 shrinks the acceptance region, ``shell`` < 0 grows it;
-        useful for excluding a thin band around the boundary where the two
-        membership characterisations may disagree in floating point.
-        """
+    def contains(self, points) -> np.ndarray:
+        """Ellipsoid-equation membership for an (m, n) array of points."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
         v = pts - self.center
         e = self.radial_direction()
         p = v @ np.conj(e)
         perp_sq = np.maximum(np.einsum("ij,ij->i", v, np.conj(v)).real - np.abs(p) ** 2, 0.0)
         q = np.abs(p) ** 2 / self.radial_axis**2 + perp_sq / self.transverse_axis**2
-        return q < 1.0 - shell
+        return q < 1.0
 
     @property
     def volume(self) -> float:

@@ -79,10 +79,6 @@ class EstimateWithError:
     n_effective: int
     n_excluded: int = 0
 
-    def interval(self, k: float = 3.0) -> tuple[float, float]:
-        v = float(np.real(self.value))
-        return (v - k * self.std_error, v + k * self.std_error)
-
 
 def _apportion(total: int, weights) -> list[int]:
     """Deterministic largest-remainder apportionment of ``total`` samples."""

@@ -144,13 +144,6 @@ class Measure:
             density=PowerDensity(terms) if terms else None,
         )
 
-    def total_mass(self, cfg: MCConfig) -> EstimateWithError:
-        atoms = math.fsum(self.atom_weights)
-        if self.density is None:
-            return EstimateWithError(value=atoms, std_error=0.0, n_effective=self.n_atoms)
-        est = integrate_density(self.density, self.dimension, cfg, boundary_pole_order=self.pole_order)
-        return EstimateWithError(atoms + est.value, est.std_error, est.n_effective, est.n_excluded)
-
 
 def measure_of_ball(mu: Measure, ball, cfg: MCConfig) -> EstimateWithError | list[EstimateWithError]:
     """mu(B) for a metric ball: atoms counted exactly, density part by MC.

@@ -25,15 +25,13 @@ import functools
 import importlib.util
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from . import geometry_ball as geom, measures
 from .errors import MAX_VALUES, CoverageError, ParameterError, ValidationError
-from .reports import write_csv
 
 __all__ = [
     "PointSequence",
@@ -148,10 +146,6 @@ class PointSequence:
         return cls(points=pts[keep], metric=metric)
 
     # -- serialisation ---------------------------------------------------------
-    def to_csv(self, path):
-        header = [f"{part}{k}" for k in range(self.dimension) for part in ("re", "im")]
-        write_csv(path, header, geom.points_to_rows(self.points))
-
     @classmethod
     def from_csv(cls, path, metric: str = "pseudohyperbolic") -> "PointSequence":
         with open(path, newline="") as fh:
@@ -538,24 +532,24 @@ def _anchor_rng(anchor: np.ndarray) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
-def _climb_multiplicity(
-    anchor: np.ndarray,
-    centers: np.ndarray,
-    radius: float,
-    samples_per_round: int = 4096,
-    radii=(0.25, 0.12, 0.06, 0.03),
-    max_cycles: int = 8,
-) -> int:
+# the hill climb of _climb_multiplicity: samples per metric ball, the balls'
+# shrinking radii (one cycle), and the most cycles
+_CLIMB_SAMPLES = 4096
+_CLIMB_RADII = (0.25, 0.12, 0.06, 0.03)
+_CLIMB_MAX_CYCLES = 8
+
+
+def _climb_multiplicity(anchor: np.ndarray, centers: np.ndarray, radius: float) -> int:
     """Hill-climb the overlap count from an anchor until a full radius cycle
     brings no improvement; deterministic given the anchor."""
     rng = _anchor_rng(anchor)
     best_pt = anchor
     best = int(_count_within(anchor[None, :], centers, radius)[0])
-    for _ in range(max_cycles):
+    for _ in range(_CLIMB_MAX_CYCLES):
         improved = False
-        for rad in radii:
+        for rad in _CLIMB_RADII:
             ball = geom.kobayashi_ball(best_pt, rad)
-            pts = geom.sample_ball_uniform(ball, samples_per_round, rng)
+            pts = geom.sample_ball_uniform(ball, _CLIMB_SAMPLES, rng)
             counts = _count_within(pts, centers, radius)
             j = int(np.argmax(counts))
             if counts[j] > best:
@@ -587,6 +581,8 @@ def greedy_cover(
         raise ParameterError("covering radius must be in (0, 1)")
     if not 0.0 < epsilon < 1.0:
         raise ParameterError("depth epsilon must be in (0, 1)")
+    if n_probes < 1:
+        raise ParameterError(f"probe count must be >= 1, got {n_probes!r}")
     third = r / 3.0
     # candidates live on a slightly deeper region than the probes, so every
     # probe's (r/3)-ball has full candidate support (the construction covers
@@ -624,12 +620,9 @@ def greedy_cover(
     counts = _count_within(mult_pts, centers, big_r)
     base_arg = int(np.argmax(counts))
     multiplicity = max(int(counts.max()), _climb_multiplicity(mult_pts[base_arg], centers, big_r))
-    extra = probes_all[n_probes:]
-    if len(extra):
-        counts_all = np.concatenate([counts, _count_within(extra, centers, big_r)])
-        all_pts = np.vstack([mult_pts, extra])
-    else:
-        counts_all, all_pts = counts, mult_pts
+    extra = probes_all[n_probes:]  # 3 n_probes further probes, the refinement
+    counts_all = np.concatenate([counts, _count_within(extra, centers, big_r)])
+    all_pts = np.vstack([mult_pts, extra])
     ref_arg = int(np.argmax(counts_all))
     if ref_arg == base_arg:
         climbed = multiplicity
@@ -674,12 +667,11 @@ class EscapeWeight:
 
     ``power(s)`` is h(x) = x^s (summable over 1/m iff s > 1); ``exp_inverse``
     is h(x) = e^(-1/x), which turns the weighted n-sum into the plain
-    (n+1)-sum.  Custom callables are accepted with a monotonicity spot check.
+    (n+1)-sum.
     """
 
     kind: str
     s: float = 0.0
-    fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     @classmethod
     def power(cls, s: float) -> "EscapeWeight":
@@ -691,23 +683,11 @@ class EscapeWeight:
     def exp_inverse(cls) -> "EscapeWeight":
         return cls(kind="exp_inverse")
 
-    @classmethod
-    def custom(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "EscapeWeight":
-        grid = np.logspace(-3, 0, 64)
-        vals = np.asarray(fn(grid), dtype=float)
-        if np.any(~np.isfinite(vals)) or np.any(np.diff(vals) < -1e-12) or np.any(vals < 0.0):
-            raise ParameterError("custom escape weight failed the monotonicity spot check")
-        return cls(kind="custom", fn=fn)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "power":
             return x**self.s
-        if self.kind == "exp_inverse":
-            return np.exp(-1.0 / x)
-        if self.kind == "custom" and self.fn is not None:
-            return np.asarray(self.fn(x), dtype=float)
-        raise ParameterError(f"escape weight of kind {self.kind!r} is not evaluable")
+        return np.exp(-1.0 / x)
 
 
 @dataclass
@@ -718,10 +698,6 @@ class EscapeSumResult:
     partial_sums: np.ndarray
     total: float
     last_decade_increment: float
-
-    @property
-    def count(self) -> int:
-        return int(self.terms.size)
 
 
 def _resolve_exponent(seq: PointSequence, exponent) -> int:

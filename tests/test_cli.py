@@ -412,6 +412,68 @@ def test_unknown_operation_lists_the_table():
         cli.run(cli.ExperimentSpec(name="x", operation="frobnicate"))
 
 
+_VOLUME_MEASURE = ["--measure", '{"dimension": 1, "density": {"type": "power", "s": 0.0}}']
+_LADDER = ["--sequence", '{"type": "ladder", "n": 1, "count": 10}']
+_BALL = {"z0": [0.6, 0.0], "r": 0.5}
+# one README-style call per table entry: its parameters and declarations
+_CALLS = {
+    ("ball", "summary"): (_BALL, []),
+    ("ball", "kobayashi_ball"): (_BALL, []),
+    ("ball", "ball_volume"): (_BALL, []),
+    ("ball", "sample_ball_uniform"): ({**_BALL, "count": 5}, []),
+    ("ball", "check_lemma_ball_inequality"): ({**_BALL, "samples": 100}, []),
+    ("ball", "pseudo_distance"): ({"z": [0.1, 0.0], "w": [0.3, 0.1]}, []),
+    ("ball", "ball_automorphism"): ({"a": [0.2, 0.0], "z": [0.1, 0.0]}, []),
+    ("ball", "sample_unit_ball"): ({"n": 1, "count": 5}, []),
+    ("ball", "boundary_distance"): ({"z": [0.5, 0.1]}, ["--domain", '{"type": "ball", "dimension": 1}']),
+    ("ball", "kobayashi_bounds"): ({"z": [0.1, 0.0], "w": [0.3, 0.1]}, []),
+    ("ball", "estimate_boundary_constants"): ({"z0": [0.0, 0.0], "probes": [[0.5, 0.0], [0.9, 0.0]]}, []),
+    ("ball", "check_distance_comparison"): ({"z0": [0.5, 0.0], "samples": 100}, []),
+    ("ball", "check_defining_fn_inequality"): ({"z0": [0.5, 0.0], "samples": 100}, []),
+    ("berezin", "berezin_transform"): ({"k_max": 2}, _VOLUME_MEASURE),
+    ("berezin", "kernel"): ({"z": [0.1, 0.0], "w": [0.3, 0.1]}, []),
+    ("berezin", "normalized_kernel"): ({"z": [0.1, 0.0], "w": [0.3, 0.1]}, []),
+    ("berezin", "integrate_density"): ({}, _VOLUME_MEASURE),
+    ("berezin", "check_kernel_upper"): ({"n": 1, "points": 100}, []),
+    ("berezin", "check_kernel_lower"): ({"n": 1, "samples": 100}, []),
+    ("berezin", "check_submean"): ({"degree": 1, "z0": [0.3, 0.0], "r": 0.5}, []),
+    ("carleson-test", None): ({"k_max": 2, "ball_samples": 100, "global_samples": 100, "n_polynomials": 1},
+                              _VOLUME_MEASURE),
+    ("seq-analyze", None): ({"r": 0.5}, _LADDER),
+    ("seq-decompose", None): ({"r": 0.3}, _LADDER),
+    ("seq-escape", None): ({"exponent": "n"}, _LADDER),
+    ("seq-shells", None): ({"z0": [0.0, 0.0]}, _LADDER),
+    ("cover", None): ({"n": 1, "epsilon": 0.5, "r": 0.5, "probes": 100}, []),
+    ("ek", "ek_ball_measure"): ({"z0": [0.5, 0.0], "r": 0.5}, []),
+    ("ek", "ek_density"): ({"z": [0.5, 0.0]}, []),
+    ("ek", "check_ek_bounds"): ({"n": 1}, []),
+}
+
+
+def test_readme_calls_cover_the_table():
+    assert set(_CALLS) == set(cli.OPERATIONS)
+
+
+@pytest.mark.parametrize("entry", sorted(_CALLS, key=str), ids=lambda e: f"{e[0]}-{e[1]}")
+def test_unread_parameter_exits_usage_naming_it(tmp_path, capsys, entry):
+    # a misspelt key would run at the default of the key it meant: every entry
+    # refuses a parameter it has not read, before it writes an artifact
+    command, op = entry
+    params, declarations = _CALLS[entry]
+    params = {**params, "op": op} if op else params
+    argv = ["seq", command[4:]] if command.startswith("seq-") else [command]
+    argv += declarations + ["--samples", "400"]
+    assert run_cli(argv + ["--params", json.dumps(params), "--out", str(tmp_path / "ok")]) != cli.EXIT_USAGE
+    capsys.readouterr()
+    out = tmp_path / "stray"
+    assert run_cli(argv + ["--params", json.dumps({**params, "stray": 1}), "--out", str(out)]) == cli.EXIT_USAGE
+    assert "bad parameters/stray (" in capsys.readouterr().err
+    assert not out.exists()
+    if op is None:  # a command without ops does not read one
+        assert run_cli(argv + ["--params", json.dumps({**params, "op": "x"}), "--out", str(out)]) == cli.EXIT_USAGE
+        assert "bad parameters/op (" in capsys.readouterr().err
+
+
 def test_malformed_json_reports_line(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text('{"name": "x",\n  "operation": }')

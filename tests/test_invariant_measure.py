@@ -13,6 +13,24 @@ from carleson_lab.integrate import MCConfig
 CFG = MCConfig(seed=21, n_samples=80_000)
 
 
+def numeric_real_jacobian(fn, z, h: float = 1e-6) -> float:
+    """|det| of the real 2n x 2n Jacobian of a map C^n -> C^n by central differences."""
+    z = g.as_point(z)
+    n = z.size
+    jac = np.zeros((2 * n, 2 * n))
+    for k in range(n):
+        for part, step in ((0, h), (1, 1j * h)):
+            zp = z.copy()
+            zm = z.copy()
+            zp[k] += step
+            zm[k] -= step
+            df = (np.asarray(fn(zp)) - np.asarray(fn(zm))) / (2.0 * h)
+            col = 2 * k + part
+            jac[0::2, col] = df.real
+            jac[1::2, col] = df.imag
+    return abs(float(np.linalg.det(jac)))
+
+
 def test_density_at_origin_is_one():
     assert ik.ek_density(np.zeros(3)) == 1.0
 
@@ -43,7 +61,7 @@ def test_density_is_reciprocal_automorphism_jacobian():
     rng = np.random.default_rng(1)
     for _ in range(5):
         z = g.uniform_round_ball(rng, 2, 1)[0] * 0.8
-        jac = ik.numeric_real_jacobian(lambda w, _z=z: g.ball_automorphism_many(_z, w[None, :])[0], np.zeros(2))
+        jac = numeric_real_jacobian(lambda w, _z=z: g.ball_automorphism_many(_z, w[None, :])[0], np.zeros(2))
         assert 1.0 / jac == pytest.approx(ik.ek_density(z), rel=1e-5)
 
 
@@ -59,7 +77,7 @@ def test_density_is_infimum_over_competitor_maps():
         def competitor(w, _z=z, _s=scale):
             return g.ball_automorphism_many(_z, (_s * w)[None, :])[0]
 
-        jac = ik.numeric_real_jacobian(competitor, np.zeros(2))
+        jac = numeric_real_jacobian(competitor, np.zeros(2))
         assert 1.0 / jac >= ik.ek_density(z) * (1 - 1e-6)
 
 
@@ -99,14 +117,15 @@ def test_ball_measure_exact_near_boundary(n):
     assert abs(est.value - exact) <= 4 * est.std_error
 
 
-def test_non_invariant_density_is_not_flattened(monkeypatch):
-    # a density of exponent n instead of n + 1 is not invariant: the Moebius
-    # pullback must keep its dependence on the centre visible
-    def mutant(points):
-        pts = np.atleast_2d(points)
-        return (1.0 - np.einsum("ij,ij->i", pts, np.conj(pts)).real) ** (-float(pts.shape[1]))
+def _exponent_n_density(points):
+    # a density of exponent n instead of n + 1: not invariant
+    pts = np.atleast_2d(points)
+    return (1.0 - np.einsum("ij,ij->i", pts, np.conj(pts)).real) ** (-float(pts.shape[1]))
 
-    monkeypatch.setattr(ik, "ek_density_values", mutant)
+
+def test_non_invariant_density_is_not_flattened(monkeypatch):
+    # the Moebius pullback must keep the mutant's dependence on the centre visible
+    monkeypatch.setattr(ik, "ek_density_values", _exponent_n_density)
     centre = ik.ek_ball_measure([0.0], 0.5, CFG)
     deep = ik.ek_ball_measure([0.9], 0.5, CFG)
     assert abs(centre.value - deep.value) > 10 * math.hypot(centre.std_error, deep.std_error)
@@ -147,6 +166,17 @@ def test_ball_measure_backends_agree_in_order():
 
 def test_bounds_report():
     rep = ik.check_ek_bounds(1, cfg=MCConfig(seed=7, n_samples=30_000))
-    assert rep.passed
-    assert rep.details["fitted_lower_constant"] > 0.0
-    assert rep.statistic <= rep.bound
+    assert rep.passed is True
+    assert rep.statistic <= rep.bound == ik.EK_Z_BOUND
+    assert len(rep.details["cells"]) == 9
+    # the depths share one draw: equal values up to rounding
+    assert rep.details["invariance_spread"] <= ik.EK_INVARIANCE_BOUND
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bounds_report_fails_a_non_invariant_density(monkeypatch, n):
+    monkeypatch.setattr(ik, "ek_density_values", _exponent_n_density)
+    rep = ik.check_ek_bounds(n)
+    assert rep.passed is False
+    assert rep.statistic > rep.bound
+    assert rep.details["invariance_spread"] > 0.1

@@ -8,6 +8,7 @@ from carleson_lab import geometry_ball as g
 from carleson_lab import measures as ms
 from carleson_lab import sequences as sq
 from carleson_lab.errors import CoverageError, ParameterError, ValidationError
+from carleson_lab.reports import write_csv
 from textbook_rho import rho_block, rho_mp, rho_rows
 
 
@@ -408,10 +409,10 @@ def test_perturbed_lattice_metric():
 def test_csv_roundtrip(tmp_path):
     seq = sq.PointSequence.radial_ladder(2, 8)
     path = tmp_path / "pts.csv"
-    seq.to_csv(path)
+    # written by the run artifacts' CSV writer: re/im column pairs, full-precision reprs
+    write_csv(path, ["re0", "im0", "re1", "im1"], g.points_to_rows(seq.points))
     back = sq.PointSequence.from_csv(path)
     assert np.array_equal(back.points, seq.points)
-    # written by the run artifacts' CSV writer: re/im column pairs, full-precision reprs
     lines = path.read_text().splitlines()
     assert lines[0] == "re0,im0,re1,im1"
     assert lines[1] == f"{repr(1.0 - math.exp(-1.0))},0.0,0.0,0.0"
@@ -471,10 +472,6 @@ def test_escape_sum_finite_sequence_trivially_finite():
 def test_escape_weight_validation():
     with pytest.raises(ParameterError):
         sq.EscapeWeight.power(-1.0)
-    with pytest.raises(ParameterError):
-        sq.EscapeWeight.custom(lambda x: -x)  # negative, not an increasing weight
-    w = sq.EscapeWeight.custom(lambda x: x**1.5)
-    assert w(np.array([0.5]))[0] == pytest.approx(0.5**1.5)
 
 
 def test_escape_sum_requires_depth_below_one():
@@ -536,6 +533,13 @@ def test_cover_disk_report():
 def test_cover_sparse_candidates_raise():
     with pytest.raises(CoverageError):
         sq.greedy_cover(1, 0.05, 0.3, seed=0, n_candidates=128, n_probes=2000)
+
+
+def test_cover_refuses_no_probes():
+    # with no probe the net and the coverage would be certified on nothing
+    for n_probes in (0, -1):
+        with pytest.raises(ParameterError, match="probe count"):
+            sq.greedy_cover(1, 0.1, 0.5, n_probes=n_probes)
 
 
 def test_disjointness_threshold_value():
