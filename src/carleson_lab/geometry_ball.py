@@ -25,6 +25,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -157,10 +158,17 @@ class KobayashiBall:
         }
 
 
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """x[..., 0] + x[..., 1] + ... in that order: over a short last axis, bit for
+    bit what a reduction over it gives, without its per-row cost."""
+    parts = [x[..., k] for k in range(x.shape[-1])] or [np.zeros(x.shape[:-1])]
+    return functools.reduce(np.add, parts)
+
+
 def one_minus_norm_sq(points) -> np.ndarray:
     """delta = 1 - |z|^2 over the last axis of ``points``."""
     z = np.asarray(points, dtype=np.complex128)
-    return 1.0 - np.einsum("...i,...i->...", z, np.conj(z)).real
+    return 1.0 - _sum_last(z.real * z.real + z.imag * z.imag)
 
 
 def pseudo_rho(a, b) -> np.ndarray:
@@ -311,11 +319,17 @@ def _scale_directions(g: np.ndarray, radii) -> np.ndarray:
     ``g`` holds standard normals, so the directions are uniform on the sphere;
     a zero row stays at the origin.
     """
-    n = g.shape[1] // 2
-    dirs = g[:, :n] + 1j * g[:, n:]
-    norms = np.linalg.norm(dirs, axis=1)
+    m, n = g.shape[0], g.shape[1] // 2
+    dirs = np.empty((m, n), dtype=np.complex128)
+    dirs.real = g[:, :n]
+    dirs.imag = g[:, n:]
+    # the squares linalg.norm takes, (conj(z) z).real: the complex product may
+    # round them by a fused multiply-add, where re*re + im*im would not
+    norms = np.sqrt(_sum_last((dirs.conj() * dirs).real))
     norms[norms == 0.0] = 1.0
-    return dirs * (radii / norms)[:, None]
+    scaled = dirs.view(np.float64).reshape(m, 2 * n)  # re, im interleaved: one flat multiply
+    scaled *= (radii / norms)[:, None]
+    return dirs
 
 
 def uniform_round_shell(rng: np.random.Generator, n: int, count: int, lo: float, hi: float) -> np.ndarray:

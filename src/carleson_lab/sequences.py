@@ -8,7 +8,11 @@ packings, perturbed lattices) span the sparse and dense extremes.
 Packings and covers ask two questions of a KD-tree neighbour engine.  "Is
 some target within t?" (a packing's admission, a cover's net and coverage)
 tries each query's Euclidean-nearest target first, and only the queries it
-leaves open build neighbour lists.  "How many centres lie within R?" (a
+leaves open build neighbour lists.  Neighbour lists go in blocks of about
+PAIR_BUDGET candidate pairs, so a dense threshold never holds a whole
+512-query block's pairs at once.  A packing keeps its admitted points in a
+logarithmic forest of KD-trees and asks them in turn, so no tree is rebuilt
+over every kept point.  "How many centres lie within R?" (a
 cover's multiplicity) goes in blocks of queries adjacent in a KD-tree: by the
 strong triangle inequality one product-form call against a block's first
 point keeps every centre that can count, and only those are tested.
@@ -347,8 +351,11 @@ def greedy_decompose(seq: PointSequence, r: float) -> Decomposition:
 
 
 # -- neighbour engine -----------------------------------------------------------
-# queries per block of neighbour lists: bounds the flattened pair arrays
-PAIR_BLOCK = 512
+# candidate pairs per block of neighbour lists: bounds the flattened pair arrays
+PAIR_BUDGET = 2**14
+# most queries per block of neighbour lists or nearest-first tests, and
+# candidates per packing chunk
+QUERY_BLOCK = 512
 # queries per pivot block of a multiplicity count
 PIVOT_BLOCK = 64
 
@@ -382,21 +389,32 @@ def _near_pairs(metric: str, queries: np.ndarray, tree, t: float, earlier: bool 
     owner's metric t-ball, so every pair at distance < t is among them.  With
     ``earlier`` (queries are the tree's own points) only pairs with
     index < owner are kept, so each pair appears once and no point meets itself.
+
+    A block holds about PAIR_BUDGET candidate pairs.  The first is as wide as
+    the budget allows if every tree point were a neighbour; each next one is
+    sized by the last block's pairs per query, at most twice as wide and at
+    most QUERY_BLOCK queries.  A query's pairs never span two blocks.
     """
     rows = geom.points_to_rows(queries)
-    for i0 in range(0, len(queries), PAIR_BLOCK):
-        q = slice(i0, i0 + PAIR_BLOCK)
-        if metric == "euclidean":
-            reach = np.full(len(rows[q]), (1.0 + 1e-9) * t)
-        else:
-            reach = geom.metric_ball_reach(queries[q], min(t, 1.0))  # rho < 1 always
-        lists = tree.query_ball_point(rows[q], r=reach, return_sorted=False)
+    if metric == "euclidean":
+        reach = np.full(len(rows), (1.0 + 1e-9) * t)
+    else:
+        reach = geom.metric_ball_reach(queries, min(t, 1.0))  # rho < 1 always
+    width = min(max(PAIR_BUDGET // max(tree.n, 1), 1), QUERY_BLOCK)
+    i0 = 0
+    while i0 < len(queries):
+        q = slice(i0, i0 + width)
+        lists = tree.query_ball_point(rows[q], r=reach[q], return_sorted=False)
         lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        pairs = int(lengths.sum())
         owner = np.repeat(np.arange(i0, i0 + len(lists)), lengths)
-        index = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=int(lengths.sum()))
+        index = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=pairs)
+        del lists  # the caller tests this block's pairs while the generator waits
         if earlier:
             owner, index = owner[index < owner], index[index < owner]
         yield owner, index
+        i0 += width
+        width = min(2 * width, QUERY_BLOCK, max(PAIR_BUDGET * width // max(pairs, 1), 1))
 
 
 def _has_within(metric: str, queries: np.ndarray, targets: np.ndarray, tree, t: float) -> np.ndarray:
@@ -410,12 +428,12 @@ def _has_within(metric: str, queries: np.ndarray, targets: np.ndarray, tree, t: 
     if len(targets) == 0:
         return found
     rows = geom.points_to_rows(queries)
-    for i0 in range(0, len(queries), PAIR_BLOCK):
-        q = np.arange(i0, min(i0 + PAIR_BLOCK, len(queries)))
+    for i0 in range(0, len(queries), QUERY_BLOCK):
+        q = slice(i0, i0 + QUERY_BLOCK)
         found[q] = _pair_distance(metric, queries[q], targets[tree.query(rows[q])[1]]) < t
-        left = q[~found[q]]
-        for owner, index in _near_pairs(metric, queries[left], tree, t):
-            found[left[owner[_pair_distance(metric, queries[left[owner]], targets[index]) < t]]] = True
+    left = np.flatnonzero(~found)
+    for owner, index in _near_pairs(metric, queries[left], tree, t):
+        found[left[owner[_pair_distance(metric, queries[left[owner]], targets[index]) < t]]] = True
     return found
 
 
@@ -438,24 +456,35 @@ def greedy_pack(points, threshold: float, metric: str = "pseudohyperbolic") -> n
     """Indices of a greedy subset with pairwise distance >= threshold, in order.
 
     Each point is kept when its distance to every point kept before it is at
-    least the threshold.  Candidates go in chunks: one neighbour-engine call
-    against a KD-tree of the points kept so far finds the chunk's free
-    candidates, and only those are coloured first-fit among themselves.
+    least the threshold.  Candidates go in chunks of QUERY_BLOCK.  The points
+    kept so far lie in a logarithmic forest of KD-trees (Bentley and Saxe,
+    "Decomposable searching problems I", J. Algorithms 1, 1980): a chunk's
+    fresh points become a tree, merged with the newest trees while one holds
+    at most twice its points, so sizes more than double from tree to tree
+    and a point is rebuilt into O(log N) trees.  "Is some kept point within
+    the threshold?" splits over the trees, so a chunk asks them in turn,
+    largest first, and drops a candidate as soon as one answers yes; the
+    rest are coloured first-fit among themselves, and colour 0 is kept.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
     metric, threshold = _pseudo_threshold(metric, threshold)
     rows = geom.points_to_rows(pts)
-    kept = np.zeros(0, dtype=np.intp)
-    tree = None
-    for i0 in range(0, pts.shape[0], PAIR_BLOCK):
-        idx = np.arange(i0, min(i0 + PAIR_BLOCK, pts.shape[0]))
-        if tree is not None:
-            idx = idx[~_has_within(metric, pts[idx], pts[kept], tree, threshold)]
+    kept = []
+    forest = []  # (indices, points, tree) of disjoint parts of the kept set, largest first
+    for i0 in range(0, pts.shape[0], QUERY_BLOCK):
+        idx = np.arange(i0, min(i0 + QUERY_BLOCK, pts.shape[0]))
+        for _, part, tree in forest:
+            idx = idx[~_has_within(metric, pts[idx], part, tree, threshold)]
+            if not idx.size:
+                break
+        if not idx.size:
+            continue
         fresh = idx[_first_fit_colors(metric, pts[idx], threshold) == 0]
-        if fresh.size:
-            kept = np.concatenate([kept, fresh])
-            tree = _kdtree(rows[kept])
-    return kept
+        kept.append(fresh)
+        while forest and len(forest[-1][0]) <= 2 * len(fresh):
+            fresh = np.concatenate([forest.pop()[0], fresh])
+        forest.append((fresh, pts[fresh], _kdtree(rows[fresh])))
+    return np.concatenate(kept) if kept else np.zeros(0, dtype=np.intp)
 
 
 @dataclass

@@ -329,6 +329,40 @@ def test_ball_inequality_many_random_balls():
         assert rep.passed, (z0, r)
 
 
+# -- short-axis kernels --------------------------------------------------------
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_minus_norm_sq_is_the_einsum_bit_for_bit(n):
+    # the expression one_minus_norm_sq replaced, on the shapes its callers pass:
+    # rows, a single point, broadcast pair blocks and strided views
+    rng = np.random.default_rng(n)
+    z = g.uniform_round_ball(rng, n, 20_000) * np.exp(rng.uniform(-30.0, 0.0, (20_000, 1)))
+    z[:1000] *= 0.999999 / np.linalg.norm(z[:1000], axis=1)[:, None]
+    for pts in (z, z[7], z[:1], z[:200, None, :] - z[None, 200:500, :], z[::3], z.reshape(40, 500, n)):
+        want = 1.0 - np.einsum("...i,...i->...", pts, np.conj(pts)).real
+        assert same_bits(g.one_minus_norm_sq(pts), want), np.shape(pts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scale_directions_is_the_norm_expression_bit_for_bit(n):
+    # the expression _scale_directions replaced: directions g[:, :n] + 1j g[:, n:],
+    # scaled by radii / linalg.norm; zero rows stay at the origin
+    rng = np.random.default_rng(10 + n)
+    draw = rng.standard_normal((20_000, 2 * n)) * np.exp(rng.uniform(-30.0, 30.0, (20_000, 1)))
+    draw[:5] = 0.0
+    radii = rng.random(20_000)
+    dirs = draw[:, :n] + 1j * draw[:, n:]
+    norms = np.linalg.norm(dirs, axis=1)
+    norms[norms == 0.0] = 1.0
+    assert same_bits(g._scale_directions(draw, radii), dirs * (radii / norms)[:, None])
+    assert g._scale_directions(draw[:0], radii[:0]).shape == (0, n)
+
+
 # -- serialisation -----------------------------------------------------------
 
 def test_point_row_roundtrip():

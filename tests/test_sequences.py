@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from carleson_lab import geometry_ball as g
 from carleson_lab import measures as ms
@@ -124,7 +126,7 @@ def test_has_within_decides_like_all_pairs_at_the_threshold(n):
     # out to |z| = 0.999; the thresholds also include the computed distance of
     # a query's own pair (a tie) and the doubles beside it
     rng = np.random.default_rng(17)
-    m = 700  # more than one PAIR_BLOCK of queries
+    m = 700  # more than one QUERY_BLOCK of queries
     queries = unit_directions(rng, n, m) * (0.999 * rng.random(m) ** 0.1)[:, None]
     queries[:20] *= 0.999 / np.linalg.norm(queries[:20], axis=1)[:, None]
     for metric, t in (("pseudohyperbolic", 0.5), ("kobayashi", 1.2), ("euclidean", 0.02)):
@@ -260,6 +262,8 @@ def test_greedy_pack_small_inputs():
     np.fill_diagonal(rho, 1.0)
     assert rho.min() >= 0.3
     assert 0 in kept  # first point always kept
+    assert sq.greedy_pack(pts[:1], 0.3).tolist() == [0]
+    assert sq.greedy_pack(np.zeros((0, 1), dtype=complex), 0.3).tolist() == []
 
 
 def brute_greedy(pts, threshold, metric):
@@ -287,11 +291,63 @@ def test_greedy_pack_tree_path_matches_bruteforce():
         (1, 3000, 0.99, 0.5, "pseudohyperbolic"),
         (2, 3000, 0.99, 1.2, "kobayashi"),
         (2, 3000, 0.99, 0.1, "euclidean"),
+        # dense: ten chunks, ~300 kept in several forest merges
+        (2, 5000, 0.99, 0.9, "pseudohyperbolic"),
+        # nearly every point kept, one chunk past 2^3 chunks: the forest has
+        # just merged into one tree when the last chunk asks it
+        (1, 8 * sq.QUERY_BLOCK + 1, 0.9, 0.01, "pseudohyperbolic"),
+        (1, 8 * sq.QUERY_BLOCK + 1, 0.9, 0.004, "euclidean"),
     )
     for n, m, radius, t, metric in cases:
         pts = g.uniform_round_ball(rng, n, m) * radius
         kept = sq.greedy_pack(pts, t, metric=metric)
         assert kept.tolist() == brute_greedy(pts, t, metric), (n, t, metric)
+
+
+def dense_cloud():
+    """5,000 points uniform in the ball of radius 0.99 in C^2: at t = 0.9 a
+    packing keeps ~300, over ten chunks and several forest merges."""
+    rng = np.random.default_rng(21)
+    return g.uniform_round_ball(rng, 2, 5000) * 0.99
+
+
+def test_greedy_pack_peak_memory_is_bounded():
+    # the pair budget bounds what one block of neighbour lists holds; one
+    # 512-query block of this cloud holds 149,000 candidate pairs, and the
+    # peak with such blocks was 18.7 MB
+    pts = dense_cloud()
+    sq.greedy_pack(pts[:600], 0.9)  # load scipy.spatial before measuring
+    tracemalloc.start()
+    try:
+        sq.greedy_pack(pts, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6, peak
+
+
+@pytest.mark.parametrize("earlier", [False, True])
+def test_near_pairs_splits_dense_blocks_and_yields_each_pair_once(earlier):
+    # at t = 0.9 a 512-query block of this cloud holds ~10^4 to 10^5 candidate
+    # pairs, so blocks split; the pairs must be those of a brute-force scan
+    pts = dense_cloud()[:3000]
+    queries = pts[:2000] if earlier else pts[2000:]
+    tree = sq._kdtree(g.points_to_rows(pts[:2000]))
+    blocks = list(sq._near_pairs("pseudohyperbolic", queries, tree, 0.9, earlier=earlier))
+    owner = np.concatenate([o for o, _ in blocks])
+    index = np.concatenate([i for _, i in blocks])
+    dist = cdist(g.points_to_rows(queries), tree.data)
+    inside = dist <= g.metric_ball_reach(queries, 0.9)[:, None]
+    if earlier:
+        inside &= np.tri(len(queries), k=-1, dtype=bool)
+    want_owner, want_index = np.nonzero(inside)
+    assert len(blocks) > 2 * math.ceil(len(queries) / sq.QUERY_BLOCK)
+    assert np.all(np.diff(owner) >= 0)  # owners ascending
+    bounds = [(o[0], o[-1]) for o, _ in blocks if len(o)]
+    assert all(last < first for (_, last), (first, _) in zip(bounds, bounds[1:]))  # no query spans two blocks
+    order = np.lexsort((index, owner))
+    assert np.array_equal(owner[order], want_owner) and np.array_equal(index[order], want_index)
+    assert max(len(o) for o, _ in blocks) <= 2 * sq.PAIR_BUDGET
 
 
 def test_euclid_capture_radius_is_sound():
