@@ -7,10 +7,12 @@ Each call runs ``cli.main(argv + ["--out", DIR])`` in this process, with its
 printed output discarded: the README examples, ``verify quick`` and ``full``
 at seed 5, and calls that reach the Carleson testers, the Berezin op, shell
 fits, the sequence and domain declarations, and the boundary distances and
-Kobayashi bounds of the non-ball domains.  The JSON holds, per call, its argv,
-exit code and every artifact but ``manifest.json``; CSV files as text, JSON
-files parsed, with ``verify_results.json``'s per-row ``seconds`` left out.  It
-holds no timings, so two checkouts that agree write identical files.
+Kobayashi bounds of the non-ball domains, and malformed input that must exit 3.
+The JSON holds, per call, its argv, exit code and every artifact but
+``manifest.json``; CSV files as text, JSON files parsed, with
+``verify_results.json``'s per-row ``seconds`` left out; a call that exits 3
+holds its message instead.  It holds no timings, so two checkouts that agree
+write identical files.
 
 ``--check GOLDEN`` compares the digest with a committed one (``GOLDEN``) and
 exits 1 on any difference, printing each, the first call and field first.
@@ -77,6 +79,11 @@ CALLS = {
     "perturbed-ball-distance-comparison": ["ball", "--domain", '{"type": "perturbed_ball", "dimension": 2}',
                                            "--params", '{"op": "check_distance_comparison", '
                                            '"z0": [0.5, 0.0, 0.0, 0.3], "samples": 2000}'],
+    # malformed input: each exits 3 naming its field, before any work
+    "refused-misspelt-declaration-key": ["seq", "analyze", "--sequence", '{"type": "packing", "n": 1, "epsilno": 0.2}'],
+    "refused-nan-row": ["seq", "analyze", "--sequence", '{"type": "points", "rows": [[NaN, 0], [0.5, 0]]}'],
+    "refused-nan-semi-axis": ["ball", "--domain", '{"type": "ellipsoid", "semi_axes": [NaN, 1.0]}',
+                              "--params", '{"op": "boundary_distance", "z": [0.3, 0.1]}'],
 }
 
 
@@ -94,10 +101,13 @@ def digest() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in CALLS.items():
             run_dir = Path(tmp) / name
-            with contextlib.redirect_stdout(io.StringIO()):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli.main([*argv, "--out", str(run_dir)])
             files = sorted(p for p in run_dir.glob("*") if p.name != "manifest.json") if run_dir.is_dir() else []
             out[name] = {"argv": argv, "exit_code": code, "artifacts": {p.name: _artifact(p) for p in files}}
+            if code == cli.EXIT_USAGE:
+                out[name]["error"] = err.getvalue()
     return out
 
 

@@ -3,9 +3,10 @@
 Subcommands: ball, berezin, carleson-test, seq {analyze|decompose|escape|shells},
 cover, ek, and verify (the table of :mod:`carleson_lab.verify`).  Experiments
 are declared either with flags or a JSON spec file (every field read by one
-strict reader, unknown keys rejected); each run writes plot-ready CSV results,
-a JSON summary, and a manifest recording seed/versions/timings so a run can be
-replayed to byte-identical CSV artifacts.
+strict reader, unknown keys rejected in every object, a point CSV read with the
+spec); each run writes plot-ready CSV results, a JSON summary, and a manifest
+recording seed/versions/timings so a run can be replayed to byte-identical CSV
+artifacts.
 
 Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 usage or spec error.
 """
@@ -13,6 +14,7 @@ Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 usage or spec error.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -42,34 +44,47 @@ class UsageError(CarlesonLabError):
 
 
 # ---------------------------------------------------------------------------
-# reading input: one reader, _read, and a few strict kinds
+# reading input: one read-tracked object, Fields, and a few strict kinds
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
 
 
-def _read(cfg: dict, path: str, key: str, default, kind):
-    """``cfg[key]`` read by ``kind``, or ``default`` when it is absent or null.
-    A missing required key (``default=_REQUIRED``) or a value ``kind`` refuses
-    is a usage error naming ``<path>/<key>``."""
-    if cfg.get(key) is None and default is not _REQUIRED:
-        return default
-    try:
-        return kind(cfg[key])
-    except (TypeError, ValueError, LookupError, OverflowError) as exc:  # the library's errors are ValueErrors
-        raise UsageError(f"bad {path}/{key} ({type(exc).__name__}: {exc})") from exc
+class Fields(dict):
+    """One JSON object of a run's input, null read as {}.  It records each key
+    :meth:`read` reads, and :meth:`close` refuses any other key, so the keys an
+    object takes are the keys its reader reads."""
 
+    def __init__(self, value, path: str):
+        if not isinstance(value, (dict, type(None))):
+            raise UsageError(f"bad {path} (expected an object, got {type(value).__name__})")
+        super().__init__(value or {})
+        self.path = path
+        self.seen: set[str] = set()
 
-def _object(cfg, path: str, *keys: str) -> dict:
-    """``cfg`` as a JSON object, null read as {}; given ``keys``, it holds no other key."""
-    if cfg is None:
-        return {}
-    if not isinstance(cfg, dict):
-        raise UsageError(f"bad {path} (expected an object, got {type(cfg).__name__})")
-    for key in cfg:
-        if keys and key not in keys:
-            raise UsageError(f"bad {path}/{key} (unknown key; valid: {', '.join(keys)})")
-    return cfg
+    def read(self, key: str, default, kind):
+        """``self[key]`` read by ``kind``, or ``default`` when it is absent or null.
+        A missing required key (``default=_REQUIRED``) or a value ``kind`` refuses
+        is a usage error naming ``<path>/<key>``."""
+        self.seen.add(key)
+        if self.get(key) is None and default is not _REQUIRED:
+            return default
+        try:
+            return kind(self[key])
+        except (TypeError, ValueError, LookupError, OverflowError, OSError, csv.Error) as exc:
+            # the library's errors are ValueErrors; OSError and csv.Error come from a point CSV
+            raise UsageError(f"bad {self.path}/{key} ({type(exc).__name__}: {exc})") from exc
+
+    def object(self, key: str) -> "Fields":
+        """The object at ``key``, read as Fields of its own named ``key``."""
+        self.seen.add(key)
+        return Fields(self.get(key), key)
+
+    def close(self, what: str) -> None:
+        """Refuse a key that was not read; a null value counts as absent."""
+        for key, value in self.items():
+            if value is not None and key not in self.seen:
+                raise UsageError(f"bad {self.path}/{key} ({what} does not read it)")
 
 
 def _given(read, **kinds) -> dict:
@@ -95,9 +110,11 @@ _seed = _integer(0)
 
 
 def _number(value) -> float:
-    """Kind: a number; a bool or a numeric string is none."""
+    """Kind: a finite number; a bool, a numeric string, NaN or an infinity is none."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -133,6 +150,14 @@ def _points(value) -> np.ndarray:
     return geom.rows_to_points(rows)
 
 
+def _csv_points(path) -> np.ndarray:
+    """Kind: the points of a CSV file, a header line and then one row of re/im
+    pairs a line (as :func:`reports.write_csv` writes them), read as :func:`_points`."""
+    with open(_string(path), newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row][1:]
+    return _points([[float(cell) for cell in row] for row in rows])
+
+
 def _point_row(value) -> np.ndarray:
     """Kind: one point, a row of re/im pairs."""
     return _points([value])[0]
@@ -149,21 +174,25 @@ def _density(value) -> measures.PowerDensity | None:
     """Kind: a measure's density, "none" or ``{"type": "power", "s": ...}``."""
     if value == "none":
         return None
-    read = functools.partial(_read, _object(value, "measure/density"), "measure/density")
-    read("type", _REQUIRED, _choice("power"))
-    return measures.PowerDensity(((1.0, read("s", _REQUIRED, _number)),))
+    cfg = Fields(value, "measure/density")
+    kind = cfg.read("type", _REQUIRED, _choice("power"))
+    density = measures.PowerDensity(((1.0, cfg.read("s", _REQUIRED, _number)),))
+    cfg.close(f"measure/density type {kind!r}")
+    return density
 
 
 def _escape_weight(value) -> sequences.EscapeWeight:
     """Kind: an escape weight, ``{"kind": "power", "s": ...}`` or ``{"kind": "exp_inverse"}``."""
-    read = functools.partial(_read, _object(value, "parameters/weight"), "parameters/weight")
-    if read("kind", _REQUIRED, _choice("power", "exp_inverse")) == "power":
-        return sequences.EscapeWeight.power(read("s", _REQUIRED, _number))
-    return sequences.EscapeWeight.exp_inverse()
+    cfg = Fields(value, "parameters/weight")
+    kind = cfg.read("kind", _REQUIRED, _choice("power", "exp_inverse"))
+    weight = (sequences.EscapeWeight.power(cfg.read("s", _REQUIRED, _number)) if kind == "power"
+              else sequences.EscapeWeight.exp_inverse())
+    cfg.close(f"parameters/weight kind {kind!r}")
+    return weight
 
 
-# A declaration is read when the spec is, and built when an operation asks:
-# each reader returns a function of no arguments that builds the object.
+# A declaration is read and closed when the spec is, and built when an operation
+# asks: each reader returns a function of no arguments that builds the object.
 
 def _fits(path: str, key: str, values: int, what: str) -> None:
     """Refuse a build of more than MAX_VALUES values, naming ``<path>/<key>``."""
@@ -171,46 +200,53 @@ def _fits(path: str, key: str, values: int, what: str) -> None:
         raise UsageError(f"bad {path}/{key} ({what} hold {values:,} values, above the ceiling of {MAX_VALUES:,})")
 
 
-def _read_domain(cfg) -> Callable[[], domains.Domain]:
-    read = functools.partial(_read, _object(cfg, "domain"), "domain")
-    kind = read("type", _REQUIRED, _choice("ball", "ellipsoid", "perturbed_ball"))
+def _read_domain(value) -> Callable[[], domains.Domain]:
+    cfg = Fields(value, "domain")
+    kind = cfg.read("type", _REQUIRED, _choice("ball", "ellipsoid", "perturbed_ball"))
     if kind == "ellipsoid":
-        axes = read("semi_axes", _REQUIRED, _numbers)
+        axes = cfg.read("semi_axes", _REQUIRED, _numbers)
         _fits("domain", "semi_axes", domains.projection_values(len(axes) // 2), "the boundary projection's systems")
-        return functools.partial(domains.EllipsoidDomain, axes)
-    dimension = read("dimension", _REQUIRED, _count)
-    if kind == "ball":
-        return functools.partial(domains.BallDomain, dimension)
-    _fits("domain", "dimension", domains.projection_values(dimension), "the boundary projection's systems")
-    return functools.partial(domains.PerturbedBallDomain, dimension,
-                             **_given(read, epsilon=_number, bump_center=_point_row, bump_width=_number))
+        build = functools.partial(domains.EllipsoidDomain, axes)
+    elif kind == "ball":
+        build = functools.partial(domains.BallDomain, cfg.read("dimension", _REQUIRED, _count))
+    else:
+        dimension = cfg.read("dimension", _REQUIRED, _count)
+        _fits("domain", "dimension", domains.projection_values(dimension), "the boundary projection's systems")
+        build = functools.partial(domains.PerturbedBallDomain, dimension,
+                                  **_given(cfg.read, epsilon=_number, bump_center=_point_row, bump_width=_number))
+    cfg.close(f"domain type {kind!r}")
+    return build
 
 
-def _read_measure(cfg) -> Callable[[], measures.Measure]:
-    read = functools.partial(_read, _object(cfg, "measure"), "measure")
-    return functools.partial(measures.Measure, read("dimension", _REQUIRED, _count), *read("atoms", ((), ()), _atoms),
-                             read("density", None, _density))
+def _read_measure(value) -> Callable[[], measures.Measure]:
+    cfg = Fields(value, "measure")
+    build = functools.partial(measures.Measure, cfg.read("dimension", _REQUIRED, _count),
+                              *cfg.read("atoms", ((), ()), _atoms), cfg.read("density", None, _density))
+    cfg.close("measure")
+    return build
 
 
-def _read_sequence(cfg) -> Callable[[], sequences.PointSequence]:
-    read = functools.partial(_read, _object(cfg, "sequence"), "sequence")
-    kind = read("type", _REQUIRED, _choice("ladder", "packing", "lattice", "csv", "points"))
-    metric = read("metric", "pseudohyperbolic", _choice(*sequences.METRICS))
+def _read_sequence(value) -> Callable[[], sequences.PointSequence]:
+    cfg = Fields(value, "sequence")
+    kind = cfg.read("type", _REQUIRED, _choice("ladder", "packing", "lattice", "csv", "points"))
+    metric = cfg.read("metric", "pseudohyperbolic", _choice(*sequences.METRICS))
     seq = sequences.PointSequence
-    if kind == "csv":
-        return functools.partial(seq.from_csv, read("path", _REQUIRED, _string), metric=metric)
-    if kind == "points":
-        return functools.partial(seq, points=read("rows", _REQUIRED, _points), metric=metric)
-    n = read("n", _REQUIRED, _count)
-    if kind == "ladder":
-        count = read("count", 50, _count)
+    if kind in ("csv", "points"):
+        points = cfg.read("path", _REQUIRED, _csv_points) if kind == "csv" else cfg.read("rows", _REQUIRED, _points)
+        build = functools.partial(seq, points=points, metric=metric)
+    elif kind == "ladder":
+        n, count = cfg.read("n", _REQUIRED, _count), cfg.read("count", 50, _count)
         _fits("sequence", "n", n * count, f"{count:,} ladder points in dimension {n:,}")
-        return functools.partial(seq.radial_ladder, n, count, metric=metric)
-    if kind == "packing":
-        return functools.partial(_net, "sequence", seq.maximal_packing, n, read("delta", 0.5, _number),
-                                 read("epsilon", 0.05, _number), metric=metric, **_given(read, seed=_seed))
-    return functools.partial(seq.perturbed_lattice, n, metric=metric,
-                             **_given(read, spacing=_number, jitter=_number, seed=_seed))
+        build = functools.partial(seq.radial_ladder, n, count, metric=metric)
+    elif kind == "packing":
+        build = functools.partial(_net, "sequence", seq.maximal_packing, cfg.read("n", _REQUIRED, _count),
+                                  cfg.read("delta", 0.5, _number), cfg.read("epsilon", 0.05, _number),
+                                  metric=metric, **_given(cfg.read, seed=_seed))
+    else:
+        build = functools.partial(seq.perturbed_lattice, cfg.read("n", _REQUIRED, _count), metric=metric,
+                                  **_given(cfg.read, spacing=_number, jitter=_number, seed=_seed))
+    cfg.close(f"sequence type {kind!r}")
+    return build
 
 
 def _net(path: str, build, n: int, *args, **kwargs):
@@ -226,14 +262,6 @@ def _net(path: str, build, n: int, *args, **kwargs):
 _DECLARATIONS = {"domain": _read_domain, "measure": _read_measure, "sequence": _read_sequence}
 
 
-class Parameters(dict):
-    """A run's ``parameters`` object; ``read`` holds each key :func:`_param` has read."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.read: set[str] = set()
-
-
 @dataclass
 class ExperimentSpec:
     """One run.  Its declarations are held read but unbuilt: calling one
@@ -244,31 +272,34 @@ class ExperimentSpec:
     domain: Callable[[], domains.Domain] | None = None
     measure: Callable[[], measures.Measure] | None = None
     sequence: Callable[[], sequences.PointSequence] | None = None
-    parameters: Parameters = field(default_factory=Parameters)
+    parameters: Fields = field(default_factory=dict)
     mc: MCConfig = field(default_factory=MCConfig)
     out_dir: str = "out"
     out_format: str = "csv"
 
     def __post_init__(self):
-        self.parameters = Parameters(self.parameters)
+        if not isinstance(self.parameters, Fields):
+            self.parameters = Fields(self.parameters, "parameters")
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentSpec":
-        """Read a JSON spec, each field by :func:`_read`: malformed input,
-        declarations included, fails here, before any work."""
-        raw = _object(raw, "spec", "name", "operation", "parameters", "mc", "output", *_DECLARATIONS)
-        read = functools.partial(_read, raw, "spec")
-        mc = functools.partial(_read, _object(raw.get("mc"), "mc", "seed", "n_samples"), "mc")
-        out = functools.partial(_read, _object(raw.get("output"), "output", "dir", "format"), "output")
-        return cls(
-            name=read("name", _REQUIRED, _string),
-            operation=read("operation", _REQUIRED, _string),
-            parameters=_object(raw.get("parameters"), "parameters"),
-            mc=MCConfig(**_given(mc, seed=_seed, n_samples=_integer(100, MAX_COUNT))),
-            out_dir=out("dir", "out", _string),
-            out_format=out("format", "csv", _choice("csv", "json")),
-            **{key: read(key, None, reader) for key, reader in _DECLARATIONS.items()},
+        """Read a JSON spec.  Every object in it but ``parameters`` is read and
+        closed here, declarations included, so malformed input and a key no
+        reader reads fail before any work; ``parameters`` close in :func:`run`."""
+        spec = Fields(raw, "spec")
+        mc, out = spec.object("mc"), spec.object("output")
+        result = cls(
+            name=spec.read("name", _REQUIRED, _string),
+            operation=spec.read("operation", _REQUIRED, _string),
+            parameters=spec.object("parameters"),
+            mc=MCConfig(**_given(mc.read, seed=_seed, n_samples=_integer(100, MAX_COUNT))),
+            out_dir=out.read("dir", "out", _string),
+            out_format=out.read("format", "csv", _choice("csv", "json")),
+            **{key: spec.read(key, None, reader) for key, reader in _DECLARATIONS.items()},
         )
+        for fields in (mc, out, spec):
+            fields.close(fields.path)
+        return result
 
     @classmethod
     def load(cls, path: str) -> "ExperimentSpec":
@@ -304,14 +335,8 @@ def _report_outcome(rep: CheckReport) -> Outcome:
     return Outcome(["statistic", "bound"], [[rep.statistic, rep.bound]], rep.to_json_dict(), rep.verdict)
 
 
-def _param(p: Parameters, key: str, default, kind):
-    """``parameters[key]``, read as :func:`_read` reads it, and recorded as read."""
-    p.read.add(key)
-    return _read(p, "parameters", key, default, kind)
-
-
-def _point(p: Parameters, key: str, default=_REQUIRED) -> np.ndarray:
-    return _param(p, key, default, _point_row)
+def _point(p: Fields, key: str, default=_REQUIRED) -> np.ndarray:
+    return p.read(key, default, _point_row)
 
 
 def _sequence(spec: ExperimentSpec) -> sequences.PointSequence:
@@ -326,7 +351,7 @@ def _measure(spec: ExperimentSpec) -> measures.Measure:
 
 
 def _domain(spec: ExperimentSpec) -> domains.Domain:
-    return spec.domain() if spec.domain else domains.BallDomain(_param(spec.parameters, "n", 1, _count))
+    return spec.domain() if spec.domain else domains.BallDomain(spec.parameters.read("n", 1, _count))
 
 
 def _values(**named) -> Outcome:
@@ -343,18 +368,18 @@ def _ball(spec: ExperimentSpec, check: bool = False, sample: bool = False) -> Ou
     inequality, ``sample`` uniform samples of the ball."""
     p = spec.parameters
     z0 = _point(p, "z0", np.zeros(1, dtype=complex))
-    r = _param(p, "r", 0.5, _number)
+    r = p.read("r", 0.5, _number)
     ball = geom.kobayashi_ball(z0, r)
     rows = [["volume", geom.ball_volume(z0, r)]]
     summary = {"ball": ball.to_json_dict(), "volume": geom.ball_volume(z0, r)}
     status = "pass"
     if check:
-        rep = geom.check_lemma_ball_inequality(z0, r, n_samples=_param(p, "samples", 10_000, _count), seed=spec.mc.seed)
+        rep = geom.check_lemma_ball_inequality(z0, r, n_samples=p.read("samples", 10_000, _count), seed=spec.mc.seed)
         rows.append(["ball_inequality_min_slack", rep.statistic])
         summary["ball_inequality"] = rep.to_json_dict()
         status = rep.verdict
     if sample:
-        pts = geom.sample_ball_uniform(ball, _param(p, "count", 100, _count), spec.mc.seed)
+        pts = geom.sample_ball_uniform(ball, p.read("count", 100, _count), spec.mc.seed)
         for row in geom.points_to_rows(pts):
             rows.append(["sample"] + [float(x) for x in row])
     width = max(len(row) for row in rows)
@@ -368,15 +393,15 @@ def _ball_automorphism(spec: ExperimentSpec) -> Outcome:
 
 
 def _sample_unit_ball(spec: ExperimentSpec) -> Outcome:
-    n = _param(spec.parameters, "n", 1, _count)
-    count = _param(spec.parameters, "count", 100, _count)
+    n = spec.parameters.read("n", 1, _count)
+    count = spec.parameters.read("count", 100, _count)
     pts = sample_unit_ball(n, count, spec.mc.seed)
     rows = [list(map(float, row)) for row in geom.points_to_rows(pts)]
     return Outcome([f"c{k}" for k in range(2 * n)], rows, {"count": count, "n": n})
 
 
 def _boundary_constants(spec: ExperimentSpec) -> Outcome:
-    probes = _param(spec.parameters, "probes", _REQUIRED, _points)
+    probes = spec.parameters.read("probes", _REQUIRED, _points)
     est = domains.estimate_boundary_constants(_domain(spec), _point(spec.parameters, "z0"), probes)
     rows = [[row["d"], row["lower"], row["upper"]] for row in est.rows]
     return Outcome(["d", "lower", "upper"], rows, {"c0": est.c0, "C0": est.C0})
@@ -385,17 +410,17 @@ def _boundary_constants(spec: ExperimentSpec) -> Outcome:
 def _domain_check(spec: ExperimentSpec, checker) -> Outcome:
     p = spec.parameters
     rep = checker(
-        _domain(spec), _point(p, "z0"), _param(p, "r", 0.5, _number), _param(p, "samples", 2000, _count), spec.mc.seed
+        _domain(spec), _point(p, "z0"), p.read("r", 0.5, _number), p.read("samples", 2000, _count), spec.mc.seed
     )
     return _report_outcome(rep)
 
 
-def _schedule(p: Parameters, n: int, default: int) -> list[np.ndarray]:
+def _schedule(p: Fields, n: int, default: int) -> list[np.ndarray]:
     """The boundary schedule to the depth 2^-k_max that ``parameters/k_max``
     asks for.  A k_max whose deepest centres lie within BOUNDARY_MARGIN of the
     sphere (from 40 on) is refused, one past depth BOUNDARY_MARGIN before any
     centre is built."""
-    k_max = _param(p, "k_max", default, _count)
+    k_max = p.read("k_max", default, _count)
     centers = measures.boundary_schedule(n, k_max) if 2.0**-k_max >= geom.BOUNDARY_MARGIN else []
     if not centers or max(float(np.linalg.norm(c)) for c in centers[-2:]) >= 1.0 - geom.BOUNDARY_MARGIN:
         raise UsageError(f"bad parameters/k_max ({k_max}: the centres at depth 2^-{k_max} lie within "
@@ -406,7 +431,7 @@ def _schedule(p: Parameters, n: int, default: int) -> list[np.ndarray]:
 def _berezin_transform(spec: ExperimentSpec) -> Outcome:
     p = spec.parameters
     mu = _measure(spec)
-    centers = _param(p, "probes", None, _points)
+    centers = p.read("probes", None, _points)
     if centers is None:
         centers = _schedule(p, mu.dimension, 8)
     res = measures.carleson_berezin_test(mu, centers, spec.mc)
@@ -438,11 +463,11 @@ def _carleson_test(spec: ExperimentSpec) -> Outcome:
     n = mu.dimension
     centers = _schedule(p, n, 12)
     config = measures.CrossCheckConfig(
-        r_values=_param(p, "r_values", (0.3, 0.5, 0.7), lambda v: tuple(_numbers(v))),
+        r_values=p.read("r_values", (0.3, 0.5, 0.7), lambda v: tuple(_numbers(v))),
         k_max=len(centers) // 2,  # two centres a depth
-        ball_samples=max(_param(p, "ball_samples", spec.mc.n_samples // 2, _count), 100),
-        global_samples=max(_param(p, "global_samples", spec.mc.n_samples, _count), 100),
-        n_polynomials=_param(p, "n_polynomials", 10, _integer(0, MAX_POLYNOMIALS)),
+        ball_samples=max(p.read("ball_samples", spec.mc.n_samples // 2, _count), 100),
+        global_samples=max(p.read("global_samples", spec.mc.n_samples, _count), 100),
+        n_polynomials=p.read("n_polynomials", 10, _integer(0, MAX_POLYNOMIALS)),
         seed=spec.mc.seed,
     )
     for key in ("ball_samples", "global_samples"):
@@ -465,14 +490,14 @@ def _seq_analyze(spec: ExperimentSpec) -> Outcome:
     seq = _sequence(spec)
     sep = sequences.separation_constant(seq) if len(seq) >= 2 else math.nan
     z0 = _point(spec.parameters, "z0", np.zeros(seq.dimension, dtype=complex))
-    r = _param(spec.parameters, "r", 0.5, _number)
+    r = spec.parameters.read("r", 0.5, _number)
     count = sequences.count_in_ball(seq, z0, r)
     rows = [["count", len(seq)], ["separation", sep], [f"ball_count_r={r}", count]]
     return Outcome(["field", "value"], rows, {"separation": sep, "size": len(seq), "ball_count": count})
 
 
 def _seq_decompose(spec: ExperimentSpec) -> Outcome:
-    r = _param(spec.parameters, "r", 0.3, _number)
+    r = spec.parameters.read("r", 0.3, _number)
     dec = sequences.greedy_decompose(_sequence(spec), r)
     rows = [[i, int(c)] for i, c in enumerate(dec.color_of)]
     return Outcome(["index", "class"], rows, {"n_classes": dec.n_colors, "r": r})
@@ -482,8 +507,8 @@ def _seq_escape(spec: ExperimentSpec) -> Outcome:
     p = spec.parameters
     res = sequences.escape_sum(
         _sequence(spec),
-        weight=_param(p, "weight", None, _escape_weight),
-        exponent=_param(p, "exponent", "n+1", lambda e: e if isinstance(e, str) else _integer()(e)),
+        weight=p.read("weight", None, _escape_weight),
+        exponent=p.read("exponent", "n+1", lambda e: e if isinstance(e, str) else _integer()(e)),
     )
     rows = [[m + 1, s] for m, s in enumerate(res.partial_sums)]
     return Outcome(["M", "partial_sum"], rows, {"total": res.total, "last_decade_increment": res.last_decade_increment})
@@ -499,12 +524,12 @@ def _cover(spec: ExperimentSpec) -> Outcome:
     rep = _net(
         "parameters",
         sequences.greedy_cover,
-        _param(p, "n", 1, _count),
-        _param(p, "epsilon", 0.1, _number),
-        _param(p, "r", 0.5, _number),
+        p.read("n", 1, _count),
+        p.read("epsilon", 0.1, _number),
+        p.read("r", 0.5, _number),
         seed=spec.mc.seed,
-        n_probes=_param(p, "probes", 10_000, _count),
-        n_candidates=_param(p, "candidates", None, _count),
+        n_probes=p.read("probes", 10_000, _count),
+        n_candidates=p.read("candidates", None, _count),
     )
     rows = [list(map(float, row)) for row in geom.points_to_rows(rep.centers)]
     header = [f"c{k}" for k in range(len(rows[0]))] if rows else ["c0"]
@@ -536,14 +561,14 @@ OPERATIONS = {
     ("berezin", "normalized_kernel"): functools.partial(_kernel, normalized=True),
     ("berezin", "integrate_density"): _integrate_density,
     ("berezin", "check_kernel_upper"): lambda s: _report_outcome(bergman.check_kernel_upper(
-        _param(s.parameters, "n", 1, _count), n_points=_param(s.parameters, "points", 2000, _count))),
+        s.parameters.read("n", 1, _count), n_points=s.parameters.read("points", 2000, _count))),
     ("berezin", "check_kernel_lower"): lambda s: _report_outcome(bergman.check_kernel_lower(
-        _param(s.parameters, "n", 1, _count), samples_per_cell=_param(s.parameters, "samples", 2000, _count),
+        s.parameters.read("n", 1, _count), samples_per_cell=s.parameters.read("samples", 2000, _count),
         seed=s.mc.seed)),
     ("berezin", "check_submean"): lambda s: _report_outcome(bergman.check_submean(
-        _param(s.parameters, "degree", 2, _integer(0, MAX_DEGREE)),
+        s.parameters.read("degree", 2, _integer(0, MAX_DEGREE)),
         _point(s.parameters, "z0", np.asarray([0.3], dtype=complex)),
-        _param(s.parameters, "r", 0.5, _number), s.mc, seed=s.mc.seed)),
+        s.parameters.read("r", 0.5, _number), s.mc, seed=s.mc.seed)),
     ("carleson-test", None): _carleson_test,
     ("seq-analyze", None): _seq_analyze,
     ("seq-decompose", None): _seq_decompose,
@@ -551,11 +576,11 @@ OPERATIONS = {
     ("seq-shells", None): _seq_shells,
     ("cover", None): _cover,
     ("ek", "ek_ball_measure"): lambda s: _estimate_outcome(invariant_measure.ek_ball_measure(
-        _point(s.parameters, "z0", np.zeros(1, dtype=complex)), _param(s.parameters, "r", 0.5, _number), s.mc,
-        backend=_param(s.parameters, "backend", "invariant", _string))),
+        _point(s.parameters, "z0", np.zeros(1, dtype=complex)), s.parameters.read("r", 0.5, _number), s.mc,
+        backend=s.parameters.read("backend", "invariant", _string))),
     ("ek", "ek_density"): lambda s: _values(density=invariant_measure.ek_density(_point(s.parameters, "z"))),
     ("ek", "check_ek_bounds"): lambda s: _report_outcome(
-        invariant_measure.check_ek_bounds(_param(s.parameters, "n", 1, _count), cfg=s.mc)),
+        invariant_measure.check_ek_bounds(s.parameters.read("n", 1, _count), cfg=s.mc)),
 }
 
 
@@ -575,7 +600,7 @@ def _operation(spec: ExperimentSpec):
     """The table entry for ``spec.operation`` and its ``parameters.op``, once
     every declaration given is one that the entry reads, and its name in errors."""
     ops = [op for command, op in OPERATIONS if command == spec.operation]
-    op = _param(spec.parameters, "op", ops[0], _string) if ops and ops[0] else None
+    op = spec.parameters.read("op", ops[0], _string) if ops and ops[0] else None
     if (spec.operation, op) not in OPERATIONS:
         what = f"{spec.operation} op {op!r}" if ops else f"operation {spec.operation!r}"
         valid = ops or dict.fromkeys(command for command, _ in OPERATIONS)
@@ -597,9 +622,7 @@ def run(spec: ExperimentSpec) -> int:
     started = time.time()
     what, operation = _operation(spec)
     outcome = operation(spec)
-    for key, value in spec.parameters.items():
-        if value is not None and key not in spec.parameters.read:  # null counts as absent, as in _read
-            raise UsageError(f"bad parameters/{key} ({what} does not read it)")
+    spec.parameters.close(what)
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if spec.out_format == "csv":
@@ -689,7 +712,7 @@ def _spec_from_args(args, operation: str) -> ExperimentSpec:
     raw = {
         "name": operation,
         "operation": operation,
-        "parameters": inline(args.params) or {},
+        "parameters": inline(args.params),
         "mc": {"seed": args.seed, "n_samples": args.samples},
         "output": {"dir": args.out, "format": args.format},
     }

@@ -57,9 +57,6 @@ class PowerDensity:
         """The order of the boundary pole, max(0, -min_k s_k)."""
         return max(0.0, *(-s for _, s in self.terms))
 
-    def scaled(self, factor: float) -> "PowerDensity":
-        return PowerDensity(tuple((factor * c, s) for c, s in self.terms))
-
 
 @dataclass(frozen=True, eq=False)
 class Measure:
@@ -71,6 +68,8 @@ class Measure:
     density: PowerDensity | None = None
 
     def __post_init__(self):
+        if self.dimension < 1:
+            raise ValidationError("a measure needs dimension >= 1")
         pts = np.atleast_2d(np.asarray(self.atom_points, dtype=np.complex128))
         if pts.size == 0:
             pts = np.zeros((0, self.dimension), dtype=np.complex128)
@@ -81,8 +80,8 @@ class Measure:
             raise ValidationError("atom dimension mismatch")
         if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise ValidationError("atom weights must be positive and finite")
-        if pts.shape[0] and np.any(np.linalg.norm(pts, axis=1) >= 1.0):
-            raise ValidationError("atoms must lie inside the unit ball")
+        if not np.all(np.isfinite(pts)) or np.any(np.linalg.norm(pts, axis=1) >= 1.0):
+            raise ValidationError("atoms must be finite and lie inside the unit ball")
         if self.density is not None and not isinstance(self.density, PowerDensity):
             raise ValidationError("density must be a PowerDensity or None")
         object.__setattr__(self, "atom_points", pts)
@@ -120,29 +119,6 @@ class Measure:
     @property
     def pole_order(self) -> float:
         return self.density.pole_order if self.density is not None else 0.0
-
-    def scaled(self, factor: float) -> "Measure":
-        if factor <= 0.0:
-            raise ValidationError("scale factor must be positive")
-        return Measure(
-            dimension=self.dimension,
-            atom_points=self.atom_points,
-            atom_weights=self.atom_weights * factor,
-            density=self.density.scaled(factor) if self.density is not None else None,
-        )
-
-    def __add__(self, other: "Measure") -> "Measure":
-        if not isinstance(other, Measure):
-            return NotImplemented
-        if other.dimension != self.dimension:
-            raise ValidationError("cannot add measures of different dimension")
-        terms = tuple(term for mu in (self, other) if mu.density is not None for term in mu.density.terms)
-        return Measure(
-            dimension=self.dimension,
-            atom_points=np.vstack([self.atom_points, other.atom_points]),
-            atom_weights=np.concatenate([self.atom_weights, other.atom_weights]),
-            density=PowerDensity(terms) if terms else None,
-        )
 
 
 def measure_of_ball(mu: Measure, ball, cfg: MCConfig) -> EstimateWithError | list[EstimateWithError]:

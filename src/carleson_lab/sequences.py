@@ -24,7 +24,6 @@ scipy is imported at its call site: a command loads only the scipy it calls.
 
 from __future__ import annotations
 
-import csv
 import functools
 import importlib.util
 import itertools
@@ -68,13 +67,16 @@ class PointSequence:
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.complex128))
-        if pts.shape[0] and np.any(np.linalg.norm(pts, axis=1) >= 1.0):
+        if not pts.shape[1] or not np.all(np.isfinite(pts)):
+            raise ValidationError("sequence points must be finite and have coordinates")
+        norms = np.linalg.norm(pts, axis=1)
+        if np.any(norms >= 1.0):
             raise ValidationError("sequence points must lie inside the unit ball")
         if self.metric not in METRICS:
             raise ParameterError(f"metric must be one of {METRICS}")
         bd = self.boundary_distances
         if bd is None:
-            bd = 1.0 - np.linalg.norm(pts, axis=1)
+            bd = 1.0 - norms
         else:
             bd = np.asarray(bd, dtype=float).reshape(-1)
             if bd.size != pts.shape[0]:
@@ -148,17 +150,6 @@ class PointSequence:
         pts = geom.rows_to_points(rows)
         keep = np.linalg.norm(pts, axis=1) <= 1.0 - 0.05
         return cls(points=pts[keep], metric=metric)
-
-    # -- serialisation ---------------------------------------------------------
-    @classmethod
-    def from_csv(cls, path, metric: str = "pseudohyperbolic") -> "PointSequence":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [[float(x) for x in row] for row in reader if row]
-        if len(header) % 2 != 0:
-            raise ValidationError("point CSV must hold re/im column pairs")
-        return cls(points=geom.rows_to_points(rows), metric=metric)
 
 
 def _half_radius(delta: float, metric: str) -> float:
@@ -468,6 +459,8 @@ def greedy_pack(points, threshold: float, metric: str = "pseudohyperbolic") -> n
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
     metric, threshold = _pseudo_threshold(metric, threshold)
+    if not pts.size:  # an empty list is one point of no coordinates to atleast_2d
+        return np.zeros(0, dtype=np.intp)
     rows = geom.points_to_rows(pts)
     kept = []
     forest = []  # (indices, points, tree) of disjoint parts of the kept set, largest first

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import importlib
 import io
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from carleson_lab import bergman, cli, geometry_ball, measures, sequences, verify
 from carleson_lab.integrate import MCConfig
+from carleson_lab.reports import write_csv
 
 
 def run_cli(args):
@@ -210,6 +212,131 @@ def test_unread_declarations_exit_usage_before_any_work(tmp_path, capsys):
         assert not out.exists(), argv
 
 
+def _command_argv(command: str) -> list[str]:
+    return ["seq", command[4:]] if command.startswith("seq-") else [command]
+
+
+_LADDER_DECL = {"type": "ladder", "n": 1, "count": 10}
+# one well-formed spec per kind of object, and where in it the misspelt key goes
+_MISSPELT = {
+    "spec": ({"operation": "ball", "parameters": {"op": "ball_volume"}}, (), "paramters"),
+    "mc": ({"operation": "ball", "parameters": {"op": "ball_volume"}, "mc": {"seed": 1}}, ("mc",), "sead"),
+    "output": ({"operation": "ball", "parameters": {"op": "ball_volume"}}, ("output",), "formt"),
+    "domain-ball": ({"operation": "ball", "parameters": {"op": "boundary_distance", "z": [0.5, 0.1]},
+                     "domain": {"type": "ball", "dimension": 1}}, ("domain",), "dimensions"),
+    "domain-ellipsoid": ({"operation": "ball", "parameters": {"op": "boundary_distance", "z": [0.5, 0.1]},
+                          "domain": {"type": "ellipsoid", "semi_axes": [1.5, 1.0]}}, ("domain",), "dimension"),
+    "domain-perturbed-ball": ({"operation": "ball", "parameters": {"op": "boundary_distance", "z": [0.5, 0.1]},
+                               "domain": {"type": "perturbed_ball", "dimension": 1, "epsilon": 0.1}},
+                              ("domain",), "bump_centre"),
+    "measure": ({"operation": "berezin", "parameters": {"k_max": 2},
+                 "measure": {"dimension": 1, "atoms": [[[0.5, 0.0], 1.0]], "density": "none"}}, ("measure",), "atom"),
+    "density": ({"operation": "berezin", "parameters": {"k_max": 2},
+                 "measure": {"dimension": 1, "density": {"type": "power", "s": 0.5}}}, ("measure", "density"), "c"),
+    "sequence-ladder": ({"operation": "seq-analyze", "sequence": _LADDER_DECL}, ("sequence",), "cout"),
+    "sequence-packing": ({"operation": "seq-analyze", "sequence": {"type": "packing", "n": 1, "epsilon": 0.2}},
+                         ("sequence",), "epsilno"),
+    "sequence-lattice": ({"operation": "seq-analyze", "sequence": {"type": "lattice", "n": 1}}, ("sequence",),
+                         "spaceing"),
+    "sequence-csv": ({"operation": "seq-analyze", "sequence": {"type": "csv", "path": "CSV"}}, ("sequence",),
+                     "rows"),
+    "sequence-points": ({"operation": "seq-analyze", "sequence": {"type": "points", "rows": [[0.1, 0.0], [0.5, 0.0]]}},
+                        ("sequence",), "path"),
+    "parameters": ({"operation": "ball", "parameters": {"op": "ball_volume", "r": 0.5}}, ("parameters",), "radius"),
+    "weight": ({"operation": "seq-escape", "sequence": _LADDER_DECL, "parameters": {"weight": {"kind": "power", "s": 2}}},
+               ("parameters", "weight"), "exponent"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISSPELT))
+def test_every_object_refuses_a_misspelt_key(tmp_path, capsys, case):
+    # a key that no reader reads would run at the default of the key it meant:
+    # each kind of object refuses one, naming it, and the run writes nothing
+    spec, where, key = _MISSPELT[case]
+    spec = json.loads(json.dumps({"name": case, "mc": {"n_samples": 400}, **spec}))
+    if spec.get("sequence", {}).get("path") == "CSV":
+        spec["sequence"]["path"] = str(tmp_path / "pts.csv")
+        (tmp_path / "pts.csv").write_text("re0,im0\n0.1,0.0\n0.5,0.0\n")
+    argv = _command_argv(spec["operation"]) + ["--spec", str(tmp_path / "spec.json")]
+    for out, bad in ((tmp_path / "ok", False), (tmp_path / "bad", True)):
+        spec["output"] = {**spec.get("output", {}), "dir": str(out)}
+        target = spec
+        for step in where:
+            target = target.setdefault(step, {})
+        if bad:
+            target[key] = 1
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        rc = run_cli(argv)
+        err = capsys.readouterr().err
+        assert (rc == cli.EXIT_USAGE) is bad, (case, rc, err)
+        assert out.exists() is not bad
+    assert f"bad {'/'.join(where or ('spec',))}/{key} (" in err and "Traceback" not in err, err
+
+
+# inputs that ran, or ended in a traceback, before every object refused what it
+# does not read and every number had to be finite; CSV is a point CSV's path,
+# the file holding the given text (None: no file)
+_REFUSED = {
+    "misspelt-declaration-key": (["seq", "analyze", "--sequence", '{"type": "packing", "n": 1, "epsilno": 0.2}'],
+                                 None, "bad sequence/epsilno (sequence type 'packing' does not read it)"),
+    "unread-domain-key": (["ball", "--domain", '{"type": "ellipsoid", "semi_axes": [1.5, 1.0], "dimension": 3}',
+                           "--params", '{"op": "boundary_distance", "z": [0.3, 0.1]}'], None,
+                          "bad domain/dimension (domain type 'ellipsoid' does not read it)"),
+    "unread-density-key": (["berezin", "--measure", '{"dimension": 1, "density": {"type": "power", "s": 0.5, "c": 7}}'],
+                           None, "bad measure/density/c (measure/density type 'power' does not read it)"),
+    "unread-weight-key": (["seq", "escape", "--sequence", '{"type": "ladder", "n": 1, "count": 10}', "--params",
+                           '{"weight": {"kind": "exp_inverse", "s": 3}}'], None,
+                          "bad parameters/weight/s (parameters/weight kind 'exp_inverse' does not read it)"),
+    "nan-atom": (["berezin", "--measure", '{"dimension": 1, "atoms": [[[NaN, 0], 1.0]], "density": "none"}'], None,
+                 "bad measure/atoms (ValueError: expected a finite number, got nan)"),
+    "nan-row": (["seq", "analyze", "--sequence", '{"type": "points", "rows": [[NaN, 0], [0.5, 0]]}'], None,
+                "bad sequence/rows (ValueError: expected a finite number, got nan)"),
+    "nan-semi-axis": (["ball", "--domain", '{"type": "ellipsoid", "semi_axes": [NaN, 1.0]}', "--params",
+                       '{"op": "boundary_distance", "z": [0.3, 0.1]}'], None,
+                      "bad domain/semi_axes (ValueError: expected a finite number, got nan)"),
+    "infinite-parameter": (["ball", "--params", '{"r": Infinity}'], None,
+                           "bad parameters/r (ValueError: expected a finite number, got inf)"),
+    "csv-missing": (["seq", "analyze", "--sequence", "CSV"], None, "bad sequence/path (FileNotFoundError: "),
+    "csv-text-cell": (["seq", "analyze", "--sequence", "CSV"], "re0,im0\n0.1,abc\n",
+                      "bad sequence/path (ValueError: could not convert string to float: 'abc')"),
+    "csv-nan-cell": (["seq", "analyze", "--sequence", "CSV"], "re0,im0\n0.1,nan\n",
+                     "bad sequence/path (ValueError: expected a finite number, got nan)"),
+    "csv-odd-row": (["seq", "analyze", "--sequence", "CSV"], "re0,im0\n0.1,0.0\n0.2\n",
+                    "bad sequence/path (ValueError: rows differ in length)"),
+    "csv-header-only-escape": (["seq", "escape", "--sequence", "CSV"], "re0,im0\n",
+                               "bad sequence/path (TypeError: expected a non-empty list of rows, got [])"),
+    "csv-header-only-decompose": (["seq", "decompose", "--sequence", "CSV"], "re0,im0\n",
+                                  "bad sequence/path (TypeError: expected a non-empty list of rows, got [])"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_refused_inputs_name_their_field(tmp_path, capsys, case):
+    argv, text, message = _REFUSED[case]
+    path = tmp_path / "pts.csv"
+    if text is not None:
+        path.write_text(text)
+    argv = [json.dumps({"type": "csv", "path": str(path)}) if arg == "CSV" else arg for arg in argv]
+    assert run_cli(argv + ["--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_csv_roundtrip(tmp_path):
+    # a file written by the run artifacts' CSV writer (re/im column pairs,
+    # full-precision reprs) reads back bit for bit through the spec's reader
+    seq = sequences.PointSequence.radial_ladder(2, 8)
+    path = tmp_path / "pts.csv"
+    write_csv(path, ["re0", "im0", "re1", "im1"], geometry_ball.points_to_rows(seq.points))
+    decl = {"type": "csv", "path": str(path), "metric": "euclidean"}
+    back = cli.ExperimentSpec.from_dict({"name": "x", "operation": "seq-analyze", "sequence": decl}).sequence()
+    assert np.array_equal(back.points, seq.points) and back.metric == "euclidean"
+    lines = path.read_text().splitlines()
+    assert lines[0] == "re0,im0,re1,im1"
+    assert lines[1] == f"{repr(1.0 - math.exp(-1.0))},0.0,0.0,0.0"
+
+
 _VOLUME = ["ball", "--params", '{"op": "ball_volume"}']
 
 
@@ -322,7 +449,8 @@ def test_loop_counts_take_zero(tmp_path):
 
 # Fuzzed declarations: one valid, cheap call per table entry, with the one
 # declaration it reads, if any, then one or two of its --params/--measure/
-# --domain/--sequence fields replaced by junk or deleted.
+# --domain/--sequence fields replaced by junk or deleted, or else one unknown
+# key added to one of its objects, nested ones included, which must exit 3.
 # The junk is malformed (wrong types, out-of-range numbers, broken points); a
 # size field's junk may also be an integer >= 10^15, which numpy refuses to
 # allocate at once, so a missed size ceiling fails fast instead of filling memory
@@ -358,30 +486,36 @@ def _fuzzed_call(draw):
     reads = cli.READS.get((command, op), ())
     if command == "carleson-test" and draw(st.booleans()):
         reads = reads[1:]  # the Dirac measure of the sequence
-    declarations = {kind: dict(draw(st.sampled_from(_DECLARATIONS[kind]))) for kind in reads[:1]}
+    declarations = {kind: copy.deepcopy(draw(st.sampled_from(_DECLARATIONS[kind]))) for kind in reads[:1]}
+    params["weight"] = dict(params["weight"])
     targets = [params, *declarations.values()]
-    for _ in range(draw(st.integers(1, 2))):
+    stray = draw(st.booleans())
+    if stray:  # the only change, so nothing else can end the run first
+        target = draw(st.sampled_from(targets + [v for t in targets for v in t.values() if isinstance(v, dict)]))
+        target[draw(st.sampled_from(["stray", "Type", "s_", "n0"]))] = draw(st.sampled_from([0.5, "x", [1]]))
+    for _ in range(0 if stray else draw(st.integers(1, 2))):
         target = draw(st.sampled_from(targets))
         key = draw(st.sampled_from(sorted(target)))
         if draw(st.booleans()):
             del target[key]
         else:
             target[key] = draw(st.one_of(_JUNK, _HUGE) if key in _SIZES else _JUNK)
-    argv = ["seq", command[4:]] if command.startswith("seq-") else [command]
-    argv += ["--params", json.dumps(params), "--samples", "200"]
+    argv = _command_argv(command) + ["--params", json.dumps(params), "--samples", "200"]
     for kind, decl in declarations.items():
         argv += [f"--{kind}", json.dumps(decl)]
-    return argv
+    return argv, stray
 
 
 @settings(max_examples=120, deadline=None)
-@given(argv=_fuzzed_call())
-def test_fuzzed_declarations_exit_without_traceback(tmp_path_factory, argv):
+@given(call=_fuzzed_call())
+def test_fuzzed_declarations_exit_without_traceback(tmp_path_factory, call):
+    argv, stray = call
     out = tmp_path_factory.getbasetemp() / "fuzz"
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         rc = run_cli(argv + ["--out", str(out)])
-    assert rc in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE, cli.EXIT_USAGE), argv
+    assert rc in ((cli.EXIT_USAGE,) if stray else (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE,
+                                                   cli.EXIT_USAGE)), argv
     assert "Traceback" not in err.getvalue(), argv
 
 
@@ -394,7 +528,7 @@ def test_every_operation_refuses_oversized_sizes(tmp_path, capsys):
         probes = 100 if command == "cover" else [[0.5, 0.0], [0.9, 0.0]]
         for size in sorted(_SIZES):
             params = {**_CHEAP, "op": op, "probes": probes, size: 10**15}
-            argv = ["seq", command[4:]] if command.startswith("seq-") else [command]
+            argv = _command_argv(command)
             argv += ["--params", json.dumps(params), "--samples", "200", "--out", str(tmp_path)]
             for kind in cli.READS.get((command, op), ())[:1]:
                 argv += [f"--{kind}", json.dumps(_DECLARATIONS[kind][0])]
@@ -461,7 +595,7 @@ def test_unread_parameter_exits_usage_naming_it(tmp_path, capsys, entry):
     command, op = entry
     params, declarations = _CALLS[entry]
     params = {**params, "op": op} if op else params
-    argv = ["seq", command[4:]] if command.startswith("seq-") else [command]
+    argv = _command_argv(command)
     argv += declarations + ["--samples", "400"]
     assert run_cli(argv + ["--params", json.dumps(params), "--out", str(tmp_path / "ok")]) != cli.EXIT_USAGE
     capsys.readouterr()
@@ -783,7 +917,7 @@ def test_registry_covers_primary_operations(tmp_path, monkeypatch):
     # the parser offers every command of the table, and verify
     parser = cli.build_parser()
     for command in {command for command, _ in cli.OPERATIONS}:
-        argv = ["seq", command[4:]] if command.startswith("seq-") else [command]
+        argv = _command_argv(command)
         assert parser.parse_args(argv).command == argv[0]
     assert parser.parse_args(["verify", "quick"]).suite == "quick"
 

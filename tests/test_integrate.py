@@ -215,7 +215,7 @@ def test_ball_grid_matches_per_batch_layout(n):
 def test_ball_grid_with_atoms_and_custom_strata():
     balls = [g.kobayashi_ball(c, 0.7) for c in ms.boundary_schedule(2, 6)]
     atoms = ms.Measure.from_atoms([b.center for b in balls[::3]], [0.5, 1.0, 2.0, 0.25])
-    mu = ms.Measure.with_power_density(2, 0.5) + atoms
+    mu = ms.Measure(2, atoms.atom_points, atoms.atom_weights, ms.PowerDensity(((1.0, 0.5),)))
     cfg = MCConfig(seed=3, n_samples=2000)
     masses = ms.measure_of_ball(mu, balls, cfg)
     with_atoms = 0

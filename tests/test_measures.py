@@ -56,39 +56,34 @@ def test_total_mass_power_density_dim_one():
         assert abs(est.value - 1.0 / (1.0 + s)) < 3 * est.std_error + 1e-12, s
 
 
-def test_scaling_and_additivity():
-    mu = ms.Measure.from_atoms([[0.1], [0.2]], [1.0, 2.0])
-    scaled = mu.scaled(3.0)
-    assert np.allclose(scaled.atom_weights, [3.0, 6.0])
-    both = mu + ms.Measure.dirac([0.3], 5.0)
-    assert both.n_atoms == 3
-    assert math.fsum(both.atom_weights) == pytest.approx(8.0)
-
-
-def test_scaled_and_summed_densities_are_power_sums():
-    # a density is its (coefficient, exponent) terms: scaling and adding
-    # combine terms, and the pole order is that of the most negative exponent
+def test_power_density_is_the_sum_of_its_terms():
+    # a density is its (coefficient, exponent) terms, and the pole order is
+    # that of the most negative exponent
     w = g.uniform_round_ball(np.random.default_rng(5), 2, 500) * 0.999
     delta = 1.0 - np.sum(np.abs(w) ** 2, axis=1)
-    mu = ms.Measure.with_power_density(2, -0.5)
-    nu = ms.Measure.with_power_density(2, 1.5) + ms.Measure.dirac([0.1, 0.2j], 2.0)
     cases = (
-        (mu.scaled(3.0), 3.0 * delta**-0.5, 0.5),
-        (nu.scaled(0.25), 0.25 * delta**1.5, 0.0),
-        (mu + nu, delta**-0.5 + delta**1.5, 0.5),
-        ((mu + nu).scaled(7.0), 7.0 * (delta**-0.5 + delta**1.5), 0.5),
-        (nu + ms.Measure.with_power_density(2, -0.75).scaled(2.0), delta**1.5 + 2.0 * delta**-0.75, 0.75),
+        (((3.0, -0.5),), 3.0 * delta**-0.5, 0.5),
+        (((0.25, 1.5),), 0.25 * delta**1.5, 0.0),
+        (((1.0, -0.5), (1.0, 1.5)), delta**-0.5 + delta**1.5, 0.5),
+        (((1.0, 1.5), (2.0, -0.75)), delta**1.5 + 2.0 * delta**-0.75, 0.75),
     )
-    for measure, want, pole in cases:
-        assert measure.pole_order == pole
+    for terms, want, pole in cases:
+        measure = ms.Measure(2, [[0.1, 0.2j]], [2.0], ms.PowerDensity(terms))
+        assert measure.pole_order == pole and measure.n_atoms == 1
         np.testing.assert_allclose(measure.density(w), want, rtol=1e-12, atol=0.0)
-    assert (mu + nu).density == ms.PowerDensity(((1.0, -0.5), (1.0, 1.5)))
-    assert (mu + nu).scaled(7.0).density == ms.PowerDensity(((7.0, -0.5), (7.0, 1.5)))
-    assert (mu + nu).n_atoms == 1 and math.fsum((mu + nu).scaled(7.0).atom_weights) == 14.0
-    # no density plus a density is that density; a density is a value, not a callable
-    assert (ms.Measure.dirac([0.1, 0.0]) + mu).density == mu.density
+    # a density is a value, not a callable
     with pytest.raises(ValidationError):
         ms.Measure(1, [], [], lambda p: np.ones(len(p)))
+
+
+def test_measure_refuses_non_finite_atoms_and_no_dimension():
+    # NaN is not at least 1, so the unit-ball check alone let a NaN coordinate pass
+    for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+        with pytest.raises(ValidationError, match="finite"):
+            ms.Measure(1, [[bad]], [1.0])
+    for dimension, points in ((0, []), (0, [[]]), (1, [[]])):
+        with pytest.raises(ValidationError):
+            ms.Measure(dimension, points, [1.0] if points else [])
 
 
 def _declared_measure(decl):
@@ -129,7 +124,7 @@ def test_ball_mass_additive():
     mu2 = ms.Measure.lebesgue(1)
     a = ms.measure_of_ball(mu1, ball, CFG)
     b = ms.measure_of_ball(mu2, ball, CFG)
-    both = ms.measure_of_ball(mu1 + mu2, ball, CFG)
+    both = ms.measure_of_ball(ms.Measure(1, mu1.atom_points, mu1.atom_weights, mu2.density), ball, CFG)
     assert both.value == pytest.approx(a.value + b.value, rel=1e-10)
 
 
@@ -300,7 +295,7 @@ def test_cross_check_json_and_rows():
 def test_verdict_scale_invariance():
     # scaling the measure scales the statistics but not the verdicts
     base = ms.cross_check_equivalence(ms.Measure.lebesgue(1), fast_config())
-    scaled = ms.cross_check_equivalence(ms.Measure.lebesgue(1).scaled(7.0), fast_config())
+    scaled = ms.cross_check_equivalence(ms.Measure(1, [], [], ms.PowerDensity(((7.0, 0.0),))), fast_config())
     assert scaled.verdicts == base.verdicts
     assert scaled.berezin_sup.value == pytest.approx(7.0 * base.berezin_sup.value, rel=1e-9)
 
@@ -308,11 +303,12 @@ def test_verdict_scale_invariance():
 def test_atomic_statistics_scale_exactly():
     mu = ms.Measure.from_atoms([[0.1], [0.3]], [1.0, 0.5])
     ball = g.kobayashi_ball([0.2], 0.5)
+    tripled = ms.Measure.from_atoms([[0.1], [0.3]], [3.0, 1.5])
     base = ms.measure_of_ball(mu, ball, CFG).value
-    scaled = ms.measure_of_ball(mu.scaled(3.0), ball, CFG).value
+    scaled = ms.measure_of_ball(tripled, ball, CFG).value
     assert scaled == pytest.approx(3.0 * base, rel=1e-15)
     b1 = ms.carleson_berezin_test(mu, ms.boundary_schedule(1, 5), CFG)
-    b3 = ms.carleson_berezin_test(mu.scaled(3.0), ms.boundary_schedule(1, 5), CFG)
+    b3 = ms.carleson_berezin_test(tripled, ms.boundary_schedule(1, 5), CFG)
     assert b3.sup.value == pytest.approx(3.0 * b1.sup.value, rel=1e-12)
     assert b3.verdict == b1.verdict
 

@@ -10,7 +10,6 @@ from carleson_lab import geometry_ball as g
 from carleson_lab import measures as ms
 from carleson_lab import sequences as sq
 from carleson_lab.errors import CoverageError, ParameterError, ValidationError
-from carleson_lab.reports import write_csv
 from textbook_rho import rho_block, rho_mp, rho_rows
 
 
@@ -264,6 +263,7 @@ def test_greedy_pack_small_inputs():
     assert 0 in kept  # first point always kept
     assert sq.greedy_pack(pts[:1], 0.3).tolist() == [0]
     assert sq.greedy_pack(np.zeros((0, 1), dtype=complex), 0.3).tolist() == []
+    assert sq.greedy_pack([], 0.3).tolist() == []  # no candidates, where scipy's tree raised
 
 
 def brute_greedy(pts, threshold, metric):
@@ -462,16 +462,14 @@ def test_perturbed_lattice_metric():
             sq.PointSequence.perturbed_lattice(1, spacing=spacing)
 
 
-def test_csv_roundtrip(tmp_path):
-    seq = sq.PointSequence.radial_ladder(2, 8)
-    path = tmp_path / "pts.csv"
-    # written by the run artifacts' CSV writer: re/im column pairs, full-precision reprs
-    write_csv(path, ["re0", "im0", "re1", "im1"], g.points_to_rows(seq.points))
-    back = sq.PointSequence.from_csv(path)
-    assert np.array_equal(back.points, seq.points)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "re0,im0,re1,im1"
-    assert lines[1] == f"{repr(1.0 - math.exp(-1.0))},0.0,0.0,0.0"
+def test_points_are_finite_and_have_coordinates():
+    # an empty list would be one point of no coordinates, and NaN is not at
+    # least 1, so both passed the unit-ball check alone; no points of a
+    # dimension is a valid sequence
+    for points in ([], [[]], np.zeros((3, 0)), [[math.nan]], [[0.1], [complex(0.0, math.inf)]]):
+        with pytest.raises(ValidationError):
+            sq.PointSequence(points=points)
+    assert len(sq.PointSequence(points=np.zeros((0, 2)))) == 0
 
 
 # -- dirac measure ------------------------------------------------------------
