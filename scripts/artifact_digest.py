@@ -84,6 +84,9 @@ CALLS = {
     "refused-nan-row": ["seq", "analyze", "--sequence", '{"type": "points", "rows": [[NaN, 0], [0.5, 0]]}'],
     "refused-nan-semi-axis": ["ball", "--domain", '{"type": "ellipsoid", "semi_axes": [NaN, 1.0]}',
                               "--params", '{"op": "boundary_distance", "z": [0.3, 0.1]}'],
+    # points outside the ball: the one-point density and kernel refuse them as the distances do
+    "refused-ek-density-outside": ["ek", "--params", '{"op": "ek_density", "z": [1.5, 0.0]}'],
+    "refused-kernel-outside": ["berezin", "--params", '{"op": "kernel", "z": [1.5, 0.0], "w": [0.5, 0.0]}'],
 }
 
 

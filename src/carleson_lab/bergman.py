@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import geometry_ball as geom
-from .errors import AnalysisError, ParameterError
+from .errors import ParameterError
 from .integrate import (
     BetaRadialComponent,
     EstimateWithError,
@@ -45,27 +45,21 @@ __all__ = [
     "random_polynomial",
 ]
 
-# |1 - <z, w>| below this is treated as boundary contact: the kernel power
-# would overflow or lose all relative accuracy.
-_CONTACT_EPS = 1e-13
-
-
 def kernel(z, w) -> complex:
     """Bergman kernel K(z, w) = (1 - <z, w>)^-(n+1), Hermitian in (z, w).
 
-    The inner product uses compensated summation so conjugate symmetry is exact
-    bit for bit and cancellation near the diagonal boundary stays controlled.
+    Both points lie inside the ball by BOUNDARY_MARGIN, so |1 - <z, w>| >=
+    1 - |z||w| > 2e-12.  The inner product uses compensated summation so
+    conjugate symmetry is exact bit for bit and cancellation near the diagonal
+    boundary stays controlled.
     """
     z = geom.as_point(z)
     w = geom.as_point(w)
     if z.shape != w.shape:
         raise ParameterError("points must share one dimension")
-    n = z.size
-    ip = geom.herm_inner(z, w)
-    denom = 1.0 - ip
-    if abs(denom) < _CONTACT_EPS:
-        raise AnalysisError("kernel evaluation too close to boundary contact <z, w> -> 1")
-    return denom ** (-(n + 1))
+    geom._require_interior(z, "first point")
+    geom._require_interior(w, "second point")
+    return (1.0 - geom.herm_inner(z, w)) ** (-(z.size + 1))
 
 
 def kernel_values(z, points) -> np.ndarray:

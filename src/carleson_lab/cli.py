@@ -176,7 +176,7 @@ def _density(value) -> measures.PowerDensity | None:
         return None
     cfg = Fields(value, "measure/density")
     kind = cfg.read("type", _REQUIRED, _choice("power"))
-    density = measures.PowerDensity(((1.0, cfg.read("s", _REQUIRED, _number)),))
+    density = measures.PowerDensity(cfg.read("s", _REQUIRED, _number))
     cfg.close(f"measure/density type {kind!r}")
     return density
 
@@ -670,15 +670,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--spec", type=str, default=None, help="JSON experiment spec file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=20_000)
-        p.add_argument("--out", type=str, default="out")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--params", type=str, default=None, help="inline JSON for operation parameters")
-        p.add_argument("--measure", type=str, default=None, help="inline JSON measure declaration")
-        p.add_argument("--domain", type=str, default=None, help="inline JSON domain declaration")
-        p.add_argument("--sequence", type=str, default=None, help="inline JSON sequence declaration")
+        # a flag left out is None, read as absent: the spec reader's own default applies
+        p.add_argument("--spec", type=str, help="JSON experiment spec file; no other flag is read beside it")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--samples", type=int)
+        p.add_argument("--out", type=str)
+        p.add_argument("--format", choices=["csv", "json"])
+        p.add_argument("--params", type=str, help="inline JSON for operation parameters")
+        p.add_argument("--measure", type=str, help="inline JSON measure declaration")
+        p.add_argument("--domain", type=str, help="inline JSON domain declaration")
+        p.add_argument("--sequence", type=str, help="inline JSON sequence declaration")
 
     seq = sub.add_parser("seq").add_subparsers(dest="seq_mode", required=True)
     for command in dict.fromkeys(command for command, _ in OPERATIONS):
@@ -693,7 +694,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args, operation: str) -> ExperimentSpec:
-    if args.spec:
+    if args.spec is not None:
+        for flag, value in vars(args).items():
+            if value is not None and flag not in ("command", "seq_mode", "spec"):
+                raise UsageError(f"bad --{flag} (a run given by --spec reads no other flag)")
         spec = ExperimentSpec.load(args.spec)
         if spec.operation != operation:
             raise UsageError(

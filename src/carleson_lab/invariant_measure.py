@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry_ball as geom
-from .errors import AnalysisError, ParameterError
+from .errors import ParameterError
 from .integrate import EstimateWithError, MCConfig, integrate_density
 from .reports import CheckReport
 
@@ -27,11 +27,8 @@ __all__ = [
 def ek_density(z) -> float:
     """Invariant volume density (1 - ||z||^2)^-(n+1) at an interior point."""
     z = geom.as_point(z)
-    nz2 = geom.norm_sq(z)
-    if nz2 >= 1.0 - geom.BOUNDARY_MARGIN:
-        raise AnalysisError("invariant density blows up at the boundary")
-    n = z.size
-    return (1.0 - nz2) ** (-(n + 1))
+    geom._require_interior(z)
+    return (1.0 - geom.norm_sq(z)) ** (-(z.size + 1))
 
 
 def ek_density_values(points) -> np.ndarray:

@@ -7,7 +7,7 @@ from scipy.special import beta as beta_fn, hyp2f1
 from carleson_lab import bergman as bg
 from carleson_lab import geometry_ball as g
 from carleson_lab import measures as ms
-from carleson_lab.errors import AnalysisError, ParameterError
+from carleson_lab.errors import OutsideDomainError
 from carleson_lab.integrate import MCConfig
 
 
@@ -33,7 +33,8 @@ def test_kernel_hermitian_bit_for_bit():
 
 
 def test_kernel_boundary_contact_guard():
-    with pytest.raises(AnalysisError):
+    # both points lie within BOUNDARY_MARGIN of the sphere: outside the domain
+    with pytest.raises(OutsideDomainError):
         bg.kernel([1.0 - 1e-14], [1.0 - 1e-14])
 
 

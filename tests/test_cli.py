@@ -273,9 +273,10 @@ def test_every_object_refuses_a_misspelt_key(tmp_path, capsys, case):
     assert f"bad {'/'.join(where or ('spec',))}/{key} (" in err and "Traceback" not in err, err
 
 
-# inputs that ran, or ended in a traceback, before every object refused what it
-# does not read and every number had to be finite; CSV is a point CSV's path,
-# the file holding the given text (None: no file)
+# inputs that ran, exited 1 or ended in a traceback, before every object refused
+# what it does not read, every number had to be finite and the one-point kernel
+# and density refused points outside the ball; CSV is a point CSV's path, the
+# file holding the given text (None: no file)
 _REFUSED = {
     "misspelt-declaration-key": (["seq", "analyze", "--sequence", '{"type": "packing", "n": 1, "epsilno": 0.2}'],
                                  None, "bad sequence/epsilno (sequence type 'packing' does not read it)"),
@@ -307,6 +308,16 @@ _REFUSED = {
                                "bad sequence/path (TypeError: expected a non-empty list of rows, got [])"),
     "csv-header-only-decompose": (["seq", "decompose", "--sequence", "CSV"], "re0,im0\n",
                                   "bad sequence/path (TypeError: expected a non-empty list of rows, got [])"),
+    # a point outside the ball, or within BOUNDARY_MARGIN of its sphere, as the distances refuse it
+    "ek-density-outside": (["ek", "--params", '{"op": "ek_density", "z": [1.5, 0.0]}'], None,
+                           "point must lie strictly inside the unit ball (||z|| = 1.5 "),
+    "kernel-contact": (["berezin", "--params", '{"op": "kernel", "z": [0.99999999999999, 0.0], '
+                        '"w": [0.99999999999999, 0.0]}'], None, "first point must lie strictly inside the unit ball"),
+    "kernel-outside": (["berezin", "--params", '{"op": "kernel", "z": [1.5, 0.0], "w": [0.5, 0.0]}'], None,
+                       "first point must lie strictly inside the unit ball (||z|| = 1.5 "),
+    "normalized-kernel-outside": (["berezin", "--params", '{"op": "normalized_kernel", "z": [0.5, 0.0], '
+                                   '"w": [1.5, 0.0]}'], None,
+                                  "point must lie strictly inside the unit ball (||z|| = 1.5 "),
 }
 
 
@@ -321,6 +332,40 @@ def test_refused_inputs_name_their_field(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err, err
     assert not (tmp_path / "o").exists()
+
+
+_BESIDE_SPEC = {
+    "seed": "9", "samples": "4000", "out": "DIR", "format": "json", "params": '{"r": 0.9}',
+    "measure": '{"dimension": 1}', "domain": '{"type": "ball", "dimension": 1}',
+    "sequence": '{"type": "ladder", "n": 1, "count": 5}',
+}
+
+
+@pytest.mark.parametrize("flag", list(_BESIDE_SPEC))
+def test_flags_beside_a_spec_exit_usage(tmp_path, capsys, flag):
+    # a spec file gives the whole run: a flag beside it, which the run would
+    # ignore, is refused before the spec is read, and nothing is written
+    spec = {"name": "x", "operation": "ball", "output": {"dir": str(tmp_path / "spec-out")}}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    value = str(tmp_path / "flag-out") if _BESIDE_SPEC[flag] == "DIR" else _BESIDE_SPEC[flag]
+    assert run_cli(["ball", "--spec", str(tmp_path / "spec.json"), f"--{flag}", value]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"bad --{flag} (" in err and "Traceback" not in err, err
+    assert not (tmp_path / "spec-out").exists() and not (tmp_path / "flag-out").exists()
+    # the same spec alone runs
+    assert run_cli(["ball", "--spec", str(tmp_path / "spec.json")]) == cli.EXIT_PASS
+
+
+def test_flags_left_out_take_the_spec_readers_defaults(tmp_path, monkeypatch):
+    # the parser holds no defaults: mc's seed 0 and 20,000 samples, output's
+    # "out" and "csv" come from the spec reader, as for a spec that omits them
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["ball", "--params", '{"op": "ball_volume"}']) == cli.EXIT_PASS
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["seed"] == 0 and manifest["mc"] == {"seed": 0, "n_samples": 20_000}
+    assert (tmp_path / "out" / "results.csv").exists()
+    spec = cli._spec_from_args(cli.build_parser().parse_args(["ek"]), "ek")
+    assert (spec.mc, spec.out_dir, spec.out_format) == (MCConfig(), "out", "csv")
 
 
 def test_csv_roundtrip(tmp_path):
@@ -616,6 +661,12 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     assert ":2:" in err  # line-anchored message
 
 
+def test_empty_spec_path_exits_usage(capsys):
+    # an empty --spec names no file; it is not read as no spec at all
+    assert run_cli(["ball", "--spec", ""]) == cli.EXIT_USAGE
+    assert "cannot read spec file" in capsys.readouterr().err
+
+
 def test_spec_operation_mismatch(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"name": "x", "operation": "cover"}))
@@ -655,7 +706,7 @@ def test_berezin_rows_are_the_berezin_test_rows(tmp_path):
     with open(tmp_path / "o" / "results.csv", newline="") as fh:
         header, *rows = list(csv.reader(fh))
     assert header == ["d", "berezin", "std_error", "c0", "c1"]
-    mu = measures.Measure(1, [[0.5], [0.9j]], [1.0, 0.5], measures.PowerDensity(((1.0, 0.5),)))
+    mu = measures.Measure(1, [[0.5], [0.9j]], [1.0, 0.5], measures.PowerDensity(0.5))
     res = measures.carleson_berezin_test(mu, measures.boundary_schedule(1, 4), MCConfig(seed=3, n_samples=2000))
     want = [[r["d"], r["value"], r["std_error"], *geometry_ball.points_to_rows(r["center"][None, :])[0]]
             for r in res.rows]
@@ -679,6 +730,9 @@ def test_carleson_test_divergent_density_exit_fail(tmp_path):
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["overall"] == "fail"
     assert summary["agreement"] is True
+    # two votes; the "functional" key repeats the Berezin vote, written first
+    assert list(summary["verdicts"]) == ["functional", "berezin", "ratio"]
+    assert summary["verdicts"]["functional"] == summary["verdicts"]["berezin"]
 
 
 def test_carleson_test_csv_rows_shape(tmp_path):

@@ -206,7 +206,7 @@ def _fields(est):
 def test_ball_grid_matches_per_batch_layout(n):
     balls = [g.kobayashi_ball(c, 0.5) for c in ms.boundary_schedule(n, 8)]
     for s in (-0.5, 0.0, 1.0):
-        density = ms.PowerDensity(((1.0, s),))
+        density = ms.PowerDensity(s)
         cfg = MCConfig(seed=10 + n, n_samples=3000)
         grid = integrate_over_balls(density, balls, cfg)
         assert [_fields(est) for est in grid] == [_per_batch_ball_estimate(density, b, cfg) for b in balls]
@@ -215,7 +215,7 @@ def test_ball_grid_matches_per_batch_layout(n):
 def test_ball_grid_with_atoms_and_custom_strata():
     balls = [g.kobayashi_ball(c, 0.7) for c in ms.boundary_schedule(2, 6)]
     atoms = ms.Measure.from_atoms([b.center for b in balls[::3]], [0.5, 1.0, 2.0, 0.25])
-    mu = ms.Measure(2, atoms.atom_points, atoms.atom_weights, ms.PowerDensity(((1.0, 0.5),)))
+    mu = ms.Measure(2, atoms.atom_points, atoms.atom_weights, ms.PowerDensity(0.5))
     cfg = MCConfig(seed=3, n_samples=2000)
     masses = ms.measure_of_ball(mu, balls, cfg)
     with_atoms = 0

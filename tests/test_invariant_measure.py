@@ -6,7 +6,7 @@ from scipy.integrate import dblquad, quad
 
 from carleson_lab import geometry_ball as g
 from carleson_lab import invariant_measure as ik
-from carleson_lab.errors import AnalysisError, ParameterError
+from carleson_lab.errors import OutsideDomainError, ParameterError
 from carleson_lab.integrate import MCConfig
 
 
@@ -41,7 +41,7 @@ def test_density_closed_value():
 
 
 def test_density_boundary_guard():
-    with pytest.raises(AnalysisError):
+    with pytest.raises(OutsideDomainError):
         ik.ek_density([1.0 - 1e-15])
 
 

@@ -7,7 +7,7 @@ from carleson_lab import bergman, cli
 from carleson_lab import geometry_ball as g
 from carleson_lab import measures as ms
 from carleson_lab.errors import ParameterError, ValidationError
-from carleson_lab.integrate import MCConfig, integrate_density
+from carleson_lab.integrate import EstimateWithError, MCConfig, integrate_density
 
 
 CFG = MCConfig(seed=11, n_samples=20_000)
@@ -56,21 +56,19 @@ def test_total_mass_power_density_dim_one():
         assert abs(est.value - 1.0 / (1.0 + s)) < 3 * est.std_error + 1e-12, s
 
 
-def test_power_density_is_the_sum_of_its_terms():
-    # a density is its (coefficient, exponent) terms, and the pole order is
-    # that of the most negative exponent
+def test_power_density_is_one_exponent():
+    # a density is (1 - |w|^2)^s, bit for bit the one-term sum 1.0 * delta**s
+    # it replaced, and its pole order is max(0, -s)
     w = g.uniform_round_ball(np.random.default_rng(5), 2, 500) * 0.999
-    delta = 1.0 - np.sum(np.abs(w) ** 2, axis=1)
-    cases = (
-        (((3.0, -0.5),), 3.0 * delta**-0.5, 0.5),
-        (((0.25, 1.5),), 0.25 * delta**1.5, 0.0),
-        (((1.0, -0.5), (1.0, 1.5)), delta**-0.5 + delta**1.5, 0.5),
-        (((1.0, 1.5), (2.0, -0.75)), delta**1.5 + 2.0 * delta**-0.75, 0.75),
-    )
-    for terms, want, pole in cases:
-        measure = ms.Measure(2, [[0.1, 0.2j]], [2.0], ms.PowerDensity(terms))
+    delta = np.maximum(g.one_minus_norm_sq(w), 0.0)
+    for s, pole in ((-0.75, 0.75), (-0.5, 0.5), (0.0, 0.0), (1.5, 0.0)):
+        measure = ms.Measure(2, [[0.1, 0.2j]], [2.0], ms.PowerDensity(s))
         assert measure.pole_order == pole and measure.n_atoms == 1
-        np.testing.assert_allclose(measure.density(w), want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(measure.density(w), 1.0 * delta**s)
+        np.testing.assert_allclose(measure.density(w), (1.0 - np.sum(np.abs(w) ** 2, axis=1)) ** s,
+                                   rtol=1e-12, atol=0.0)
+    # the density of s = 0 is 1 everywhere, at the origin too
+    assert np.array_equal(ms.PowerDensity(0.0)(np.zeros((3, 2))), np.ones(3))
     # a density is a value, not a callable
     with pytest.raises(ValidationError):
         ms.Measure(1, [], [], lambda p: np.ones(len(p)))
@@ -92,7 +90,7 @@ def _declared_measure(decl):
 
 def test_declared_measure_is_the_direct_measure():
     mu = _declared_measure({"dimension": 1, "atoms": [[[0.1, 0.2], 0.5]], "density": {"type": "power", "s": -0.5}})
-    direct = ms.Measure(1, np.array([[0.1 + 0.2j]]), np.array([0.5]), ms.PowerDensity(((1.0, -0.5),)))
+    direct = ms.Measure(1, np.array([[0.1 + 0.2j]]), np.array([0.5]), ms.PowerDensity(-0.5))
     assert mu.dimension == direct.dimension and mu.density == direct.density and mu.pole_order == 0.5
     assert np.array_equal(mu.atom_points, direct.atom_points)
     assert np.array_equal(mu.atom_weights, direct.atom_weights)
@@ -211,39 +209,46 @@ def test_no_fitted_line_is_inconclusive():
 
 def test_functional_constant_for_volume_is_one():
     mu = ms.Measure.lebesgue(1)
-    res = ms.carleson_functional_test(mu, ms.carleson_berezin_test(mu, ms.boundary_schedule(1, 8), CFG), CFG, seed=3)
-    assert res.verdict == "pass"
-    assert res.sup.value < 1.2
+    kernels = ms.carleson_berezin_test(mu, ms.boundary_schedule(1, 8), CFG)
+    constant = ms.carleson_functional_test(mu, kernels, CFG, seed=3)
+    assert kernels.verdict == "pass"
+    assert constant.value < 1.2
 
 
 def test_functional_dirac_kernel_ratios():
     # mu = delta_0, f = k_z: ratio = |k_z(0)|^2 = (1 - ||z||^2)^(n+1) <= 1
     mu = ms.Measure.dirac([0.0])
     kernels = ms.carleson_berezin_test(mu, ms.boundary_schedule(1, 6), CFG)
-    res = ms.carleson_functional_test(mu, kernels, CFG, n_polynomials=2, seed=1)
-    for row in res.rows[: len(kernels.rows)]:
+    for row in kernels.rows:
         assert row["value"] <= 1.0 + 1e-12
+    assert ms.carleson_functional_test(mu, kernels, CFG, n_polynomials=0).value <= 1.0 + 1e-12
 
 
 def test_functional_kernel_rows_are_the_berezin_rows():
-    # the ratio of k_c is the Berezin transform at c, so the kernel family takes
-    # the Berezin test's rows and verdict; pinned against direct transforms
+    # the ratio of k_c is the Berezin transform at c, so over the kernel family
+    # alone the embedding constant is the Berezin test's sup, field for field;
+    # the Berezin rows are pinned against direct transforms
     mu = ms.Measure.with_power_density(1, 0.5)
     centers = ms.boundary_schedule(1, 6)
     kernels = ms.carleson_berezin_test(mu, centers, CFG)
-    res = ms.carleson_functional_test(mu, kernels, CFG, n_polynomials=2, seed=1)
-    got = [(r["d"], r["value"], r["std_error"]) for r in res.rows[: len(kernels.rows)]]
     want = []
     for c in centers:
         est = bergman.berezin_transform(mu, c, CFG)
         want.append((1.0 - float(np.linalg.norm(c)), float(np.real(est.value)), est.std_error))
-    assert got == want
-    assert all(a is b for a, b in zip(res.rows, kernels.rows))
-    assert len(res.rows) == len(want) + 2 and all(math.isnan(r["d"]) for r in res.rows[len(want):])
-    assert (res.verdict, res.slope, res.slope_se, res.growth) == (
-        kernels.verdict, kernels.slope, kernels.slope_se, kernels.growth)
-    # the polynomials set only the embedding constant: the largest row of either family
-    assert res.sup.value == max(r["value"] for r in res.rows) >= kernels.sup.value
+    assert [(r["d"], r["value"], r["std_error"]) for r in kernels.rows] == want
+    assert ms.carleson_functional_test(mu, kernels, CFG, n_polynomials=0, seed=1) == kernels.sup
+    # with polynomials, the constant is the larger of that sup and the polynomial
+    # ratios: integral |p|^2 dmu / ||p||^2, each one MC integral at cfg
+    rng = np.random.default_rng(1)
+    ratios = []
+    for _ in range(2):
+        alphas, coeffs = bergman.random_polynomial(1, 2, rng)
+        est = integrate_density(lambda p: np.abs(bergman.evaluate_polynomial(alphas, coeffs, p)) ** 2 * mu.density(p),
+                                1, CFG, boundary_pole_order=mu.pole_order)
+        norm_sq = bergman.polynomial_norm_sq(alphas, coeffs, 1)
+        ratios.append(EstimateWithError(float(np.real(est.value)) / norm_sq, est.std_error / norm_sq, CFG.n_samples))
+    constant = ms.carleson_functional_test(mu, kernels, CFG, n_polynomials=2, seed=1)
+    assert constant == max([kernels.sup, *ratios], key=lambda e: e.value)
 
 
 # -- cross-check --------------------------------------------------------------
@@ -266,12 +271,14 @@ def test_cross_check_divergent_fails_and_agrees():
 
 
 def test_verdict_derives_agreement_from_the_verdicts():
-    # agreement, defect and overall are read off the verdict dict, never stored beside it
-    split = ms.CarlesonVerdict({"functional": "pass", "berezin": "pass", "ratio": "fail"}, {}, None, None)
+    # agreement, defect and overall are read off the two votes, never stored beside them
+    split = ms.CarlesonVerdict({"berezin": "pass", "ratio": "fail"}, {}, None, None)
     assert not split.agreement and split.overall == "inconclusive"
-    assert split.defect == "conclusive tests disagree: functional=pass, berezin=pass, ratio=fail"
-    partial = ms.CarlesonVerdict({"functional": "inconclusive", "berezin": "fail", "ratio": "fail"}, {}, None, None)
+    assert split.defect == "conclusive tests disagree: berezin=pass, ratio=fail"
+    partial = ms.CarlesonVerdict({"berezin": "inconclusive", "ratio": "fail"}, {}, None, None)
     assert partial.agreement and partial.defect is None and partial.overall == "fail"
+    neither = ms.CarlesonVerdict({"berezin": "inconclusive", "ratio": "inconclusive"}, {}, None, None)
+    assert neither.agreement and neither.overall == "inconclusive"
 
 
 def test_cross_check_json_and_rows():
@@ -279,25 +286,36 @@ def test_cross_check_json_and_rows():
     d = verdict.to_json_dict()
     assert set(d) == {"berezin_sup", "ratio_sup", "functional_constant", "verdicts", "agreement", "defect",
                       "overall"}
+    # two votes; the written "functional" key repeats the Berezin vote, first, as the parent wrote it
+    assert list(verdict.verdicts) == ["berezin", "ratio"]
+    assert list(d["verdicts"].items()) == [("functional", verdict.verdicts["berezin"]), *verdict.verdicts.items()]
     # each sup is the largest row value of its own test
     assert set(d["ratio_sup"]) == {str(r) for r in fast_config().r_values}
     for r, res in verdict.ratio_results.items():
         assert d["ratio_sup"][str(r)] == max(row["value"] for row in res.rows)
     assert d["berezin_sup"]["value"] == max(row["value"] for row in verdict.berezin_result.rows)
-    # the embedding constant ranges over the kernel and the polynomial rows
-    functional = verdict.functional_result.rows
-    assert len(functional) == len(verdict.berezin_result.rows) + fast_config().n_polynomials
-    assert d["functional_constant"]["value"] == max(row["value"] for row in functional)
+    # the embedding constant is the functional test's over the Berezin rows and the polynomials
+    cfg = fast_config()
+    constant = ms.carleson_functional_test(ms.Measure.lebesgue(1), verdict.berezin_result, cfg.global_cfg(),
+                                           n_polynomials=cfg.n_polynomials, seed=cfg.seed)
+    assert verdict.functional_constant == constant
+    assert d["functional_constant"] == {"value": constant.value, "std_error": constant.std_error}
+    assert constant.value >= d["berezin_sup"]["value"]
     rows = verdict.schedule_rows()
     assert rows and set(rows[0]) == {"center", "d", "ratio", "berezin"}
 
 
 def test_verdict_scale_invariance():
     # scaling the measure scales the statistics but not the verdicts
-    base = ms.cross_check_equivalence(ms.Measure.lebesgue(1), fast_config())
-    scaled = ms.cross_check_equivalence(ms.Measure(1, [], [], ms.PowerDensity(((7.0, 0.0),))), fast_config())
+    ladder = dict(ms.bundled_measure_suite(1))["dirac-ladder"]
+    base = ms.cross_check_equivalence(ladder, fast_config())
+    scaled = ms.cross_check_equivalence(ms.Measure.from_atoms(ladder.atom_points, 7.0 * ladder.atom_weights),
+                                        fast_config())
     assert scaled.verdicts == base.verdicts
     assert scaled.berezin_sup.value == pytest.approx(7.0 * base.berezin_sup.value, rel=1e-9)
+    assert scaled.functional_constant.value == pytest.approx(7.0 * base.functional_constant.value, rel=1e-9)
+    for r, sup in base.ratio_sup.items():
+        assert scaled.ratio_sup[r] == pytest.approx(7.0 * sup, rel=1e-9)
 
 
 def test_atomic_statistics_scale_exactly():
