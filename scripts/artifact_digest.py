@@ -87,6 +87,12 @@ CALLS = {
     # points outside the ball: the one-point density and kernel refuse them as the distances do
     "refused-ek-density-outside": ["ek", "--params", '{"op": "ek_density", "z": [1.5, 0.0]}'],
     "refused-kernel-outside": ["berezin", "--params", '{"op": "kernel", "z": [1.5, 0.0], "w": [0.5, 0.0]}'],
+    # a sequence's base point outside the ball, probes of another dimension, a negative radius
+    "refused-base-point-outside": ["seq", "analyze", "--sequence", '{"type": "ladder", "n": 1, "count": 10}',
+                                   "--params", '{"z0": [1.5, 0.0]}'],
+    "refused-probe-dimension": ["berezin", "--measure", VOLUME, "--params", '{"probes": [[0.5, 0.0, 0.1, 0.0]]}'],
+    "refused-negative-radius": ["seq", "decompose", "--sequence", '{"type": "ladder", "n": 1, "count": 10}',
+                                "--params", '{"r": -1}'],
 }
 
 

@@ -53,12 +53,8 @@ def kernel(z, w) -> complex:
     conjugate symmetry is exact bit for bit and cancellation near the diagonal
     boundary stays controlled.
     """
-    z = geom.as_point(z)
-    w = geom.as_point(w)
-    if z.shape != w.shape:
-        raise ParameterError("points must share one dimension")
-    geom._require_interior(z, "first point")
-    geom._require_interior(w, "second point")
+    z = geom.interior_point(z, name="first point")
+    w = geom.interior_point(w, z.size, "second point")
     return (1.0 - geom.herm_inner(z, w)) ** (-(z.size + 1))
 
 
@@ -73,7 +69,6 @@ def kernel_values(z, points) -> np.ndarray:
 
 def normalized_kernel(z0, z) -> complex:
     """k_{z0}(z) = K(z, z0) / sqrt(K(z0, z0)); unit L^2 norm as a function of z."""
-    z0 = geom.as_point(z0)
     return kernel(z, z0) / math.sqrt(kernel(z0, z0).real)
 
 
@@ -116,8 +111,7 @@ def berezin_transform(mu, z, cfg: MCConfig) -> EstimateWithError:
     Atoms are summed exactly; an absolutely continuous part is integrated by
     importance-sampled Monte Carlo with a reported standard error.
     """
-    z = geom.as_point(z)
-    geom._require_interior(z, "probe point")
+    z = geom.interior_point(z, mu.dimension, "probe point")
     atom_part = 0.0
     n_atoms = 0
     if mu.n_atoms:
@@ -272,7 +266,7 @@ def check_submean(
 
 def reproducing_check(z, alpha, cfg: MCConfig) -> tuple[EstimateWithError, complex]:
     """Monte Carlo of integral K(z, zeta) zeta^alpha d(vol) against the exact z^alpha."""
-    z = geom.as_point(z)
+    z = geom.interior_point(z)
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != z.size:
         raise ParameterError("multi-index length must match the dimension")
@@ -287,7 +281,7 @@ def reproducing_check(z, alpha, cfg: MCConfig) -> tuple[EstimateWithError, compl
 
 def diagonal_check(z, cfg: MCConfig) -> tuple[EstimateWithError, float]:
     """Monte Carlo of integral |K(z, zeta)|^2 d(vol) against the exact K(z, z)."""
-    z = geom.as_point(z)
+    z = geom.interior_point(z)
 
     def integrand(pts):
         return np.abs(kernel_values(z, pts)) ** 2

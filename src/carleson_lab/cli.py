@@ -106,6 +106,7 @@ def _integer(lo: float = -math.inf, hi: float = math.inf):
 
 
 _count = _integer(1, MAX_COUNT)  # a size or a dimension
+_samples = _integer(100, MAX_COUNT)  # a Monte Carlo sample count
 _seed = _integer(0)
 
 
@@ -292,7 +293,7 @@ class ExperimentSpec:
             name=spec.read("name", _REQUIRED, _string),
             operation=spec.read("operation", _REQUIRED, _string),
             parameters=spec.object("parameters"),
-            mc=MCConfig(**_given(mc.read, seed=_seed, n_samples=_integer(100, MAX_COUNT))),
+            mc=MCConfig(**_given(mc.read, seed=_seed, n_samples=_samples)),
             out_dir=out.read("dir", "out", _string),
             out_format=out.read("format", "csv", _choice("csv", "json")),
             **{key: spec.read(key, None, reader) for key, reader in _DECLARATIONS.items()},
@@ -417,15 +418,14 @@ def _domain_check(spec: ExperimentSpec, checker) -> Outcome:
 
 def _schedule(p: Fields, n: int, default: int) -> list[np.ndarray]:
     """The boundary schedule to the depth 2^-k_max that ``parameters/k_max``
-    asks for.  A k_max whose deepest centres lie within BOUNDARY_MARGIN of the
-    sphere (from 40 on) is refused, one past depth BOUNDARY_MARGIN before any
-    centre is built."""
+    asks for.  The schedule refuses a centre within 1e-12 of the sphere (k_max
+    >= 40); that is named as the field here, as ``p.read`` does not pass a
+    default through its kind."""
     k_max = p.read("k_max", default, _count)
-    centers = measures.boundary_schedule(n, k_max) if 2.0**-k_max >= geom.BOUNDARY_MARGIN else []
-    if not centers or max(float(np.linalg.norm(c)) for c in centers[-2:]) >= 1.0 - geom.BOUNDARY_MARGIN:
-        raise UsageError(f"bad parameters/k_max ({k_max}: the centres at depth 2^-{k_max} lie within "
-                         f"{geom.BOUNDARY_MARGIN:g} of the sphere)")
-    return centers
+    try:
+        return measures.boundary_schedule(n, k_max)
+    except OutsideDomainError as exc:
+        raise UsageError(f"bad parameters/k_max ({k_max}: {exc})") from exc
 
 
 def _berezin_transform(spec: ExperimentSpec) -> Outcome:
@@ -465,8 +465,8 @@ def _carleson_test(spec: ExperimentSpec) -> Outcome:
     config = measures.CrossCheckConfig(
         r_values=p.read("r_values", (0.3, 0.5, 0.7), lambda v: tuple(_numbers(v))),
         k_max=len(centers) // 2,  # two centres a depth
-        ball_samples=max(p.read("ball_samples", spec.mc.n_samples // 2, _count), 100),
-        global_samples=max(p.read("global_samples", spec.mc.n_samples, _count), 100),
+        ball_samples=p.read("ball_samples", max(spec.mc.n_samples // 2, 100), _samples),
+        global_samples=p.read("global_samples", spec.mc.n_samples, _samples),
         n_polynomials=p.read("n_polynomials", 10, _integer(0, MAX_POLYNOMIALS)),
         seed=spec.mc.seed,
     )

@@ -348,11 +348,7 @@ def kobayashi_bounds(domain: Domain, z, w) -> DistanceBounds:
     points and from a greedy inscribed-ball chain along the segment.  For the
     unit-ball domain the two sides coincide with the exact distance.
     """
-    z = geom.as_point(z)
-    w = geom.as_point(w)
-    for pt, name in ((z, "first point"), (w, "second point")):
-        if domain.psi(pt) <= 0.0:
-            raise OutsideDomainError(f"{name} is not interior to the domain")
+    z, w = (domain._interior(np.reshape(p, (1, -1)))[0] for p in (z, w))
     lower = _scaled_ball_distance(domain.center, domain.bounding_radius, z, w)
     upper = math.inf
     mid = 0.5 * (z + w)
@@ -374,7 +370,6 @@ def estimate_boundary_constants(domain: Domain, z0, probes) -> BoundaryEstimate:
     exact distances would give the optimal constants, bounds give a certified
     enclosure.
     """
-    z0 = geom.as_point(z0)
     probe_list = [geom.as_point(p) for p in probes]
     if len(probe_list) < 2:
         raise ParameterError("need at least two probe points")

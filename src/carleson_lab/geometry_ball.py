@@ -43,6 +43,8 @@ __all__ = [
     "DistancePair",
     "KobayashiBall",
     "as_point",
+    "interior_point",
+    "ball_points",
     "herm_inner",
     "norm_sq",
     "pseudo_distance",
@@ -89,14 +91,29 @@ def herm_inner(z: np.ndarray, w: np.ndarray) -> complex:
     return complex(re, im)
 
 
-def _require_interior(z: np.ndarray, name: str = "point") -> float:
+def interior_point(coords, dimension: int | None = None, name: str = "point") -> np.ndarray:
+    """The argument of a one-point formula: :func:`as_point`, of ``dimension``
+    coordinates when one is given, inside the sphere by BOUNDARY_MARGIN."""
+    z = as_point(coords)
+    if dimension is not None and z.size != dimension:
+        raise ParameterError(f"{name} has {z.size} coordinates, not {dimension}")
     nz = float(np.linalg.norm(z))
     if nz >= 1.0 - BOUNDARY_MARGIN:
-        raise OutsideDomainError(
-            f"{name} must lie strictly inside the unit ball "
-            f"(||z|| = {nz:.17g} >= 1 - {BOUNDARY_MARGIN:g})"
-        )
-    return nz
+        raise OutsideDomainError(f"{name} must lie strictly inside the unit ball "
+                                 f"(||z|| = {nz:.17g} >= 1 - {BOUNDARY_MARGIN:g})")
+    return z
+
+
+def ball_points(points, dimension: int | None = None, name: str = "points") -> np.ndarray:
+    """A point set as an (m, n) complex array: n >= 1 (``dimension`` if given), and
+    |z| < 1 in one pass of norms, which a non-finite point fails.  No margin: a set
+    may hold points within BOUNDARY_MARGIN of the sphere, as a ladder's deep rungs."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
+    if pts.ndim != 2 or not pts.shape[1] or pts.shape[1] != (dimension or pts.shape[1]):
+        raise ValidationError(f"bad shape {pts.shape} for {name}: a point has {dimension or 'one or more'} coordinates")
+    if not np.all(np.linalg.norm(pts, axis=1) < 1.0):
+        raise ValidationError(f"{name} must be finite and lie inside the unit ball")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -128,7 +145,7 @@ class KobayashiBall:
 
     def radial_direction(self) -> np.ndarray:
         nb = np.linalg.norm(self.base)
-        if nb < BOUNDARY_MARGIN:
+        if nb < 1e-12:  # at the origin every complex line is radial: take e_1
             e = np.zeros(self.dimension, dtype=np.complex128)
             e[0] = 1.0
             return e
@@ -195,12 +212,8 @@ def pseudo_distance(z, w) -> DistancePair:
     """Pseudohyperbolic distance between two interior points, by :func:`pseudo_rho`,
     capped just below 1.  The Kobayashi distance is arctanh(rho).
     """
-    z = as_point(z)
-    w = as_point(w)
-    if z.shape != w.shape:
-        raise ParameterError("points must share one dimension")
-    _require_interior(z, "first point")
-    _require_interior(w, "second point")
+    z = interior_point(z, name="first point")
+    w = interior_point(w, z.size, "second point")
     rho = min(float(pseudo_rho(z, w)), 1.0 - 1e-16)
     return DistancePair(pseudo=rho, kobayashi=math.atanh(rho))
 
@@ -229,12 +242,8 @@ def ball_automorphism(a, z) -> np.ndarray:
     The convention is pinned by the involution phi_a(phi_a(z)) = z; it preserves
     the pseudohyperbolic distance.
     """
-    a = as_point(a)
-    z = as_point(z)
-    if a.shape != z.shape:
-        raise ParameterError("points must share one dimension")
-    _require_interior(a, "automorphism parameter")
-    _require_interior(z, "point")
+    a = interior_point(a, name="automorphism parameter")
+    z = interior_point(z, a.size)
     return ball_automorphism_many(a, z[None, :])[0]
 
 
@@ -262,10 +271,9 @@ def mobius_jacobian_many(a: np.ndarray, points) -> np.ndarray:
 
 def kobayashi_ball(z0, r: float) -> KobayashiBall:
     """Ellipsoid data of the metric ball of pseudohyperbolic radius ``r`` about ``z0``."""
-    z0 = as_point(z0)
     if not (0.0 < r < 1.0):
         raise ParameterError(f"pseudohyperbolic radius must be in (0, 1), got {r!r}")
-    _require_interior(z0, "base point")
+    z0 = interior_point(z0, name="base point")
     nz2 = norm_sq(z0)
     _, denom, radial, transverse = _ball_axes(nz2, r)
     return KobayashiBall(
@@ -304,10 +312,9 @@ def metric_ball_reach(points, r: float) -> np.ndarray:
 
 def ball_volume(z0, r: float) -> float:
     """Normalised volume r^(2n) * ((1 - ||z0||^2) / (1 - r^2 ||z0||^2))^(n+1)."""
-    z0 = as_point(z0)
     if not (0.0 < r < 1.0):
         raise ParameterError(f"pseudohyperbolic radius must be in (0, 1), got {r!r}")
-    _require_interior(z0, "base point")
+    z0 = interior_point(z0, name="base point")
     n = z0.size
     nz2 = norm_sq(z0)
     return r ** (2 * n) * ((1.0 - nz2) / (1.0 - r * r * nz2)) ** (n + 1)

@@ -26,8 +26,7 @@ __all__ = [
 
 def ek_density(z) -> float:
     """Invariant volume density (1 - ||z||^2)^-(n+1) at an interior point."""
-    z = geom.as_point(z)
-    geom._require_interior(z)
+    z = geom.interior_point(z)
     return (1.0 - geom.norm_sq(z)) ** (-(z.size + 1))
 
 

@@ -73,12 +73,9 @@ class Measure:
         w = np.asarray(self.atom_weights, dtype=float).reshape(-1)
         if pts.shape[0] != w.size:
             raise ValidationError("atom points and weights must align")
-        if pts.shape[0] and pts.shape[1] != self.dimension:
-            raise ValidationError("atom dimension mismatch")
+        pts = geom.ball_points(pts, self.dimension, "atoms")
         if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise ValidationError("atom weights must be positive and finite")
-        if not np.all(np.isfinite(pts)) or np.any(np.linalg.norm(pts, axis=1) >= 1.0):
-            raise ValidationError("atoms must be finite and lie inside the unit ball")
         if self.density is not None and not isinstance(self.density, PowerDensity):
             raise ValidationError("density must be a PowerDensity or None")
         object.__setattr__(self, "atom_points", pts)
@@ -155,8 +152,8 @@ def boundary_schedule(n: int, k_max: int = 12) -> list[np.ndarray]:
     centers = []
     for k in range(1, k_max + 1):
         d = 2.0 ** (-k)
-        centers.append((1.0 - d) * u)
-        centers.append((1.0 - d) * (u + 0.5 * math.sqrt(d) * v))
+        for c in ((1.0 - d) * u, (1.0 - d) * (u + 0.5 * math.sqrt(d) * v)):
+            centers.append(geom.interior_point(c, name=f"a centre at depth 2^-{k}"))
     return centers
 
 

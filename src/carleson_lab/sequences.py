@@ -66,17 +66,12 @@ class PointSequence:
     boundary_distances: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=np.complex128))
-        if not pts.shape[1] or not np.all(np.isfinite(pts)):
-            raise ValidationError("sequence points must be finite and have coordinates")
-        norms = np.linalg.norm(pts, axis=1)
-        if np.any(norms >= 1.0):
-            raise ValidationError("sequence points must lie inside the unit ball")
+        pts = geom.ball_points(self.points, name="sequence points")
         if self.metric not in METRICS:
             raise ParameterError(f"metric must be one of {METRICS}")
         bd = self.boundary_distances
         if bd is None:
-            bd = 1.0 - norms
+            bd = 1.0 - np.linalg.norm(pts, axis=1)
         else:
             bd = np.asarray(bd, dtype=float).reshape(-1)
             if bd.size != pts.shape[0]:
@@ -312,10 +307,9 @@ def separation_constant(seq: PointSequence) -> float:
 
 def count_in_ball(seq: PointSequence, z0, r: float) -> int:
     """Number of sequence points with metric distance < r from z0."""
-    if len(seq) == 0:
-        return 0
     metric, t = _pseudo_threshold(seq.metric, r)
-    return int(np.count_nonzero(_pair_distance(metric, geom.as_point(z0), seq.points) < t))
+    z0 = geom.ball_points(np.reshape(z0, (1, -1)), seq.dimension, "base point")[0]
+    return int(np.count_nonzero(_pair_distance(metric, z0, seq.points) < t))
 
 
 @dataclass(frozen=True)
@@ -359,7 +353,9 @@ def _kdtree(rows: np.ndarray):
 
 def _pseudo_threshold(metric: str, t: float) -> tuple[str, float]:
     """The metric and threshold the engine compares: a Kobayashi threshold t
-    as the pseudohyperbolic tanh(t), any other as it is."""
+    as the pseudohyperbolic tanh(t), any other as it is.  t must be positive."""
+    if not t > 0.0:
+        raise ParameterError(f"a ball radius or separation threshold must be positive, got {t!r}")
     return ("pseudohyperbolic", math.tanh(t)) if metric == "kobayashi" else (metric, t)
 
 
@@ -789,7 +785,7 @@ def shell_counts(seq: PointSequence, z0=None) -> ShellCounts:
     """
     if z0 is None:
         z0 = np.zeros(seq.dimension, dtype=np.complex128)
-    z0 = geom.as_point(z0)
+    z0 = geom.ball_points(np.reshape(z0, (1, -1)), seq.dimension, "base point")[0]
     if len(seq) == 0:
         return ShellCounts(counts=np.zeros(0, dtype=int), slope=math.nan, slope_se=math.nan, fit_shells=())
     rho = geom.pseudo_distance_many(z0, seq.points)

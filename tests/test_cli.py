@@ -318,6 +318,29 @@ _REFUSED = {
     "normalized-kernel-outside": (["berezin", "--params", '{"op": "normalized_kernel", "z": [0.5, 0.0], '
                                    '"w": [1.5, 0.0]}'], None,
                                   "point must lie strictly inside the unit ball (||z|| = 1.5 "),
+    # a base point or a probe outside the ball or of another dimension, which ran
+    # at exit 0 or ended in a traceback before each point rule had one home
+    "seq-analyze-base-outside": (["seq", "analyze", "--sequence", '{"type": "ladder", "n": 1, "count": 10}',
+                                  "--params", '{"z0": [1.5, 0]}'], None,
+                                 "base point must be finite and lie inside the unit ball"),
+    "seq-shells-base-dimension": (["seq", "shells", "--sequence", '{"type": "ladder", "n": 1, "count": 10}',
+                                   "--params", '{"z0": [0.5, 0, 0, 0]}'], None,
+                                  "bad shape (1, 2) for base point: a point has 1 coordinates"),
+    "berezin-probe-dimension-density": (["berezin", "--measure", '{"dimension": 1, "density": {"type": "power", '
+                                         '"s": 0.5}}', "--params", '{"probes": [[0.5, 0, 0.1, 0]]}'], None,
+                                        "probe point has 2 coordinates, not 1"),
+    "berezin-probe-dimension-atoms": (["berezin", "--measure", '{"dimension": 1, "atoms": [[[0.5, 0.0], 1.0]], '
+                                       '"density": "none"}', "--params", '{"probes": [[0.5, 0, 0.1, 0]]}'], None,
+                                      "probe point has 2 coordinates, not 1"),
+    # a radius that is not positive, which made one class or a count of 0
+    "seq-decompose-negative-radius": (["seq", "decompose", "--sequence", '{"type": "points", "rows": '
+                                       '[[0.1, 0], [0.15, 0], [0.5, 0]]}', "--params", '{"r": -1}'], None,
+                                      "must be positive, got -1.0"),
+    # a sample size below 100, which was raised to 100 unrecorded
+    "carleson-test-few-ball-samples": (["carleson-test", "--measure", '{"dimension": 1, "density": {"type": "power", '
+                                        '"s": 0.5}}', "--params", '{"ball_samples": 10, "global_samples": 7, '
+                                        '"k_max": 4, "n_polynomials": 0}'], None,
+                                       "bad parameters/ball_samples (ValueError: must be in [100, 10000000])"),
 }
 
 

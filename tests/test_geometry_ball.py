@@ -375,3 +375,66 @@ def test_point_row_roundtrip():
 def test_ball_json_shape():
     d = g.kobayashi_ball([0.6], 0.5).to_json_dict()
     assert set(d) == {"base", "r", "center", "radial_axis", "transverse_axis"}
+
+
+# -- the point rules -----------------------------------------------------------
+
+def _routed():
+    """Each entry routed through a point rule, as (call of the checked point, a
+    point of the wrong dimension for it): another dimension than the 1-d context
+    it is called in, or no coordinates where the entry takes any."""
+    from carleson_lab import bergman, domains, invariant_measure, measures, sequences
+    from carleson_lab.integrate import MCConfig
+
+    cfg = MCConfig(n_samples=100)
+    ladder = sequences.PointSequence.radial_ladder(1, 10)
+    atoms = measures.Measure.from_atoms([[0.5]], [1.0])
+    return {
+        "pseudo_distance": (lambda p: g.pseudo_distance([0.1], p), [0.1, 0.1]),
+        "ball_automorphism": (lambda p: g.ball_automorphism([0.1], p), [0.1, 0.1]),
+        "kobayashi_ball": (lambda p: g.kobayashi_ball(p, 0.5), []),
+        "ball_volume": (lambda p: g.ball_volume(p, 0.5), []),
+        "kernel": (lambda p: bergman.kernel([0.1], p), [0.1, 0.1]),
+        "berezin_transform-density": (lambda p: bergman.berezin_transform(measures.Measure.lebesgue(1), p, cfg),
+                                      [0.1, 0.1]),
+        "berezin_transform-atoms": (lambda p: bergman.berezin_transform(atoms, p, cfg), [0.1, 0.1]),
+        "reproducing_check": (lambda p: bergman.reproducing_check(p, (1,), cfg), []),
+        "diagonal_check": (lambda p: bergman.diagonal_check(p, cfg), []),
+        "ek_density": (invariant_measure.ek_density, []),
+        "PointSequence": (lambda p: sequences.PointSequence(points=[p]), []),
+        "Measure": (lambda p: measures.Measure(1, [p], [1.0]), [0.1, 0.1]),
+        "count_in_ball": (lambda p: sequences.count_in_ball(ladder, p, 0.5), [0.1, 0.1]),
+        "shell_counts": (lambda p: sequences.shell_counts(ladder, p), [0.1, 0.1]),
+        "kobayashi_bounds": (lambda p: domains.kobayashi_bounds(domains.BallDomain(1), [0.1], p), [0.1, 0.1]),
+    }
+
+
+@pytest.mark.parametrize("point", ["wrong-dimension", "outside"])
+@pytest.mark.parametrize("entry", sorted(_routed()))
+def test_every_routed_entry_refuses_a_wrong_point(entry, point):
+    call, wrong = _routed()[entry]
+    call([0.3])  # the context itself is well formed
+    with pytest.raises((ParameterError, ValidationError, OutsideDomainError)):
+        call(wrong if point == "wrong-dimension" else [1.5])
+
+
+def test_boundary_schedule_refuses_a_centre_within_the_margin():
+    from carleson_lab import measures
+
+    assert len(measures.boundary_schedule(1, 39)) == 78
+    with pytest.raises(OutsideDomainError, match="a centre at depth 2\\^-40 "):
+        measures.boundary_schedule(1, 40)
+
+
+def test_the_point_set_rule_has_no_margin():
+    # rungs from m = 28 on lie within BOUNDARY_MARGIN of the sphere; a sequence
+    # holds them, and one of them may be the base point of a count or a shell fit
+    from carleson_lab import sequences
+
+    seq = sequences.PointSequence.radial_ladder(1, 50)
+    z0 = seq.points[39]  # rung 40
+    assert 1.0 - abs(z0[0]) < g.BOUNDARY_MARGIN
+    with pytest.raises(OutsideDomainError):
+        g.interior_point(z0)
+    assert sequences.count_in_ball(seq, z0, 0.5) >= 1
+    assert sequences.shell_counts(seq, z0).counts.sum() == 50
