@@ -313,7 +313,7 @@ def _scaled_ball_distance(c: np.ndarray, radius: float, z: np.ndarray, w: np.nda
     zs = (z - c) / radius
     ws = (w - c) / radius
     rho = float(geom.pseudo_distance_many(zs, ws[None, :])[0])
-    return math.atanh(min(rho, 1.0 - 1e-16))
+    return math.atanh(min(rho, geom.RHO_CAP))
 
 
 _CHAIN_STEP = 0.5  # each hop of the chain spans this fraction of its inscribed ball's radius
@@ -333,7 +333,7 @@ def _chain_upper(domain: Domain, z: np.ndarray, w: np.ndarray) -> float:
         if rad <= 0.0:
             return math.inf
         hop = min(dist, _CHAIN_STEP * rad)
-        total += math.atanh(min(hop / rad, 1.0 - 1e-16))
+        total += math.atanh(min(hop / rad, geom.RHO_CAP))
         p = p + (hop / dist) * gap
         if hop == dist:
             return total

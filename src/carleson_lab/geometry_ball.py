@@ -2,17 +2,20 @@
 
 Pseudohyperbolic and Kobayashi distances, Moebius automorphisms, metric balls
 as explicit Euclidean ellipsoids, their volumes, and rejection-free uniform
-sampling inside them.
+sampling inside them.  The ellipsoid serves sampling and reach; its equation,
+which the distance contradicts in the last bits at the metric sphere, decides
+no membership.
 
 Every distance in the package comes from one of two forms defined here
 (delta = 1 - |.|^2; Rudin, Function Theory in the Unit Ball of C^n, 2.2.2):
-  * :func:`pseudo_rho`, rho itself, cancellation-free.  The distance functions
-    below, ``sequences.pseudo_block`` and the sequence layer's separation,
-    packing, decomposition, ball and shell counts use it.
+  * :func:`pseudo_rho`, rho itself, cancellation-free, and the membership rule
+    (w in B(z, r) iff pseudo_rho(z, w) < r): the distance functions below,
+    :meth:`KobayashiBall.contains`, ``sequences.pseudo_block`` and the sequence
+    layer's separation, packing, decomposition, ball and shell counts use it.
   * :func:`mobius_factor`, the product form q_a(z) = delta_a / |1 - <z, a>|^2:
     1 - rho(a, z)^2 = delta_z q_a(z), and q_a^(n+1) is the Moebius Jacobian and
-    |k_a|^2.  The Monte Carlo densities and the cover counts use it, and decide
-    rho(a, z) < t as delta_z q_a(z) > 1 - t^2.
+    |k_a|^2.  It decides rho(a, z) < t as delta_z q_a(z) > 1 - t^2 in two hot
+    loops only: ``sequences._count_within`` and the mixture densities of ``integrate``.
 The difference form costs two to three times as much per pair; the product
 form loses relative accuracy in rho when rho is small, which a comparison
 against a fixed radius, or a Jacobian, does not need.
@@ -37,9 +40,12 @@ from .reports import CheckReport
 # Base points this close to the unit sphere are rejected instead of
 # extrapolated: every formula in this module degenerates there.
 BOUNDARY_MARGIN = 1e-12
+# the cap on a pseudohyperbolic distance, so its Kobayashi arctanh stays finite
+RHO_CAP = 1.0 - 1e-16
 
 __all__ = [
     "BOUNDARY_MARGIN",
+    "RHO_CAP",
     "DistancePair",
     "KobayashiBall",
     "as_point",
@@ -108,7 +114,13 @@ def ball_points(points, dimension: int | None = None, name: str = "points") -> n
     """A point set as an (m, n) complex array: n >= 1 (``dimension`` if given), and
     |z| < 1 in one pass of norms, which a non-finite point fails.  No margin: a set
     may hold points within BOUNDARY_MARGIN of the sphere, as a ladder's deep rungs."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
+    try:
+        pts = np.asarray(points, dtype=np.complex128)
+    except (ValueError, TypeError) as exc:  # ragged rows, or entries that are not numbers
+        raise ValidationError(f"{name} must be rows of numbers, one length each ({exc})") from None
+    if dimension and pts.ndim == 1 and not pts.size:  # [] with a dimension: the empty set of it
+        pts = pts.reshape(0, dimension)
+    pts = np.atleast_2d(pts)
     if pts.ndim != 2 or not pts.shape[1] or pts.shape[1] != (dimension or pts.shape[1]):
         raise ValidationError(f"bad shape {pts.shape} for {name}: a point has {dimension or 'one or more'} coordinates")
     if not np.all(np.linalg.norm(pts, axis=1) < 1.0):
@@ -126,11 +138,12 @@ class DistancePair:
 
 @dataclass(frozen=True, eq=False)
 class KobayashiBall:
-    """Metric ball {rho(base, .) < pseudo_radius}, stored as a Euclidean ellipsoid.
+    """Metric ball {rho(base, .) < pseudo_radius} with its Euclidean ellipsoid.
 
     The ellipsoid is a round disk of radius ``radial_axis`` on the complex line
     through the base point and a round ball of radius ``transverse_axis`` on the
-    orthogonal complement, both centred at ``center``.
+    orthogonal complement, both centred at ``center``.  It is kept for sampling
+    and reporting; :meth:`contains` decides membership by the distance.
     """
 
     base: np.ndarray
@@ -152,14 +165,8 @@ class KobayashiBall:
         return self.base / nb
 
     def contains(self, points) -> np.ndarray:
-        """Ellipsoid-equation membership for an (m, n) array of points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-        v = pts - self.center
-        e = self.radial_direction()
-        p = v @ np.conj(e)
-        perp_sq = np.maximum(np.einsum("ij,ij->i", v, np.conj(v)).real - np.abs(p) ** 2, 0.0)
-        q = np.abs(p) ** 2 / self.radial_axis**2 + perp_sq / self.transverse_axis**2
-        return q < 1.0
+        """pseudo_rho(base, w) < pseudo_radius for each row w of an (m, n) array."""
+        return pseudo_rho(self.base, np.atleast_2d(points)) < self.pseudo_radius
 
     @property
     def volume(self) -> float:
@@ -210,11 +217,11 @@ def pseudo_rho(a, b) -> np.ndarray:
 
 def pseudo_distance(z, w) -> DistancePair:
     """Pseudohyperbolic distance between two interior points, by :func:`pseudo_rho`,
-    capped just below 1.  The Kobayashi distance is arctanh(rho).
+    capped at RHO_CAP.  The Kobayashi distance is arctanh(rho).
     """
     z = interior_point(z, name="first point")
     w = interior_point(w, z.size, "second point")
-    rho = min(float(pseudo_rho(z, w)), 1.0 - 1e-16)
+    rho = min(float(pseudo_rho(z, w)), RHO_CAP)
     return DistancePair(pseudo=rho, kobayashi=math.atanh(rho))
 
 

@@ -13,7 +13,7 @@ A grid of metric balls (``integrate_over_balls``) draws its round-ball sample
 once, maps it onto each ball and evaluates each ball once over the whole draw.
 Unit-ball estimates evaluate per batch: at their 320k-sample budgets a whole
 draw at once ran 10-45% slower, its temporaries falling out of cache.
-scipy is imported at its call site: a command loads only the scipy it calls.
+The Beta tilt's normalisation is a closed form, so no estimate loads scipy.
 """
 
 from __future__ import annotations
@@ -217,12 +217,12 @@ class BetaRadialComponent:
     """Radially tilted component: ||z||^2 ~ Beta(n, 1 - exponent)."""
 
     def __init__(self, n: int, exponent: float):
-        from scipy.special import beta as beta_fn
         if not 0.0 <= exponent < 1.0:
             raise ParameterError("radial tilt exponent must be in [0, 1)")
         self.n = int(n)
         self.exponent = float(exponent)
-        self._norm = self.n * beta_fn(self.n, 1.0 - self.exponent)
+        # n B(n, 1 - exponent), for an integer n a closed form
+        self._norm = math.factorial(self.n) / math.prod(1.0 - self.exponent + k for k in range(self.n))
 
     def sample(self, rng, count):
         u = rng.beta(self.n, 1.0 - self.exponent, size=count)

@@ -67,13 +67,10 @@ class Measure:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValidationError("a measure needs dimension >= 1")
-        pts = np.atleast_2d(np.asarray(self.atom_points, dtype=np.complex128))
-        if pts.size == 0:
-            pts = np.zeros((0, self.dimension), dtype=np.complex128)
+        pts = geom.ball_points(self.atom_points, self.dimension, "atoms")
         w = np.asarray(self.atom_weights, dtype=float).reshape(-1)
         if pts.shape[0] != w.size:
             raise ValidationError("atom points and weights must align")
-        pts = geom.ball_points(pts, self.dimension, "atoms")
         if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise ValidationError("atom weights must be positive and finite")
         if self.density is not None and not isinstance(self.density, PowerDensity):
@@ -102,7 +99,7 @@ class Measure:
 
     @classmethod
     def from_atoms(cls, points, weights) -> "Measure":
-        pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
+        pts = geom.ball_points(points, name="atoms")
         return cls(dimension=pts.shape[1], atom_points=pts, atom_weights=np.asarray(weights, dtype=float))
 
     # -- basic queries -------------------------------------------------------

@@ -45,6 +45,7 @@ __all__ = [
     "CoverReport",
     "separation_constant",
     "count_in_ball",
+    "count_in_balls",
     "greedy_decompose",
     "greedy_pack",
     "greedy_cover",
@@ -301,15 +302,26 @@ def separation_constant(seq: PointSequence) -> float:
         for owner, index in _near_pairs("pseudohyperbolic", pts, tree, best, earlier=True):
             best = min(best, float(_pair_distance("pseudohyperbolic", pts[owner], pts[index]).min(initial=best)))
     if seq.metric == "kobayashi":
-        return math.atanh(min(best, 1.0 - 1e-16))
+        return math.atanh(min(best, geom.RHO_CAP))
     return best
 
 
 def count_in_ball(seq: PointSequence, z0, r: float) -> int:
     """Number of sequence points with metric distance < r from z0."""
+    return int(count_in_balls(seq, np.reshape(z0, (1, -1)), r)[0])
+
+
+def count_in_balls(seq: PointSequence, centres, r: float) -> np.ndarray:
+    """Number of sequence points with metric distance < r from each row of an
+    (m, n) array of centres, a block of about PAIR_BUDGET pairs at a time."""
     metric, t = _pseudo_threshold(seq.metric, r)
-    z0 = geom.ball_points(np.reshape(z0, (1, -1)), seq.dimension, "base point")[0]
-    return int(np.count_nonzero(_pair_distance(metric, z0, seq.points) < t))
+    centres = geom.ball_points(centres, seq.dimension, "base point")
+    counts = np.empty(len(centres), dtype=int)
+    step = max(PAIR_BUDGET // max(len(seq), 1), 1)
+    for i in range(0, len(centres), step):
+        rho = _pair_distance(metric, centres[i : i + step, None, :], seq.points)
+        counts[i : i + step] = np.count_nonzero(rho < t, axis=1)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -789,7 +801,7 @@ def shell_counts(seq: PointSequence, z0=None) -> ShellCounts:
     if len(seq) == 0:
         return ShellCounts(counts=np.zeros(0, dtype=int), slope=math.nan, slope_se=math.nan, fit_shells=())
     rho = geom.pseudo_distance_many(z0, seq.points)
-    k = np.arctanh(np.minimum(rho, 1.0 - 1e-16))
+    k = np.arctanh(np.minimum(rho, geom.RHO_CAP))
     m = np.floor(2.0 * k).astype(int)
     counts = np.bincount(m)
     nz = np.flatnonzero(counts)

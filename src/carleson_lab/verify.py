@@ -244,7 +244,7 @@ def _row_greedy_decomposition(budget, seed) -> CheckReport:
                 np.fill_diagonal(rho, 1.0)
                 worst_sep = min(worst_sep, float(rho.min()) / r)
         # no more classes than the fullest r-ball about a point holds points
-        over_count += dec.n_colors > max(sequences.count_in_ball(seq, p, r) for p in pts)
+        over_count += dec.n_colors > int(sequences.count_in_balls(seq, pts, r).max())
     return CheckReport(
         "greedy-decomposition", worst_sep, 1.0, worst_sep >= 1.0 and not over_count,
         budget["clouds"] * budget["cloud_size"], 0.0, {"seed": seed, "clouds_over_ball_count": over_count},
@@ -274,10 +274,10 @@ def _row_discrete_chain(budget, seed) -> CheckReport:
         if verdict.overall != "pass" or not verdict.agreement:
             failures.append({"sequence": name, "verdicts": verdict.verdicts})
         # ball counts stay finite and stable under probe refinement
-        probes = list(seq.points[:: max(len(seq) // 16, 1)])
-        counts = [sequences.count_in_ball(seq, p, 0.5) for p in probes]
-        if max(counts) > 10_000:
-            failures.append({"sequence": name, "count": max(counts)})
+        probes = seq.points[:: max(len(seq) // 16, 1)]
+        most = int(sequences.count_in_balls(seq, probes, 0.5).max())
+        if most > 10_000:
+            failures.append({"sequence": name, "count": most})
     # Dirac measures draw no samples: the row tests the sequences' points
     return CheckReport(
         "discrete-carleson-chain", len(failures), 0.0, not failures, sum(len(seq) for _, seq in bundle), 0.0,

@@ -47,6 +47,9 @@ _SCIPY_FREE_CALLS = {
     "ball": ["ball", "--params", '{"z0": [0.6, 0.0], "r": 0.5}'],
     "berezin": ["berezin", "--measure", '{"dimension": 1, "density": {"type": "power", "s": 0.0}}',
                 "--params", '{"k_max": 8}', "--samples", "40000"],
+    # a pole density draws from the Beta tilt, whose normalisation is a closed form
+    "berezin-pole": ["berezin", "--measure", '{"dimension": 1, "density": {"type": "power", "s": -0.5}}',
+                     "--params", '{"k_max": 8}', "--samples", "40000"],
     "malformed": ["seq", "analyze", "--sequence", '{"type": "ladder"}'],
     **{f"{op}-{name}": ["ball", "--domain", domain, "--params", json.dumps({"op": op, **params})]
        for name, domain in (("ellipsoid", _ELLIPSOID), ("perturbed-ball", _PERTURBED_BALL))
@@ -1020,6 +1023,31 @@ def test_verify_row_names_cover_every_result(tmp_path, capsys):
     assert all(r["seconds"] >= 0.0 and r["pass"] is True for r in rows)
     with open(tmp_path / "verify_results.csv") as fh:
         assert next(csv.reader(fh)) == ["name", "status", "statistic", "bound", "std_error", "n_samples"]
+
+
+def test_verify_batched_counts_are_count_in_ball():
+    # greedy-decomposition and discrete-carleson-chain count with count_in_balls:
+    # its counts are a distance matrix's and count_in_ball's, one centre at a time
+    budget, seed, r = verify.QUICK_BUDGET, 5, 0.3
+    bundle = verify._bundled_sequences(budget["disk_eps"], budget["ball2_eps"], seed)
+    # the chain row's probes: about 16 points of each sequence
+    cases = [(seq, seq.points[:: max(len(seq) // 16, 1)], 0.5) for _, seq in bundle]
+    rng = np.random.default_rng(seed)
+    worst_sep = math.inf
+    for _ in range(budget["clouds"]):
+        pts = geometry_ball.uniform_round_ball(rng, 1, budget["cloud_size"]) * 0.98
+        cloud = sequences.PointSequence(points=pts)
+        cases.append((cloud, pts, r))
+        # the row's separation, here from the same-class pairs of the whole cloud at once
+        colors = sequences.greedy_decompose(cloud, r).color_of
+        same = (colors[:, None] == colors[None, :]) & ~np.eye(len(pts), dtype=bool)
+        worst_sep = min(worst_sep, float(sequences.pseudo_block(pts, pts)[same].min()) / r)
+    for seq, probes, radius in cases:
+        counts = sequences.count_in_balls(seq, probes, radius).tolist()
+        assert counts == np.count_nonzero(sequences.pseudo_block(probes, seq.points) < radius, axis=1).tolist()
+        assert counts == [sequences.count_in_ball(seq, p, radius) for p in probes]
+    row = verify._row_greedy_decomposition(budget, seed)
+    assert row.statistic == worst_sep and row.details["clouds_over_ball_count"] == 0
 
 
 def test_verify_detects_kernel_mutation(tmp_path, monkeypatch):

@@ -196,19 +196,19 @@ def test_ball_rejects_near_boundary_base():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.floats(0.1, 0.9))
 def test_membership_duality(seed, n, r):
-    # ellipsoid-equation membership agrees with the distance characterisation,
-    # away from a thin shell at the metric sphere
+    # membership is the distance, at every point: on the metric sphere and
+    # within an ulp or two of it too, where the ellipsoid equation disagreed
     rng = np.random.default_rng(seed)
     z0 = g.uniform_round_ball(rng, n, 1)[0] * 0.95
     ball = g.kobayashi_ball(z0, r)
-    pts = g.uniform_round_ball(rng, n, 256) * 0.999
-    rho = g.pseudo_distance_many(z0, pts)
-    by_dist = rho < r
-    clear = np.abs(rho - r) > 1e-9
-    assert np.array_equal(ball.contains(pts)[clear], by_dist[clear])
-    # every ellipsoid point stays inside the unit ball
-    inside = ball.contains(pts)
-    assert np.all(np.linalg.norm(pts[inside], axis=1) < 1.0)
+    # phi_z0 maps the centred sphere of radius s onto the metric sphere rho(z0, .) = s
+    units = g.uniform_round_shell(rng, n, 64, 1.0, 1.0)  # the shell [1, 1): unit directions
+    radii = r * np.array([1 - 1e-15, 1 - 1e-16, 1.0, 1 + 1e-16, 1 + 1e-15])
+    sphere = np.concatenate([g.ball_automorphism_many(z0, s * units) for s in radii])
+    pts = np.concatenate([g.uniform_round_ball(rng, n, 256) * 0.999, sphere])
+    assert np.array_equal(ball.contains(pts), g.pseudo_rho(z0, pts) < r)
+    # every member stays inside the unit ball
+    assert np.all(np.linalg.norm(pts[ball.contains(pts)], axis=1) < 1.0)
 
 
 # -- ball_volume -------------------------------------------------------------
@@ -438,3 +438,22 @@ def test_the_point_set_rule_has_no_margin():
         g.interior_point(z0)
     assert sequences.count_in_ball(seq, z0, 0.5) >= 1
     assert sequences.shell_counts(seq, z0).counts.sum() == 50
+
+
+def test_ragged_point_lists_are_input_errors():
+    # rows of two lengths, or entries that are not numbers, make no array: the
+    # point-set rule names the set
+    from carleson_lab import measures, sequences
+
+    for bad in ([[0.1], [0.1, 0.1]], [[{}]], [["a"]]):
+        for call, name in ((lambda: sequences.PointSequence(points=bad), "sequence points"),
+                           (lambda: measures.Measure.from_atoms(bad, [1.0] * len(bad)), "atoms"),
+                           (lambda: measures.Measure(1, bad, [1.0] * len(bad)), "atoms")):
+            with pytest.raises(ValidationError, match=f"^{name} must be rows of numbers"):
+                call()
+    with pytest.raises(ValidationError, match="must be finite"):  # None reads as nan
+        sequences.PointSequence(points=[[None]])
+    # with a dimension, [] is the empty set of that dimension; no rows of another width are not
+    assert g.ball_points([], 3).shape == (0, 3)
+    with pytest.raises(ValidationError, match="bad shape"):
+        g.ball_points(np.zeros((0, 2)), 3)

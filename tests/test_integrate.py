@@ -291,6 +291,14 @@ def test_component_densities_integrate_to_one():
         assert abs(mean - 1.0) < 4 * se + 1e-9
 
 
+def test_beta_tilt_normalisation_is_the_beta_function():
+    from scipy.special import beta
+
+    for n in range(1, 9):
+        for a in (0.0, 0.375, 0.75, 0.99):
+            assert BetaRadialComponent(n, a)._norm == pytest.approx(n * beta(n, 1.0 - a), rel=1e-14)
+
+
 def test_mixture_estimates_known_integral():
     z = np.array([0.9, 0.0])
     comps = [UniformBallComponent(2), PullbackBallComponent(z, 0.9)]

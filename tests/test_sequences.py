@@ -192,6 +192,19 @@ def test_count_in_ball_examples():
     assert sq.count_in_ball(seq, [0.0], 0.4) == 1
     empty = sq.PointSequence(points=np.zeros((0, 1)))
     assert sq.count_in_ball(empty, [0.0], 0.5) == 0
+    assert sq.count_in_balls(empty, [[0.0], [0.5]], 0.5).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("metric", sq.METRICS)
+def test_count_in_balls_is_count_in_ball_per_centre(metric):
+    # every metric reaches its threshold the one way, over blocks of centres too
+    pts = g.uniform_round_ball(np.random.default_rng(3), 2, 400) * 0.99
+    seq = sq.PointSequence(points=pts, metric=metric)
+    centres = pts[::5]
+    assert len(centres) > sq.PAIR_BUDGET // len(seq)  # more than one block
+    for r in (0.3, 0.9):
+        assert sq.count_in_balls(seq, centres, r).tolist() == [sq.count_in_ball(seq, p, r) for p in centres]
+    assert sq.count_in_balls(seq, centres[:0], 0.5).tolist() == []
 
 
 # -- decomposition ------------------------------------------------------------
