@@ -39,6 +39,9 @@ from carleson_lab import cli
 VOLUME = '{"dimension": 1, "density": {"type": "power", "s": 0.0}}'
 POLE = '{"dimension": 1, "density": {"type": "power", "s": -0.5}}'
 ELLIPSOID = '{"type": "ellipsoid", "semi_axes": [1.5, 1.0, 1.2, 0.9]}'
+POINTS = ('{{"type": "points", "metric": "{metric}", "rows": [[0.1, 0.2, -0.3, 0.0], [0.5, -0.1, 0.2, 0.3], '
+          '[-0.4, 0.4, 0.1, -0.2], [0.0, 0.0, 0.7, 0.1], [0.6, 0.6, -0.1, 0.2], [0.05, 0.25, -0.3, 0.05], '
+          '[0.12, 0.18, -0.28, 0.02]]}}')
 ATOMS_AND_DENSITY = '{"dimension": 1, "atoms": [[[0.5, 0.0], 1.0], [[0.0, 0.9], 0.5]], "density": {"type": "power", "s": 0.5}}'
 
 CALLS = {
@@ -67,6 +70,13 @@ CALLS = {
     "seq-analyze-lattice-spacing": ["seq", "analyze", "--sequence",
                                     '{"type": "lattice", "n": 1, "spacing": 0.3, "jitter": 0.1, "seed": 3}'],
     "seq-analyze-packing": ["seq", "analyze", "--sequence", '{"type": "packing", "n": 1}'],
+    # ball counts in the Euclidean and Kobayashi metrics, and at r = 1e-9 about one of the points
+    "seq-analyze-points-euclidean": ["seq", "analyze", "--sequence", POINTS.format(metric="euclidean"),
+                                     "--params", '{"z0": [0.1, 0.2, -0.3, 0.0], "r": 0.3}'],
+    "seq-analyze-points-kobayashi": ["seq", "analyze", "--sequence", POINTS.format(metric="kobayashi"),
+                                     "--params", '{"z0": [0.1, 0.2, -0.3, 0.0], "r": 0.8}'],
+    "seq-analyze-points-tiny-radius": ["seq", "analyze", "--sequence", POINTS.format(metric="pseudohyperbolic"),
+                                       "--params", '{"z0": [0.5, -0.1, 0.2, 0.3], "r": 1e-9}'],
     "perturbed-ball-distance": ["ball", "--domain", '{"type": "perturbed_ball", "dimension": 1}',
                                 "--params", '{"op": "boundary_distance", "z": [0.5, 0.1]}'],
     "perturbed-ball-distance-declared": ["ball", "--domain", '{"type": "perturbed_ball", "dimension": 1, '

@@ -576,8 +576,7 @@ OPERATIONS = {
     ("seq-shells", None): _seq_shells,
     ("cover", None): _cover,
     ("ek", "ek_ball_measure"): lambda s: _estimate_outcome(invariant_measure.ek_ball_measure(
-        _point(s.parameters, "z0", np.zeros(1, dtype=complex)), s.parameters.read("r", 0.5, _number), s.mc,
-        backend=s.parameters.read("backend", "invariant", _string))),
+        _point(s.parameters, "z0", np.zeros(1, dtype=complex)), s.parameters.read("r", 0.5, _number), s.mc)),
     ("ek", "ek_density"): lambda s: _values(density=invariant_measure.ek_density(_point(s.parameters, "z"))),
     ("ek", "check_ek_bounds"): lambda s: _report_outcome(
         invariant_measure.check_ek_bounds(s.parameters.read("n", 1, _count), cfg=s.mc)),

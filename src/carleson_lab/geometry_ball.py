@@ -14,8 +14,9 @@ Every distance in the package comes from one of two forms defined here
     layer's separation, packing, decomposition, ball and shell counts use it.
   * :func:`mobius_factor`, the product form q_a(z) = delta_a / |1 - <z, a>|^2:
     1 - rho(a, z)^2 = delta_z q_a(z), and q_a^(n+1) is the Moebius Jacobian and
-    |k_a|^2.  It decides rho(a, z) < t as delta_z q_a(z) > 1 - t^2 in two hot
-    loops only: ``sequences._count_within`` and the mixture densities of ``integrate``.
+    |k_a|^2.  It decides rho(a, z) < t as delta_z q_a(z) > 1 - t^2 only in the
+    mixture densities of ``integrate``; ``sequences._count_within`` lets it
+    settle only pairs outside a rounding band about 1 - t^2.
 The difference form costs two to three times as much per pair; the product
 form loses relative accuracy in rho when rho is small, which a comparison
 against a fixed radius, or a Jacobian, does not need.

@@ -2,9 +2,7 @@
 
 The density is taken from the closed Jacobian of the ball automorphisms,
 (1 - ||z||^2)^-(n+1); the defining infimum over holomorphic maps is not
-computable and is demoted to a sampled sanity check in the tests.  An
-alternative backend driven purely by the boundary distance, d(z)^-(n+1),
-is exposed as well.
+computable and is demoted to a sampled sanity check in the tests.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry_ball as geom
-from .errors import ParameterError
 from .integrate import EstimateWithError, MCConfig, integrate_density
 from .reports import CheckReport
 
@@ -35,19 +32,8 @@ def ek_density_values(points) -> np.ndarray:
     return geom.one_minus_norm_sq(pts) ** (-(pts.shape[1] + 1.0))
 
 
-def _boundary_power_values(points) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-    n = pts.shape[1]
-    d = 1.0 - np.linalg.norm(pts, axis=1)
-    return d ** (-(n + 1.0))
-
-
-def ek_ball_measure(z0, r: float, cfg: MCConfig, backend: str = "invariant") -> EstimateWithError:
+def ek_ball_measure(z0, r: float, cfg: MCConfig) -> EstimateWithError:
     """Invariant measure of the metric ball B(z0, r) by Monte Carlo.
-
-    ``backend`` selects the integrand: "invariant" for the automorphism-Jacobian
-    density, "boundary_power" for the d^-(n+1) substitute (same two-sided
-    boundary behaviour, constants may differ).
 
     The automorphism phi_z0 maps the round ball {|u| < r} onto B(z0, r), so the
     measure is the integral of f(phi_z0(u)) J_z0(u) over |u| < r, with J_z0 the
@@ -57,19 +43,13 @@ def ek_ball_measure(z0, r: float, cfg: MCConfig, backend: str = "invariant") -> 
     (1 - |u|^2)^-(n+1) at every z0, whose variance does not grow with depth.
     """
     ball = geom.kobayashi_ball(z0, r)
-    if backend == "invariant":
-        fn = ek_density_values
-    elif backend == "boundary_power":
-        fn = _boundary_power_values
-    else:
-        raise ParameterError("backend must be 'invariant' or 'boundary_power'")
     n = ball.dimension
     scale = r ** (2 * n)
 
     def pulled_back(v):
         u = r * v
         jac = geom.mobius_jacobian_many(ball.base, u)
-        return scale * fn(geom.ball_automorphism_many(ball.base, u)) * jac
+        return scale * ek_density_values(geom.ball_automorphism_many(ball.base, u)) * jac
 
     return integrate_density(pulled_back, n, cfg)
 

@@ -12,10 +12,10 @@ leaves open build neighbour lists.  Neighbour lists go in blocks of about
 PAIR_BUDGET candidate pairs, so a dense threshold never holds a whole
 512-query block's pairs at once.  A packing keeps its admitted points in a
 logarithmic forest of KD-trees and asks them in turn, so no tree is rebuilt
-over every kept point.  "How many centres lie within R?" (a
-cover's multiplicity) goes in blocks of queries adjacent in a KD-tree: by the
-strong triangle inequality one product-form call against a block's first
-point keeps every centre that can count, and only those are tested.
+over every kept point.  "How many targets lie within t?" (a cover's
+multiplicity, ``count_in_ball(s)``) has one counter, ``_count_within``: blocks
+of queries adjacent in a KD-tree, each tested against the targets that one
+call against its first point keeps, each count the distance's pair by pair.
 Packings and covers draw their candidates from a scrambled Sobol sequence,
 computed here in numpy from the Joe-Kuo direction numbers that ship with
 scipy, so no command imports ``scipy.stats``.
@@ -313,15 +313,9 @@ def count_in_ball(seq: PointSequence, z0, r: float) -> int:
 
 def count_in_balls(seq: PointSequence, centres, r: float) -> np.ndarray:
     """Number of sequence points with metric distance < r from each row of an
-    (m, n) array of centres, a block of about PAIR_BUDGET pairs at a time."""
+    (m, n) array of centres, by the one within-radius counter."""
     metric, t = _pseudo_threshold(seq.metric, r)
-    centres = geom.ball_points(centres, seq.dimension, "base point")
-    counts = np.empty(len(centres), dtype=int)
-    step = max(PAIR_BUDGET // max(len(seq), 1), 1)
-    for i in range(0, len(centres), step):
-        rho = _pair_distance(metric, centres[i : i + step, None, :], seq.points)
-        counts[i : i + step] = np.count_nonzero(rho < t, axis=1)
-    return counts
+    return _count_within(metric, geom.ball_points(centres, seq.dimension, "base point"), seq.points, t)
 
 
 @dataclass(frozen=True)
@@ -353,7 +347,7 @@ PAIR_BUDGET = 2**14
 # most queries per block of neighbour lists or nearest-first tests, and
 # candidates per packing chunk
 QUERY_BLOCK = 512
-# queries per pivot block of a multiplicity count
+# queries per pivot block of the within-radius counter (a set of one block builds no KD-tree)
 PIVOT_BLOCK = 64
 
 
@@ -524,33 +518,54 @@ class CoverReport:
         }
 
 
-def _count_within(queries: np.ndarray, targets: np.ndarray, radius: float) -> np.ndarray:
-    """Targets at pseudo distance < radius from each query, decided by the
-    product form 1 - rho^2 = delta_q q_c(q) > 1 - radius^2.
+def _count_within(metric: str, queries: np.ndarray, targets: np.ndarray, t: float) -> np.ndarray:
+    """Targets c with ``_pair_distance(metric, q, c) < t`` for each query q, pair
+    by pair however the queries are ordered or blocked: the one such counter.
 
-    Queries go in blocks of PIVOT_BLOCK, adjacent in a KD-tree over them.  A
-    block's first point p is its pivot and rho_b its largest distance to p; by
-    the strong triangle inequality every target that counts for the block lies
-    within (radius + rho_b) / (1 + radius rho_b) of p.  One product-form call
-    against p keeps those targets, lowered by a relative margin of 1e-12 plus
-    64 eps / delta at the deepest point for rounding, and the block's pairs are
-    decided against them only.
+    Queries go in blocks of PIVOT_BLOCK, adjacent in a KD-tree (a set of one
+    block as it stands).  A block's first point p is its pivot, rho_b its
+    largest distance to p: a target that counts lies within t + rho_b of p, in
+    rho (strong triangle inequality) within (t + rho_b) / (1 + t rho_b).  One
+    call against p keeps those, and only they are tested: by the distance
+    (Euclidean), or by the product form v = delta_q q_c(q) = 1 - rho^2, one
+    zgemm, where |v - (1 - t^2)| > beta, and by the distance in that band.
+
+    The bound, to first order in u = eps / 2, with delta the least 1 - |z|^2
+    and gamma = (2n + 4) u = (n + 2) eps: each delta, <q, c>, |a - b|^2 and
+    <a - b, a> is a sum of at most 2n + 4 rounded products of coordinates of
+    modulus < 1, off by gamma.  As |1 - <q, c>| >= delta, v is off by at most
+    (2 + 2 sqrt 2) gamma / delta + 6u.  pseudo_rho sums non-negatives over a
+    denominator >= (delta + |a - b|^2 / 2)^2, so its 1 - rho^2 is off by at most
+    16 gamma / delta + 3 gamma, and its root and the comparison with t add 4u:
+    together below 25 (n + 2) eps / delta + 3 eps < beta = 32 (n + 2) eps / delta
+    = slack / delta, for every n.  The pivot keeps v(p, c) > 1 - bound^2 - 2 beta
+    (two distances and one product form); at beta > 1/2 every pair goes to the
+    distance.  A Euclidean distance is off by (n + 2) eps relative, so there the
+    pivot keeps |p - c| <= (t + rho_b)(1 + slack).
     """
     counts = np.zeros(len(queries), dtype=int)
-    floor = 1.0 - radius * radius
+    slack = 32.0 * (queries.shape[1] + 2) * np.finfo(float).eps
+    floor = 1.0 - t * t
     target_delta = geom.one_minus_norm_sq(targets)
     deepest = min(target_delta.min(initial=1.0), geom.one_minus_norm_sq(queries).min(initial=1.0))
-    keep = 1.0 - (1e-12 + 64.0 * np.finfo(float).eps / deepest)
-    order = _kdtree(geom.points_to_rows(queries)).indices
+    band = slack / deepest if deepest > 2.0 * slack else math.inf
+    order = _kdtree(geom.points_to_rows(queries)).indices if len(queries) > PIVOT_BLOCK else np.arange(len(queries))
     for i0 in range(0, len(order), PIVOT_BLOCK):
         block = order[i0 : i0 + PIVOT_BLOCK]
         chunk = queries[block]
-        rho_b = float(geom.pseudo_rho(chunk[0], chunk).max())
-        # 1 - bound^2 for the bound (radius + rho_b) / (1 + radius rho_b)
-        reach = floor * (1.0 - rho_b * rho_b) / (1.0 + radius * rho_b) ** 2
-        near = targets[target_delta * geom.mobius_factor(chunk[0], targets) > keep * reach]
-        inside = geom.one_minus_norm_sq(chunk)[:, None] * geom.mobius_factor(near, chunk) > floor
-        counts[block] = np.count_nonzero(inside, axis=1)
+        rho_b = float(_pair_distance(metric, chunk[0], chunk).max())
+        if metric == "euclidean":
+            near = targets[_pair_distance(metric, chunk[0], targets) <= (t + rho_b) * (1.0 + slack)]
+            counts[block] = np.count_nonzero(_pair_distance(metric, chunk[:, None, :], near) < t, axis=1)
+            continue
+        # 1 - bound^2 for the bound (t + rho_b) / (1 + t rho_b); "not <=" keeps a NaN
+        reach = floor * (1.0 - rho_b * rho_b) / (1.0 + t * rho_b) ** 2
+        near = targets[~(target_delta * geom.mobius_factor(chunk[0], targets) <= reach - 2.0 * band)]
+        value = geom.one_minus_norm_sq(chunk)[:, None] * geom.mobius_factor(near, chunk)
+        counts[block] = np.count_nonzero(value > floor + band, axis=1)
+        if counts[block].sum() + np.count_nonzero(value < floor - band) < value.size:  # pairs in the band
+            qi, ci = np.nonzero(~(value > floor + band) & ~(value < floor - band))
+            counts[block] += np.bincount(qi[_pair_distance(metric, chunk[qi], near[ci]) < t], minlength=len(block))
     return counts
 
 
@@ -574,13 +589,13 @@ def _climb_multiplicity(anchor: np.ndarray, centers: np.ndarray, radius: float) 
     brings no improvement; deterministic given the anchor."""
     rng = _anchor_rng(anchor)
     best_pt = anchor
-    best = int(_count_within(anchor[None, :], centers, radius)[0])
+    best = int(_count_within("pseudohyperbolic", anchor[None, :], centers, radius)[0])
     for _ in range(_CLIMB_MAX_CYCLES):
         improved = False
         for rad in _CLIMB_RADII:
             ball = geom.kobayashi_ball(best_pt, rad)
             pts = geom.sample_ball_uniform(ball, _CLIMB_SAMPLES, rng)
-            counts = _count_within(pts, centers, radius)
+            counts = _count_within("pseudohyperbolic", pts, centers, radius)
             j = int(np.argmax(counts))
             if counts[j] > best:
                 best = int(counts[j])
@@ -647,11 +662,11 @@ def greedy_cover(
     # polished by a deterministic hill climb anchored at the global argmax
     big_r = 0.5 * (1.0 + r)
     mult_pts = np.vstack([centers, probes])
-    counts = _count_within(mult_pts, centers, big_r)
+    counts = _count_within("pseudohyperbolic", mult_pts, centers, big_r)
     base_arg = int(np.argmax(counts))
     multiplicity = max(int(counts.max()), _climb_multiplicity(mult_pts[base_arg], centers, big_r))
     extra = probes_all[n_probes:]  # 3 n_probes further probes, the refinement
-    counts_all = np.concatenate([counts, _count_within(extra, centers, big_r)])
+    counts_all = np.concatenate([counts, _count_within("pseudohyperbolic", extra, centers, big_r)])
     all_pts = np.vstack([mult_pts, extra])
     ref_arg = int(np.argmax(counts_all))
     if ref_arg == base_arg:

@@ -218,13 +218,17 @@ def _row_carleson_equivalence(budget, seed) -> CheckReport:
     suite = [(name, mu) for name, mu in measures.bundled_measure_suite(1) if name in budget["measures"]]
     bad = []
     disagreements = 0
+    drawn = 0
     for name, mu in suite:
         verdict = measures.cross_check_equivalence(mu, config)
         disagreements += not verdict.agreement
         if verdict.overall != CARLESON_EXPECTED[name]:
             bad.append({"measure": name, "got": verdict.overall, "want": CARLESON_EXPECTED[name]})
+        if mu.density is not None:  # a draw per ratio radius, Berezin probe and test polynomial; atoms draw none
+            drawn += (len(config.r_values) * config.ball_samples
+                      + (len(verdict.berezin_result.rows) + config.n_polynomials) * config.global_samples)
     return CheckReport(
-        "carleson-equivalence", len(bad) + disagreements, 0.0, not bad and disagreements == 0, len(suite), 0.0,
+        "carleson-equivalence", len(bad) + disagreements, 0.0, not bad and disagreements == 0, drawn, 0.0,
         {"mismatches": bad, "suite_size": len(suite)},
     )
 

@@ -51,6 +51,8 @@ _SCIPY_FREE_CALLS = {
     "berezin-pole": ["berezin", "--measure", '{"dimension": 1, "density": {"type": "power", "s": -0.5}}',
                      "--params", '{"k_max": 8}', "--samples", "40000"],
     "malformed": ["seq", "analyze", "--sequence", '{"type": "ladder"}'],
+    # a ball count of one block of centres builds no KD-tree
+    "seq-analyze-one-point": ["seq", "analyze", "--sequence", '{"type": "points", "rows": [[0.3, 0.1]]}'],
     **{f"{op}-{name}": ["ball", "--domain", domain, "--params", json.dumps({"op": op, **params})]
        for name, domain in (("ellipsoid", _ELLIPSOID), ("perturbed-ball", _PERTURBED_BALL))
        for op, params in (("boundary_distance", {"z": [0.3, 0.1, 0.0, 0.2]}),

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad, quad
+from scipy.integrate import quad
 
 from carleson_lab import geometry_ball as g
 from carleson_lab import invariant_measure as ik
-from carleson_lab.errors import OutsideDomainError, ParameterError
+from carleson_lab.errors import OutsideDomainError
 from carleson_lab.integrate import MCConfig
 
 
@@ -131,21 +131,6 @@ def test_non_invariant_density_is_not_flattened(monkeypatch):
     assert abs(centre.value - deep.value) > 10 * math.hypot(centre.std_error, deep.std_error)
 
 
-@pytest.mark.parametrize("z_norm, r", [(0.5, 0.4), (0.9, 0.5), (0.99, 0.7)])
-def test_boundary_power_backend_matches_quadrature(z_norm, r):
-    # d^-2 over the Euclidean disk B(z, r), by quadrature in polar coordinates
-    # about its centre (normalised area: dA / pi)
-    ball = g.kobayashi_ball([z_norm], r)
-    c = ball.center[0]
-
-    def integrand(rad, theta):
-        return rad * (1.0 - abs(c + rad * np.exp(1j * theta))) ** -2 / math.pi
-
-    exact = dblquad(integrand, 0.0, 2 * math.pi, 0.0, ball.radial_axis, epsabs=0.0, epsrel=1e-11)[0]
-    est = ik.ek_ball_measure([z_norm], r, CFG, backend="boundary_power")
-    assert abs(est.value - exact) <= 4 * est.std_error
-
-
 def test_ball_measure_small_radius_limit():
     # r -> 0: measure ~ density(z0) * volume(ellipsoid)
     z0 = np.array([0.4])
@@ -153,15 +138,6 @@ def test_ball_measure_small_radius_limit():
     est = ik.ek_ball_measure(z0, r, MCConfig(seed=5, n_samples=20_000))
     approx = ik.ek_density(z0) * g.ball_volume(z0, r)
     assert est.value == pytest.approx(approx, rel=0.01)
-
-
-def test_ball_measure_backends_agree_in_order():
-    a = ik.ek_ball_measure([0.5], 0.4, CFG, backend="invariant")
-    b = ik.ek_ball_measure([0.5], 0.4, CFG, backend="boundary_power")
-    # same d^-(n+1) boundary growth: values within a bounded factor
-    assert 0.2 < a.value / b.value < 5.0
-    with pytest.raises(ParameterError):
-        ik.ek_ball_measure([0.5], 0.4, CFG, backend="fourier")
 
 
 def test_bounds_report():

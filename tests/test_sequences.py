@@ -146,22 +146,21 @@ def test_has_within_decides_like_all_pairs_at_the_threshold(n):
 
 
 def test_count_within_matches_reference_on_cover_centres():
-    # the product-form multiplicity count against the textbook distance, with
-    # the cover's centres and with queries out to |z| = 0.999
+    # the multiplicity count against the textbook distance, with the cover's
+    # centres and with queries out to |z| = 0.999
     rng = np.random.default_rng(15)
     for n, eps, seed in ((1, 0.1, 0), (2, 0.3, 1)):
         centers = sq.greedy_cover(n, eps, 0.5, seed=seed, n_probes=2000).centers
         queries = np.vstack([centers, 0.999 * g.uniform_round_ball(rng, n, 3000)])
         for radius in (0.75, 0.3):
             brute = np.count_nonzero(rho_block(queries, centers) < radius, axis=1)
-            assert np.array_equal(sq._count_within(queries, centers, radius), brute), (n, radius)
+            assert np.array_equal(sq._count_within("pseudohyperbolic", queries, centers, radius), brute), (n, radius)
         # pivot blocks at their extreme: 16 queries are one KD-tree leaf, so the
         # first is the pivot; the other 15 lie at up to R from it, the last at
-        # exactly R.  Extra targets lie on the geodesic from the pivot through
-        # each of the 15, at R (1 -+ 1e-9) beyond it, so within about 1e-9 of
-        # the pivot's bound 2R / (1 + R^2).  Nearer R the product form's
-        # rounding decides (~1e-13 relative at |z| = 0.999), and BLAS rounds a
-        # pair differently in blocks of other shapes, so no count is fixed there
+        # exactly R, and the 16 are targets too.  Extra targets lie on the
+        # geodesic from the pivot through each of the 15, at R (1 -+ 1e-9)
+        # beyond it, so within about 1e-9 of the pivot's bound 2R / (1 + R^2).
+        # Every count is the distance's, the pair at exactly R included
         pivots = np.vstack([np.zeros((1, n)), centers[:: len(centers) // 4],
                             unit_directions(rng, n, 4) * np.array([0.9, 0.99, 0.999, 0.999])[:, None]])
         for radius in (0.75, 0.3):
@@ -174,9 +173,34 @@ def test_count_within_matches_reference_on_cover_centres():
                 away = -pulled / np.linalg.norm(pulled, axis=1)[:, None]
                 steps = np.tile(radius * np.array([1.0 - 1e-9, 1.0 + 1e-9]), 15)
                 far = at_distance(np.repeat(ring, 2, axis=0), np.repeat(away, 2, axis=0) * steps[:, None])
-                targets = np.vstack([centers, far])
-                inside = g.one_minus_norm_sq(group)[:, None] * g.mobius_factor(targets, group) > 1.0 - radius**2
-                assert np.array_equal(sq._count_within(group, targets, radius), np.count_nonzero(inside, axis=1))
+                targets = np.vstack([centers, group, far])
+                want = np.count_nonzero(sq.pseudo_block(group, targets) < radius, axis=1)
+                assert np.array_equal(sq._count_within("pseudohyperbolic", group, targets, radius), want)
+
+
+@pytest.mark.parametrize("metric", sq.METRICS)
+def test_count_within_is_the_distance_however_the_queries_are_blocked(metric):
+    # queries out to |z| = 0.999 are targets too, and each has a target at
+    # R (1 -+ 1e-15) or R from it.  The counts are the distance's pair by pair,
+    # for the queries in tree blocks, permuted, reversed or one at a time.  At
+    # r = 1e-9 every query counts itself
+    rng = np.random.default_rng(23)
+    n = 2
+    queries = g.uniform_round_ball(rng, n, 300)
+    queries *= (0.999 * rng.random(300) ** 0.2 / np.linalg.norm(queries, axis=1))[:, None]
+    assert len(queries) > 4 * sq.PIVOT_BLOCK
+    for r in (0.4, 1e-9):
+        engine, t = sq._pseudo_threshold(metric, r)
+        w = unit_directions(rng, n, 300) * (t * (1.0 + rng.choice([-1e-15, 0.0, 1e-15], 300)))[:, None]
+        targets = np.vstack([queries, queries + w if engine == "euclidean" else at_distance(queries, w),
+                             0.99 * g.uniform_round_ball(rng, n, 300)])
+        want = np.count_nonzero(sq._pair_distance(engine, queries[:, None, :], targets) < t, axis=1)
+        assert np.array_equal(sq._count_within(engine, queries, targets, t), want), r
+        perm = rng.permutation(300)
+        assert np.array_equal(sq._count_within(engine, queries[perm], targets, t), want[perm]), r
+        assert np.array_equal(sq._count_within(engine, queries[::-1], targets, t), want[::-1]), r
+        assert [sq._count_within(engine, q[None, :], targets, t)[0] for q in queries] == want.tolist(), r
+    assert np.all(want >= 1)
 
 
 def test_separation_kobayashi_metric():
@@ -201,7 +225,7 @@ def test_count_in_balls_is_count_in_ball_per_centre(metric):
     pts = g.uniform_round_ball(np.random.default_rng(3), 2, 400) * 0.99
     seq = sq.PointSequence(points=pts, metric=metric)
     centres = pts[::5]
-    assert len(centres) > sq.PAIR_BUDGET // len(seq)  # more than one block
+    assert len(centres) > sq.PIVOT_BLOCK  # more than one block
     for r in (0.3, 0.9):
         assert sq.count_in_balls(seq, centres, r).tolist() == [sq.count_in_ball(seq, p, r) for p in centres]
     assert sq.count_in_balls(seq, centres[:0], 0.5).tolist() == []
