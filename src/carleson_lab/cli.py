@@ -533,7 +533,7 @@ def _cover(spec: ExperimentSpec) -> Outcome:
     )
     rows = [list(map(float, row)) for row in geom.points_to_rows(rep.centers)]
     header = [f"c{k}" for k in range(len(rows[0]))] if rows else ["c0"]
-    return Outcome(header, rows, rep.to_json_dict(), "pass" if rep.passed else "fail")
+    return Outcome(header, rows, rep.to_json_dict(), rep.report().verdict)
 
 
 # (command, parameters.op) -> operation.  A command's first entry is its

@@ -421,8 +421,8 @@ def check_distance_comparison(domain: Domain, z0, r: float, n_samples: int = 200
     return CheckReport(
         name="distance-comparison",
         statistic=c2,
+        comparison="<=",
         bound=4.0,
-        passed=bool(c2 <= 4.0),
         n_samples=int(n_samples),
         std_error=0.0,
         details={"r": float(r), "d0": d0, "seed": int(seed)},
@@ -452,8 +452,8 @@ def check_defining_fn_inequality(domain: Domain, z0, r: float, n_samples: int = 
     return CheckReport(
         name="defining-fn-bound",
         statistic=c_fit,
+        comparison=">",
         bound=0.0,
-        passed=bool(c_fit > 0.0),
         n_samples=int(n_samples),
         std_error=0.0,
         details={"r": float(r), "d0": d0, "seed": int(seed)},

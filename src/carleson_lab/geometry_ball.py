@@ -112,9 +112,9 @@ def interior_point(coords, dimension: int | None = None, name: str = "point") ->
 
 
 def ball_points(points, dimension: int | None = None, name: str = "points") -> np.ndarray:
-    """A point set as an (m, n) complex array: n >= 1 (``dimension`` if given), and
-    |z| < 1 in one pass of norms, which a non-finite point fails.  No margin: a set
-    may hold points within BOUNDARY_MARGIN of the sphere, as a ladder's deep rungs."""
+    """A point set as an (m, n) complex array: n >= 1 (``dimension`` if given),
+    finite coordinates, refused before any norm is taken, and |z| < 1.  No margin:
+    a set may hold points within BOUNDARY_MARGIN of the sphere, as a ladder's deep rungs."""
     try:
         pts = np.asarray(points, dtype=np.complex128)
     except (ValueError, TypeError) as exc:  # ragged rows, or entries that are not numbers
@@ -124,7 +124,7 @@ def ball_points(points, dimension: int | None = None, name: str = "points") -> n
     pts = np.atleast_2d(pts)
     if pts.ndim != 2 or not pts.shape[1] or pts.shape[1] != (dimension or pts.shape[1]):
         raise ValidationError(f"bad shape {pts.shape} for {name}: a point has {dimension or 'one or more'} coordinates")
-    if not np.all(np.linalg.norm(pts, axis=1) < 1.0):
+    if not (np.all(np.isfinite(pts)) and np.all(np.linalg.norm(pts, axis=1) < 1.0)):
         raise ValidationError(f"{name} must be finite and lie inside the unit ball")
     return pts
 
@@ -396,8 +396,8 @@ def check_lemma_ball_inequality(z0, r: float, n_samples: int = 10_000, seed: int
     return CheckReport(
         name="ball-inequality",
         statistic=slack,
+        comparison=">",
         bound=0.0,
-        passed=bool(slack > 0.0),
         n_samples=int(n_samples),
         std_error=0.0,
         details={"seed": int(seed), "r": float(r), "base_norm": float(np.linalg.norm(z0))},

@@ -95,15 +95,14 @@ def check_ek_bounds(n: int, cfg: MCConfig | None = None) -> CheckReport:
     for r in EK_RADII:
         vals = [c["value"] for c in cells if c["r"] == r]
         spread = max(spread, (max(vals) - min(vals)) / max(vals))
-    passed: bool | None = bool(worst_z <= EK_Z_BOUND and spread <= EK_INVARIANCE_BOUND)
-    if inconclusive:
-        passed = None
     return CheckReport(
         name="invariant-ball-measure",
         statistic=float(worst_z),
+        comparison="<=",
         bound=EK_Z_BOUND,
-        passed=passed,
         n_samples=total,
         std_error=0.0,
-        details={"dimension": n, "invariance_spread": float(spread), "cells": cells},
+        details={"dimension": n, "cells": cells},
+        gates=[("invariance_spread", spread, "<=", EK_INVARIANCE_BOUND)],
+        inconclusive=inconclusive,
     )

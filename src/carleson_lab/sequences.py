@@ -35,6 +35,7 @@ import numpy as np
 
 from . import geometry_ball as geom, measures
 from .errors import MAX_VALUES, CoverageError, ParameterError, ValidationError
+from .reports import CheckReport
 
 __all__ = [
     "PointSequence",
@@ -498,10 +499,13 @@ class CoverReport:
     multiplicity_refined: int
     net_certified: bool
 
-    @property
-    def passed(self) -> bool:
-        """Every probe covered, and refining the multiplicity moved it by at most one."""
-        return self.uncovered == 0 and abs(self.multiplicity_refined - self.multiplicity) <= 1
+    def report(self) -> CheckReport:
+        """The cover's verdict: refining the multiplicity moved it by at most one,
+        and every probe is covered.  The refinement draws 3 ``n_probes`` more."""
+        return CheckReport(
+            "covering-multiplicity", abs(self.multiplicity_refined - self.multiplicity), "<=", 1.0,
+            self.n_probes * 4, 0.0, self.to_json_dict(), [("uncovered", self.uncovered, "==", 0)],
+        )
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,11 +1,13 @@
 """The verification table: one pass/fail row per result of the paper.
 
 Each row runs library checkers at a suite's budget and seed and folds their
-reports into one :class:`CheckReport`.  A row that runs one checker over
-several cases takes the checker's statistic, bound and verdict
-(:func:`_over_cases`); a row adds a rule of its own only where it tests more
-than the checker decides, and records that rule's inputs in ``details``.
-:func:`run_suite` prints the table and writes ``verify_results.{csv,json}``.
+reports into one :class:`CheckReport` by stating its gates, never a verdict:
+the report passes iff every gate holds.  A row that runs one checker over
+several cases takes the worst statistic against the checker's bound and each
+case's further gates, named by case (:func:`_over_cases`); a row adds a gate of
+its own only where it tests more than the checker decides.  :func:`run_suite`
+prints the table and writes ``verify_results.{csv,json}``, which record every
+gate, so each verdict can be re-derived from them.
 """
 
 from __future__ import annotations
@@ -44,13 +46,16 @@ def _axis_point(n: int, t: float) -> np.ndarray:
     return z0
 
 
-def _over_cases(name: str, reps: list[CheckReport], worst, details: dict, gate: bool = True) -> CheckReport:
-    """One row from a checker run over several cases: the ``worst`` (min or max)
-    of their statistics, the checker's bound, and a pass iff every case passed
-    and the row's own ``gate`` holds."""
+def _over_cases(name: str, cases: dict[str, CheckReport], details: dict) -> CheckReport:
+    """One row from a checker run over several cases, keyed by their labels: the
+    worst of their statistics against the checker's bound (the largest against
+    an upper bound; np.max and np.min keep a NaN), and each case's further gates
+    with its label appended."""
+    reps = list(cases.values())
+    worst = np.max if "<" in reps[0].comparison else np.min
     return CheckReport(
-        name, worst(r.statistic for r in reps), reps[0].bound, all(r.passed for r in reps) and gate,
-        sum(r.n_samples for r in reps), 0.0, details,
+        name, worst([r.statistic for r in reps]), reps[0].comparison, reps[0].bound, sum(r.n_samples for r in reps),
+        0.0, details, [(f"{what} {label}", *gate) for label, r in cases.items() for what, *gate in r.gates],
     )
 
 
@@ -63,7 +68,7 @@ def _row_kernel_reproducing(budget, seed) -> CheckReport:
         cases.append({"z": z, "alpha": alpha, "ratio": abs(est.value - expected) / (3 * est.std_error + 1e-12)})
         drawn += est.n_effective
     worst = max(c["ratio"] for c in cases)
-    return CheckReport("kernel-reproducing", worst, 1.0, worst <= 1.0, drawn, 0.0, {"seed": seed, "cases": cases})
+    return CheckReport("kernel-reproducing", worst, "<=", 1.0, drawn, 0.0, {"seed": seed, "cases": cases})
 
 
 def _row_volume_sandwich(budget, seed) -> CheckReport:
@@ -78,43 +83,38 @@ def _row_volume_sandwich(budget, seed) -> CheckReport:
                 worst_high = max(worst_high, ratio * ((1 - r * r) / 2.0) ** (n + 1))
                 checked += 1
     # sandwich: 1 <= vol / (r^2n d^(n+1)) <= (2 / (1 - r^2))^(n+1)
-    ok = worst_low >= 1.0 - 1e-12 and worst_high <= 1.0 + 1e-12
+    gates = [("upper", worst_high, "<=", 1.0 + 1e-12)]
     # Monte Carlo cross-check on a few cells: the hit fraction lies within
     # three binomial standard errors of the volume
     rng = np.random.default_rng(seed)
-    cells = []
     for n, t, r in ((1, 0.6, 0.5), (2, 0.3, 0.7)):
         z0 = _axis_point(n, t)
         pts = geom.uniform_round_ball(rng, n, budget["mc"])
         frac = float(np.mean(geom.pseudo_distance_many(z0, pts) < r))
         vol = geom.ball_volume(z0, r)
-        cells.append({"n": n, "t": t, "r": r, "miss": abs(frac - vol),
-                      "limit": 3 * math.sqrt(vol * (1 - vol) / budget["mc"]) + 1e-12})
-    ok = ok and all(c["miss"] <= c["limit"] for c in cells)
+        gates.append((f"miss n={n} t={t} r={r}", abs(frac - vol), "<=",
+                      3 * math.sqrt(vol * (1 - vol) / budget["mc"]) + 1e-12))
     return CheckReport(
-        "volume-sandwich", worst_low, 1.0, ok, checked + 2 * budget["mc"], 0.0,
-        {"seed": seed, "upper": worst_high, "mc_cells": cells},
+        "volume-sandwich", worst_low, ">=", 1.0 - 1e-12, checked + 2 * budget["mc"], 0.0, {"seed": seed}, gates,
     )
 
 
 def _row_distance_comparison(budget, seed) -> CheckReport:
-    reps = []
-    for n in (1, 2):
-        dom = domains.BallDomain(n)
-        reps += [domains.check_distance_comparison(dom, _axis_point(n, t), r, budget["samples"], seed)
-                 for t in (0.0, 0.5, 0.9) for r in (0.3, 0.5, 0.7)]
-    return _over_cases("distance-comparison", reps, max, {"seed": seed})
+    reps = {f"n={n} t={t} r={r}": domains.check_distance_comparison(
+        domains.BallDomain(n), _axis_point(n, t), r, budget["samples"], seed)
+        for n in (1, 2) for t in (0.0, 0.5, 0.9) for r in (0.3, 0.5, 0.7)}
+    return _over_cases("distance-comparison", reps, {"seed": seed})
 
 
 def _row_ball_inequality(budget, seed) -> CheckReport:
     rng = np.random.default_rng(seed)
-    reps = []
+    reps = {}
     for k in range(budget["cells"]):
         n = int(rng.integers(1, 4))
         z0 = geom.uniform_round_ball(rng, n, 1)[0] * 0.97
         r = float(rng.uniform(0.05, 0.95))
-        reps.append(geom.check_lemma_ball_inequality(z0, r, n_samples=budget["samples"], seed=seed + k))
-    return _over_cases("ball-inequality", reps, min, {"seed": seed})
+        reps[f"cell={k}"] = geom.check_lemma_ball_inequality(z0, r, n_samples=budget["samples"], seed=seed + k)
+    return _over_cases("ball-inequality", reps, {"seed": seed})
 
 
 def _row_defining_fn(budget, seed) -> CheckReport:
@@ -126,14 +126,15 @@ def _row_defining_fn(budget, seed) -> CheckReport:
     ell = domains.EllipsoidDomain([1.5, 1.0])
     reps.append(domains.check_defining_fn_inequality(ell, [0.3 + 0.1j], 0.4, max(budget["samples"] // 4, 100), seed))
     spread = max(fits) / min(fits)
-    ok = all(rep.passed for rep in reps) and spread < 10.0
-    return CheckReport("defining-fn-bound", spread, 10.0, ok, sum(rep.n_samples for rep in reps), 0.0, {"fits": fits})
+    labels = [f"ball r={r}" for r in radii] + ["ellipsoid r=0.4"]
+    return CheckReport(
+        "defining-fn-bound", spread, "<", 10.0, sum(rep.n_samples for rep in reps), 0.0, {"fits": fits},
+        [(f"c_fit {label}", rep.statistic, rep.comparison, rep.bound) for label, rep in zip(labels, reps)],
+    )
 
 
 def _row_covering(budget, seed) -> CheckReport:
-    rep = sequences.greedy_cover(1, 0.1, 0.5, seed=seed, n_probes=budget["probes"])
-    drift = abs(rep.multiplicity_refined - rep.multiplicity)
-    return CheckReport("covering-multiplicity", drift, 1.0, rep.passed, rep.n_probes * 4, 0.0, rep.to_json_dict())
+    return sequences.greedy_cover(1, 0.1, 0.5, seed=seed, n_probes=budget["probes"]).report()
 
 
 def _row_submean_ball(budget, seed) -> CheckReport:
@@ -143,11 +144,9 @@ def _row_submean_ball(budget, seed) -> CheckReport:
     worst = min(rep.statistic for rep in reps)
     # a noisy case cannot fail the row: a non-positive worst slack beside any
     # inconclusive case leaves the row inconclusive
-    passed: bool | None = worst > 0.0
-    if worst <= 0 and any(rep.passed is None for rep in reps):
-        passed = None
     return CheckReport(
-        "submean-ball", worst, reps[0].bound, passed, sum(rep.n_samples for rep in reps), 0.0, {"seed": seed}
+        "submean-ball", worst, reps[0].comparison, reps[0].bound, sum(rep.n_samples for rep in reps), 0.0,
+        {"seed": seed}, inconclusive=worst <= 0 and any(rep.inconclusive for rep in reps),
     )
 
 
@@ -162,7 +161,7 @@ def _row_submean_mean(budget, seed) -> CheckReport:
         bound = (8.0 / (1 - r * r)) ** (len(z0) + 1)
         worst = max(worst, rep.details["fitted_mean_constant"] / bound)
         drawn += rep.n_samples
-    return CheckReport("submean-mean-comparison", worst, 1.0, worst <= 1.0, drawn, 0.0, {"seed": seed})
+    return CheckReport("submean-mean-comparison", worst, "<=", 1.0, drawn, 0.0, {"seed": seed})
 
 
 def _row_submean_neighbor(budget, seed) -> CheckReport:
@@ -183,14 +182,13 @@ def _row_submean_neighbor(budget, seed) -> CheckReport:
         est = integrate_over_balls(chi, [geom.kobayashi_ball(z0, 0.5 * (1 + r))], cfg)[0]
         worst = max(worst, sup_chi * geom.ball_volume(z0, r) / float(np.real(est.value)))
         drawn += len(inner) + est.n_effective
-    ok = math.isfinite(worst) and worst > 0.0
-    return CheckReport("submean-neighbor", worst, math.inf, ok, drawn, 0.0, {"seed": seed})
+    return CheckReport("submean-neighbor", worst, "<", math.inf, drawn, 0.0, {"seed": seed},
+                       [("positive", worst, ">", 0.0)])
 
 
 def _row_kernel_upper(budget, seed) -> CheckReport:
-    reps = [bergman.check_kernel_upper(n, n_points=budget["points"]) for n in (1, 2, 3)]
-    dev = max(rep.details["identity_deviation"] for rep in reps)
-    return _over_cases("kernel-upper", reps, max, {"identity_deviation": dev}, gate=dev < 1e-12)
+    reps = {f"n={n}": bergman.check_kernel_upper(n, n_points=budget["points"]) for n in (1, 2, 3)}
+    return _over_cases("kernel-upper", reps, {})
 
 
 def _row_kernel_lower(budget, seed) -> CheckReport:
@@ -203,14 +201,12 @@ def _row_kernel_lower(budget, seed) -> CheckReport:
         rep = bergman.check_kernel_lower(n, samples_per_cell=budget["samples"], seed=seed)
         ratios += [math.sqrt(c["min_ratio"] / (2.0 - c["depth"]) ** (n + 1)) for c in rep.details["cells"]]
         total += rep.n_samples
-    worst = min(ratios)
-    return CheckReport("kernel-lower", worst, rep.bound, worst >= rep.bound, total, 0.0, {"seed": seed})
+    return CheckReport("kernel-lower", min(ratios), rep.comparison, rep.bound, total, 0.0, {"seed": seed})
 
 
 def _row_kernel_lower_normalized(budget, seed) -> CheckReport:
-    reps = [bergman.check_kernel_lower(n, samples_per_cell=budget["samples"], seed=seed) for n in (1, 2)]
-    violations = sum(rep.details["violations"] for rep in reps)
-    return _over_cases("normalized-kernel-lower", reps, min, {"violations": violations})
+    reps = {f"n={n}": bergman.check_kernel_lower(n, samples_per_cell=budget["samples"], seed=seed) for n in (1, 2)}
+    return _over_cases("normalized-kernel-lower", reps, {})
 
 
 def _row_carleson_equivalence(budget, seed) -> CheckReport:
@@ -228,7 +224,7 @@ def _row_carleson_equivalence(budget, seed) -> CheckReport:
             drawn += (len(config.r_values) * config.ball_samples
                       + (len(verdict.berezin_result.rows) + config.n_polynomials) * config.global_samples)
     return CheckReport(
-        "carleson-equivalence", len(bad) + disagreements, 0.0, not bad and disagreements == 0, drawn, 0.0,
+        "carleson-equivalence", len(bad) + disagreements, "==", 0.0, drawn, 0.0,
         {"mismatches": bad, "suite_size": len(suite)},
     )
 
@@ -250,8 +246,8 @@ def _row_greedy_decomposition(budget, seed) -> CheckReport:
         # no more classes than the fullest r-ball about a point holds points
         over_count += dec.n_colors > int(sequences.count_in_balls(seq, pts, r).max())
     return CheckReport(
-        "greedy-decomposition", worst_sep, 1.0, worst_sep >= 1.0 and not over_count,
-        budget["clouds"] * budget["cloud_size"], 0.0, {"seed": seed, "clouds_over_ball_count": over_count},
+        "greedy-decomposition", worst_sep, ">=", 1.0, budget["clouds"] * budget["cloud_size"], 0.0, {"seed": seed},
+        [("clouds_over_ball_count", over_count, "==", 0)],
     )
 
 
@@ -284,7 +280,7 @@ def _row_discrete_chain(budget, seed) -> CheckReport:
             failures.append({"sequence": name, "count": most})
     # Dirac measures draw no samples: the row tests the sequences' points
     return CheckReport(
-        "discrete-carleson-chain", len(failures), 0.0, not failures, sum(len(seq) for _, seq in bundle), 0.0,
+        "discrete-carleson-chain", len(failures), "==", 0.0, sum(len(seq) for _, seq in bundle), 0.0,
         {"failures": failures},
     )
 
@@ -295,10 +291,9 @@ def _row_escape_full(budget, seed) -> CheckReport:
     res = sequences.escape_sum(disk, exponent="n+1")
     res2 = sequences.escape_sum(ball2, exponent="n+1")
     mass_err = abs(res.total - 1.0 / (math.e**2 - 1.0))
-    ok = mass_err < 1e-6 and res.last_decade_increment < 1e-6 and res2.last_decade_increment < 1e-6
     return CheckReport(
-        "escape-sum-full", mass_err, 1e-6, ok, len(disk) + len(ball2), 0.0,
-        {"increment": res.last_decade_increment, "increment_ball2": res2.last_decade_increment},
+        "escape-sum-full", mass_err, "<", 1e-6, len(disk) + len(ball2), 0.0, {},
+        [("increment", res.last_decade_increment, "<", 1e-6), ("increment_ball2", res2.last_decade_increment, "<", 1e-6)],
     )
 
 
@@ -311,7 +306,7 @@ def _row_escape_volume(budget, seed) -> CheckReport:
             worst = math.inf
         worst = max(worst, res.last_decade_increment / max(res.total, 1e-300))
     return CheckReport(
-        "escape-sum-volume", worst, 0.5, worst < 0.5, sum(len(seq) for _, seq in bundle), 0.0, {"seed": seed}
+        "escape-sum-volume", worst, "<", 0.5, sum(len(seq) for _, seq in bundle), 0.0, {"seed": seed}
     )
 
 
@@ -320,11 +315,12 @@ def _row_invariant_measure(budget, seed) -> CheckReport:
     est = invariant_measure.ek_ball_measure([0.0], 0.5, cfg)
     miss = abs(est.value - 1.0 / 3.0)  # kappa(B(0, 1/2)) = 1/3 exactly
     rep = invariant_measure.check_ek_bounds(1, cfg=cfg)
+    # an inconclusive check_ek_bounds fails the row: its gate is that no cell was too noisy
     return CheckReport(
-        "invariant-ball-measure", rep.statistic, rep.bound, miss <= 3 * est.std_error and rep.passed is True,
-        rep.n_samples + est.n_effective, est.std_error,
-        {"disk_half_value": float(np.real(est.value)), "exact_z": float(miss / est.std_error),
-         "ek_bounds": rep.verdict},
+        "invariant-ball-measure", rep.statistic, rep.comparison, rep.bound, rep.n_samples + est.n_effective,
+        est.std_error, {"disk_half_value": float(np.real(est.value)), "exact_z": float(miss / est.std_error),
+                         "ek_bounds": rep.verdict},
+        [*rep.gates, ("ek_bounds_inconclusive", rep.inconclusive, "==", 0), ("miss", miss, "<=", 3 * est.std_error)],
     )
 
 
@@ -333,7 +329,7 @@ def _row_escape_weighted(budget, seed) -> CheckReport:
     lad = dict(bundle)["ladder-disk"]
     res = sequences.escape_sum(lad, weight=sequences.EscapeWeight.power(2.0), exponent="n")
     err = abs(res.total - LADDER_WEIGHTED_SUM)
-    shells = {}
+    shells, gates = {}, []
     for name, seq in bundle:
         if name == "packing-ball2":
             # at desk scale a two-dimensional packing reaches too few shells
@@ -341,9 +337,10 @@ def _row_escape_weighted(budget, seed) -> CheckReport:
             # still exercised by the Carleson-chain row
             continue
         sc = sequences.shell_counts(seq)
-        shells[name] = {"slope": sc.slope, "slope_se": sc.slope_se, "limit": seq.dimension + 0.2}
-    ok = err < 1e-4 and not any(math.isfinite(s["slope"]) and s["slope"] > s["limit"] for s in shells.values())
-    return CheckReport("escape-sum-weighted", err, 1e-4, ok, len(lad), 0.0, {"shells": shells})
+        shells[name] = {"slope_se": sc.slope_se}
+        if math.isfinite(sc.slope):  # a sequence too short for a fit is not gated
+            gates.append((f"slope {name}", sc.slope, "<=", seq.dimension + 0.2))
+    return CheckReport("escape-sum-weighted", err, "<", 1e-4, len(lad), 0.0, {"shells": shells}, gates)
 
 
 VERIFY_ROWS = [
@@ -405,13 +402,13 @@ def run_suite(suite: str, seed: int, out_dir: str | None) -> int:
     reports: list[CheckReport] = []
     seconds: list[float] = []
     print(f"verification suite: {suite} (seed {seed})")
-    print(f"{'check':28s} {'status':13s} {'statistic':>14s} {'bound':>12s}")
+    print(f"{'check':28s} {'status':13s} {'statistic':>14s} {'':2s} {'bound':>12s}")
     for row_fn in VERIFY_ROWS:
         started = time.perf_counter()
         rep = row_fn(budget, seed)
         seconds.append(time.perf_counter() - started)
         reports.append(rep)
-        print(f"{rep.name:28s} {rep.verdict.upper():13s} {rep.statistic:14.6g} {rep.bound:12.6g}")
+        print(f"{rep.name:28s} {rep.verdict.upper():13s} {rep.statistic:14.6g} {rep.comparison:2s} {rep.bound:12.6g}")
     n_fail = sum(1 for r in reports if r.passed is False)
     n_inc = sum(1 for r in reports if r.passed is None)
     print(f"{len(reports)} checks: {len(reports) - n_fail - n_inc} pass, {n_fail} fail, {n_inc} inconclusive")
@@ -420,8 +417,8 @@ def run_suite(suite: str, seed: int, out_dir: str | None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         write_csv(
             out / "verify_results.csv",
-            ["name", "status", "statistic", "bound", "std_error", "n_samples"],
-            [[r.name, r.verdict, r.statistic, r.bound, r.std_error, r.n_samples] for r in reports],
+            ["name", "status", "statistic", "comparison", "bound", "std_error", "n_samples"],
+            [[r.name, r.verdict, r.statistic, r.comparison, r.bound, r.std_error, r.n_samples] for r in reports],
         )
         with open(out / "verify_results.json", "w") as fh:
             json.dump([{**r.to_json_dict(), "seconds": s} for r, s in zip(reports, seconds)], fh, indent=2,

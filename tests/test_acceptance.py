@@ -116,13 +116,16 @@ def test_05_kernel_estimates():
     upper_ok = True
     for n in (1, 2, 3):
         rep = bergman.check_kernel_upper(n, n_points=4_000)
-        upper_ok = upper_ok and rep.passed and rep.details["identity_deviation"] < 1e-12
+        (what, deviation, _, _), = rep.gates
+        upper_ok = upper_ok and rep.passed and what == "identity_deviation" and deviation < 1e-12
     violations = 0
     worst_ratio = math.inf
     total = 0
     for n in (1, 2):
         rep = bergman.check_kernel_lower(n, samples_per_cell=10_000, seed=321)
-        violations += rep.details["violations"]
+        (what, count, _, _), = rep.gates
+        assert what == "violations"
+        violations += count
         worst_ratio = min(worst_ratio, rep.statistic)
         total += rep.n_samples
     report(5, "kernel estimates", upper_ok and violations == 0,

@@ -155,7 +155,8 @@ def test_kernel_upper_closed_form(n):
     rep = bg.check_kernel_upper(n, n_points=4000)
     assert rep.passed
     assert rep.statistic == pytest.approx(1.0, abs=1e-12)
-    assert rep.details["identity_deviation"] < 1e-12
+    (what, deviation, comparison, bound), = rep.gates
+    assert (what, comparison, bound) == ("identity_deviation", "<", 1e-12) and deviation < 1e-12
     assert rep.details["argmax_radius"] == 0.0
 
 
@@ -176,7 +177,7 @@ def test_kernel_lower_bound_value():
 def test_kernel_lower_no_violations(n):
     rep = bg.check_kernel_lower(n, samples_per_cell=2_000, seed=5)
     assert rep.passed
-    assert rep.details["violations"] == 0
+    assert rep.gates == [("violations", 0.0, "==", 0.0)]
     assert rep.statistic >= 1.0
 
 

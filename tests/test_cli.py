@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -1024,7 +1025,7 @@ def test_verify_row_names_cover_every_result(tmp_path, capsys):
     # each row's wall seconds go to the JSON only: the CSV stays a pure function of the seed
     assert all(r["seconds"] >= 0.0 and r["pass"] is True for r in rows)
     with open(tmp_path / "verify_results.csv") as fh:
-        assert next(csv.reader(fh)) == ["name", "status", "statistic", "bound", "std_error", "n_samples"]
+        assert next(csv.reader(fh)) == ["name", "status", "statistic", "comparison", "bound", "std_error", "n_samples"]
 
 
 def test_verify_batched_counts_are_count_in_ball():
@@ -1049,11 +1050,14 @@ def test_verify_batched_counts_are_count_in_ball():
         assert counts == np.count_nonzero(sequences.pseudo_block(probes, seq.points) < radius, axis=1).tolist()
         assert counts == [sequences.count_in_ball(seq, p, radius) for p in probes]
     row = verify._row_greedy_decomposition(budget, seed)
-    assert row.statistic == worst_sep and row.details["clouds_over_ball_count"] == 0
+    assert row.statistic == worst_sep and row.gates == [("clouds_over_ball_count", 0.0, "==", 0.0)]
 
 
 def test_verify_detects_kernel_mutation(tmp_path, monkeypatch):
-    # flipping the kernel sign must break the reproducing-property row
+    # flipping the kernel sign must break the reproducing-property row, whose
+    # statistic is its worst case's ratio
+    rep = verify._row_kernel_reproducing(verify.QUICK_BUDGET, 0)
+    assert rep.passed is True and rep.statistic == max(case["ratio"] for case in rep.details["cases"])
     orig = bergman.kernel_values
     monkeypatch.setattr(bergman, "kernel_values", lambda z, pts: -orig(z, pts))
     rep = verify._row_kernel_reproducing(verify.QUICK_BUDGET, 0)
@@ -1071,21 +1075,47 @@ def test_verify_kernel_lower_rows_share_the_library_floor(monkeypatch):
     assert [row(verify.QUICK_BUDGET, 0).passed for row in rows] == [False, False]
 
 
-@pytest.mark.parametrize("seed", [5, 35, 47, 48, 171])
-def test_verify_details_carry_the_secondary_gates(seed):
-    # at seeds 35, 47, 48 and 171 one of these rows fails at correct code; its
-    # details name the case, and each verdict follows from what they record
-    budget = verify.QUICK_BUDGET
-    rep = verify._row_volume_sandwich(budget, seed)
-    cells = rep.details["mc_cells"]
-    assert rep.passed is (rep.statistic >= 1.0 - 1e-12 and rep.details["upper"] <= 1.0 + 1e-12
-                          and all(c["miss"] <= c["limit"] for c in cells))
-    rep = verify._row_kernel_reproducing(budget, seed)
-    ratios = [case["ratio"] for case in rep.details["cases"]]
-    assert rep.statistic == max(ratios) and rep.passed is all(x <= 1.0 for x in ratios)
-    rep = verify._row_invariant_measure(budget, seed)
-    assert rep.passed is (rep.details["exact_z"] <= 3.0 and rep.details["ek_bounds"] == "pass")
-    rep = verify._row_escape_weighted(budget, seed)
-    shells = rep.details["shells"].values()
-    assert rep.passed is (rep.statistic < rep.bound and not any(math.isfinite(s["slope"]) and s["slope"] > s["limit"] for s in shells))
-    assert all({"slope", "slope_se", "limit"} <= set(s) for s in shells)
+# how a recorded gate compares its value with its bound, written apart from reports.py
+_HOLDS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
+_STATUS = {True: "pass", False: "fail", None: "inconclusive"}
+# verify quick at correct code fails one row at each of these seeds (scripts/verify_sweep_quick.json)
+_FAILING_SEEDS = {35: "escape-sum-weighted", 47: "kernel-reproducing", 48: "invariant-ball-measure",
+                  71: "covering-multiplicity", 171: "volume-sandwich"}
+_CHECK_OPS = [("ball", "summary"), ("ball", "check_distance_comparison"), ("ball", "check_defining_fn_inequality"),
+              ("berezin", "check_kernel_upper"), ("berezin", "check_kernel_lower"), ("berezin", "check_submean"),
+              ("ek", "check_ek_bounds")]
+_VERDICT_RUNS = {
+    **{f"verify-{suite}-{seed}": ["verify", suite, "--seed", str(seed)]
+       for suite, seed in [("quick", 5), ("full", 5), *(("quick", s) for s in _FAILING_SEEDS)]},
+    **{f"{command}-{op}": [command, *_CALLS[command, op][1], "--samples", "400", "--params",
+                           json.dumps({**_CALLS[command, op][0], "op": op})] for command, op in _CHECK_OPS},
+}
+
+
+@pytest.mark.parametrize("run", list(_VERDICT_RUNS))
+def test_every_verdict_follows_from_its_artifact(tmp_path, capsys, run):
+    # each verdict, and so the exit code, is re-derived from the gates its
+    # artifact records: inconclusive when flagged so, else pass iff every gate holds
+    argv = _VERDICT_RUNS[run]
+    code = run_cli(argv + ["--out", str(tmp_path)])
+    if argv[0] == "verify":
+        records = json.loads((tmp_path / "verify_results.json").read_text())
+        with open(tmp_path / "verify_results.csv") as fh:
+            rows = [(row["name"], row["status"], row["comparison"]) for row in csv.DictReader(fh)]
+        assert rows == [(r["name"], _STATUS[r["pass"]], r["comparison"]) for r in records]
+    else:
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        records = [summary.get("ball_inequality", summary)]
+    verdicts = []
+    for r in records:
+        names = [gate["what"] for gate in r["gates"]]
+        assert len(set(names)) == len(names), r["name"]
+        assert r["gates"][0] == {"what": "statistic", "value": r["statistic"], "comparison": r["comparison"],
+                                 "bound": r["bound"]}
+        holds = all(_HOLDS[gate["comparison"]](gate["value"], gate["bound"]) for gate in r["gates"])
+        verdicts.append(None if r["inconclusive"] else holds)
+    assert [r["pass"] for r in records] == verdicts
+    assert code == (cli.EXIT_FAIL if False in verdicts else cli.EXIT_INCONCLUSIVE if None in verdicts else cli.EXIT_PASS)
+    if argv[0] == "verify":
+        failing = _FAILING_SEEDS.get(int(argv[3]))
+        assert [r["name"] for r in records if r["pass"] is not True] == ([failing] if failing else [])

@@ -146,7 +146,9 @@ def test_bounds_report():
     assert rep.statistic <= rep.bound == ik.EK_Z_BOUND
     assert len(rep.details["cells"]) == 9
     # the depths share one draw: equal values up to rounding
-    assert rep.details["invariance_spread"] <= ik.EK_INVARIANCE_BOUND
+    (what, spread, comparison, bound), = rep.gates
+    assert (what, comparison, bound) == ("invariance_spread", "<=", ik.EK_INVARIANCE_BOUND)
+    assert spread <= ik.EK_INVARIANCE_BOUND
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -155,4 +157,5 @@ def test_bounds_report_fails_a_non_invariant_density(monkeypatch, n):
     rep = ik.check_ek_bounds(n)
     assert rep.passed is False
     assert rep.statistic > rep.bound
-    assert rep.details["invariance_spread"] > 0.1
+    (what, spread, _, _), = rep.gates
+    assert what == "invariance_spread" and spread > 0.1

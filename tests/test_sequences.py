@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -507,6 +508,18 @@ def test_points_are_finite_and_have_coordinates():
         with pytest.raises(ValidationError):
             sq.PointSequence(points=points)
     assert len(sq.PointSequence(points=np.zeros((0, 2)))) == 0
+
+
+def test_non_finite_points_are_refused_before_any_norm():
+    # a norm of an infinite coordinate warns (inf * 0 in numpy's complex
+    # norm); the refusal comes first, so no warning precedes it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in (lambda: sq.PointSequence(points=[[math.inf, 0.1]]),
+                     lambda: ms.Measure.from_atoms([[math.inf]], [1.0]),
+                     lambda: g.ball_points([[complex(math.inf, math.inf)]])):
+            with pytest.raises(ValidationError, match="finite"):
+                make()
 
 
 # -- dirac measure ------------------------------------------------------------
