@@ -122,10 +122,11 @@ def berezin_transform(mu, z, cfg: MCConfig) -> EstimateWithError:
         return EstimateWithError(value=atom_part, std_error=0.0, n_effective=n_atoms)
     comps, weights = _berezin_components(z, mu.pole_order)
 
-    def integrand(pts):
-        return normalized_kernel_sq_values(z, pts) * np.asarray(mu.density(pts), dtype=float)
+    def integrand(block):
+        # |k_z|^2 = q_z^(n+1) and delta, shared with the ladder's fused density
+        return block.mobius(z)[1] * mu.density.of_delta(block.delta)
 
-    est = integrate_mixture(integrand, comps, weights, cfg)
+    est = integrate_mixture(integrand, comps, weights, cfg, block_integrand=True)
     return EstimateWithError(
         value=atom_part + est.value, std_error=est.std_error, n_effective=est.n_effective,
         n_excluded=est.n_excluded,
@@ -141,10 +142,11 @@ def check_kernel_upper(n: int, n_points: int = 2000) -> CheckReport:
     1e-12 of that form (rounding reads about 3e-15).
     """
     t = np.linspace(0.0, 1.0 - 1e-6, n_points)
-    # diagonal kernel evaluated with the factored 1 - t^2 = (1-t)(1+t),
-    # which keeps full accuracy down to the boundary
-    diag = ((1.0 - t) * (1.0 + t)) ** (-(n + 1))
-    product = diag * (1.0 - t) ** (n + 1)
+    # K(z, z) d^(n+1) = (d / (1 - t^2))^(n+1), with the factored 1 - t^2 =
+    # (1-t)(1+t), which keeps full accuracy down to the boundary.  The ratio is
+    # taken before the power: K(z, z) alone overflows at depth 1e-6 from n = 54
+    d = 1.0 - t
+    product = (d / (d * (1.0 + t))) ** (n + 1)
     closed = (1.0 + t) ** (-(n + 1))
     stat = float(np.max(product))
     return CheckReport(

@@ -533,7 +533,10 @@ def _cover(spec: ExperimentSpec) -> Outcome:
     )
     rows = [list(map(float, row)) for row in geom.points_to_rows(rep.centers)]
     header = [f"c{k}" for k in range(len(rows[0]))] if rows else ["c0"]
-    return Outcome(header, rows, rep.to_json_dict(), rep.report().verdict)
+    # the cover's fields, then the verdict's gates, so the exit code follows from the artifact
+    check = rep.report()
+    gates = {k: v for k, v in check.to_json_dict().items() if k not in ("name", "details")}
+    return Outcome(header, rows, {**rep.to_json_dict(), **gates}, check.verdict)
 
 
 # (command, parameters.op) -> operation.  A command's first entry is its

@@ -347,11 +347,17 @@ def _scale_directions(g: np.ndarray, radii) -> np.ndarray:
     return dirs
 
 
+def round_shell_draw(rng: np.random.Generator, n: int, count: int, lo: float, hi: float):
+    """The random part of :func:`uniform_round_shell`: the (count, 2n) standard
+    normals of the directions and the radii, ready for :func:`_scale_directions`."""
+    g = rng.standard_normal((count, 2 * n))
+    return g, (lo + (hi - lo) * rng.random(count)) ** (1.0 / (2 * n))
+
+
 def uniform_round_shell(rng: np.random.Generator, n: int, count: int, lo: float, hi: float) -> np.ndarray:
     """Uniform samples in the shell of the round unit ball of C^n (= R^(2n))
     that holds the volume fractions [lo, hi): the package's one uniform draw."""
-    g = rng.standard_normal((count, 2 * n))
-    return _scale_directions(g, (lo + (hi - lo) * rng.random(count)) ** (1.0 / (2 * n)))
+    return _scale_directions(*round_shell_draw(rng, n, count, lo, hi))
 
 
 def uniform_round_ball(rng: np.random.Generator, n: int, count: int) -> np.ndarray:

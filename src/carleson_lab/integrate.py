@@ -1,8 +1,15 @@
 """Deterministic Monte Carlo engine for the unit ball and its metric ellipsoids.
 
 Every estimate is a pure function of (seed, n_samples): each group of samples
-(a radial shell or a mixture component) is drawn from generators derived with
-counter-style spawn keys, in one fixed sequential order.
+(a radial shell or a mixture component) is drawn in batches from generators
+derived with counter-style spawn keys, in one fixed sequential order.
+
+Only the random numbers are drawn per batch.  The arithmetic runs per block:
+consecutive batches with one placement (none, or the Moebius map about one
+base point) join a block of at most ``BLOCK_SAMPLES`` samples, whose
+directions are scaled, placed, integrated and weighed in one pass before its
+values split back into their groups.  Every step is elementwise or a
+matrix-vector product, so a value does not depend on the block it lands in.
 
 ``integrate_density`` stratifies the ball into radial shells;
 ``integrate_mixture`` is multiple-importance sampling whose balance-heuristic
@@ -11,8 +18,6 @@ single fused pass.  A stratified estimate is the balance-heuristic estimate
 whose components are disjoint shells, so both share one keyed draw and one fold.
 A grid of metric balls (``integrate_over_balls``) draws its round-ball sample
 once, maps it onto each ball and evaluates each ball once over the whole draw.
-Unit-ball estimates evaluate per batch: at their 320k-sample budgets a whole
-draw at once ran 10-45% slower, its temporaries falling out of cache.
 The Beta tilt's normalisation is a closed form, so no estimate loads scipy.
 """
 
@@ -34,13 +39,18 @@ BAD_SAMPLE_TOLERANCE = 1e-4
 
 # Each group's samples are drawn in this many batches keyed (group, batch).
 # It is fixed, not a tuning knob: any other split re-draws every estimate, and
-# four keeps the draws behind every pinned seed bit for bit.  A ball grid
-# joins the batches; unit-ball estimates evaluate each batch (cache, above).
+# four keeps the draws behind every pinned seed bit for bit.
 BATCHES_PER_GROUP = 4
+
+# The most samples one block evaluates.  A tuning knob that moves no bit: it
+# only sets how many small batches share one pass, while a batch above it
+# (320k-sample budgets) stays a block of its own and in cache.
+BLOCK_SAMPLES = 2**13
 
 __all__ = [
     "MCConfig",
     "EstimateWithError",
+    "SampleBlock",
     "sample_unit_ball",
     "integrate_density",
     "integrate_over_balls",
@@ -93,6 +103,13 @@ def _apportion(total: int, weights) -> list[int]:
     return [int(b) for b in base]
 
 
+def _batch_sizes(count: int) -> list[int]:
+    """A group's ``BATCHES_PER_GROUP`` batch sizes: equal shares, the first
+    ``count % BATCHES_PER_GROUP`` one larger (largest remainder, ties by index)."""
+    q, r = divmod(count, BATCHES_PER_GROUP)
+    return [q + (s < r) for s in range(BATCHES_PER_GROUP)]
+
+
 def sample_unit_ball(n: int, count: int, seed) -> np.ndarray:
     """Uniform samples (w.r.t. normalised volume) from the unit ball of C^n."""
     if count < 1:
@@ -107,27 +124,89 @@ _SHELL_EDGES = np.linspace(0.0, 1.0, 9)
 _SHELLS = list(zip(_SHELL_EDGES[:-1], _SHELL_EDGES[1:]))
 
 
-def _keyed_draw(draw, counts, cfg: MCConfig):
-    """Yield group k's ``counts[k]`` values (integrand values or points), joined in
-    order from ``BATCHES_PER_GROUP`` batches: ``draw(k, cfg.rng_for(k, s), m)``
-    makes the m values of batch s."""
+class SampleBlock:
+    """A block of sample points with the per-point quantities that an integrand
+    and a mixture density share, each computed at most once: delta = 1 - |w|^2
+    and, per base point z, q_z(w) and the Moebius Jacobian q_z^(n+1)."""
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        self._delta = None
+        self._mobius: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+    @property
+    def delta(self) -> np.ndarray:
+        if self._delta is None:
+            self._delta = geom.one_minus_norm_sq(self.points)
+        return self._delta
+
+    def mobius(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(q_z, q_z^(n+1)) at the block's points, by :func:`~carleson_lab.geometry_ball.mobius_factor`."""
+        key = z.tobytes()
+        if key not in self._mobius:
+            q = geom.mobius_factor(z, self.points)
+            self._mobius[key] = q, q ** (z.size + 1)
+        return self._mobius[key]
+
+
+def _join(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _blocks(batches, keys):
+    """Cut the (group, batch, size) list into blocks: runs of consecutive batches
+    whose groups have one placement key, of at most ``BLOCK_SAMPLES`` samples
+    unless a batch alone holds more."""
+    start, size = 0, 0
+    for i, (k, _, m) in enumerate(batches):
+        if i > start and (keys[k] != keys[batches[start][0]] or size + m > BLOCK_SAMPLES):
+            yield batches[start:i]
+            start, size = i, 0
+        size += m
+    yield batches[start:]
+
+
+def _keyed_values(sources, counts, cfg: MCConfig, evaluate):
+    """Yield group k's ``counts[k]`` values, group by group.
+
+    Batch s of group k draws ``sources[k].draw(cfg.rng_for(k, s), m)``, the
+    direction normals and radii of its m points.  A block of batches whose
+    sources share a ``base`` (None, or the base point of a Moebius placement)
+    is scaled and placed in one pass, and ``evaluate`` maps its points to one
+    value (or row) per point.
+    """
     if cfg.n_samples < 100:
         raise ParameterError("error bars need n_samples >= 100")
-    for k, ck in enumerate(counts):
-        yield np.concatenate([np.asarray(draw(k, cfg.rng_for(k, s), m))
-                              for s, m in enumerate(_apportion(ck, [1.0] * BATCHES_PER_GROUP)) if m > 0])
+    keys = [None if src.base is None else src.base.tobytes() for src in sources]
+    batches = [(k, s, m) for k, ck in enumerate(counts) for s, m in enumerate(_batch_sizes(ck)) if m]
+    group, pieces = 0, []
+    for block in _blocks(batches, keys):
+        g, radii = (_join(col) for col in zip(*(sources[k].draw(cfg.rng_for(k, s), m) for k, s, m in block)))
+        pts = geom._scale_directions(g, radii)
+        base = sources[block[0][0]].base
+        values = evaluate(pts if base is None else geom.ball_automorphism_many(base, pts))
+        for (k, _, _), part in zip(block, np.split(values, np.cumsum([m for _, _, m in block])[:-1])):
+            if k != group:
+                yield _join(pieces)
+                group, pieces = k, []
+            pieces.append(part)
+    yield _join(pieces)
+
+
+def _finite(vals: np.ndarray) -> np.ndarray:
+    ok = np.isfinite(vals)
+    return vals if ok.all() else vals[ok]
 
 
 def _fold(groups, weights) -> EstimateWithError:
     """Fold each group's integrand values into one estimate.
 
     Non-finite values are excluded (see ``BAD_SAMPLE_TOLERANCE``), each group as
-    it arrives, so a drawn group is filtered while in cache and then dropped.
-    The estimate is sum_k w_k mean_k and its variance sum_k w_k^2 var_k / c_k,
-    with c_k the finite count and var_k the two-pass sample variance (of the
-    real plus the imaginary part).
+    it arrives.  The estimate is sum_k w_k mean_k and its variance
+    sum_k w_k^2 var_k / c_k, with c_k the finite count and var_k the two-pass
+    sample variance (of the real plus the imaginary part).
     """
-    sizes, groups = zip(*((vals.size, vals[np.isfinite(vals)]) for vals in groups))
+    sizes, groups = zip(*((vals.size, _finite(vals)) for vals in groups))
     total = sum(sizes)
     bad = total - sum(vals.size for vals in groups)
     if bad > BAD_SAMPLE_TOLERANCE * total:
@@ -146,10 +225,28 @@ def _fold(groups, weights) -> EstimateWithError:
     return EstimateWithError(value=value, std_error=math.sqrt(var), n_effective=total - bad, n_excluded=bad)
 
 
-def _shells(cfg: MCConfig):
+class _RoundShell:
+    """Uniform law on the volume fractions [lo, hi) of the round ball of C^n,
+    placed by the Moebius map about ``base`` unless that is None.
+
+    Every source of samples has these two members: ``draw(rng, count)``, the
+    random part of a sample, and ``base``, its placement.
+    """
+
+    base = None
+
+    def __init__(self, n: int, lo: float = 0.0, hi: float = 1.0):
+        self.n, self.lo, self.hi = int(n), lo, hi
+
+    def draw(self, rng, count):
+        return geom.round_shell_draw(rng, self.n, count, self.lo, self.hi)
+
+
+def _shells(n: int, cfg: MCConfig):
     """Radial shells of the ball, their volume fractions and sample counts."""
     fractions = [hi - lo for lo, hi in _SHELLS]
-    return _SHELLS, fractions, [max(c, 2) for c in _apportion(cfg.n_samples, fractions)]
+    counts = [max(c, 2) for c in _apportion(cfg.n_samples, fractions)]
+    return [_RoundShell(n, lo, hi) for lo, hi in _SHELLS], fractions, counts
 
 
 def integrate_density(f, region, cfg: MCConfig, boundary_pole_order: float = 0.0) -> EstimateWithError:
@@ -173,9 +270,8 @@ def integrate_density(f, region, cfg: MCConfig, boundary_pole_order: float = 0.0
             raise ParameterError("boundary pole order must be < 1 for a finite integral")
         return integrate_mixture(f, [BetaRadialComponent(n, 0.75 * boundary_pole_order)], [1.0], cfg)
 
-    shells, fractions, counts = _shells(cfg)
-    draw = _keyed_draw(lambda k, rng, m: f(geom.uniform_round_shell(rng, n, m, *shells[k])), counts, cfg)
-    return _fold(draw, fractions)
+    shells, fractions, counts = _shells(n, cfg)
+    return _fold(_keyed_values(shells, counts, cfg, lambda pts: np.asarray(f(pts))), fractions)
 
 
 def integrate_over_balls(f, balls, cfg: MCConfig) -> list[EstimateWithError]:
@@ -188,23 +284,22 @@ def integrate_over_balls(f, balls, cfg: MCConfig) -> list[EstimateWithError]:
     """
     if not balls:
         return []
-    n = balls[0].dimension
-    shells, fractions, counts = _shells(cfg)
-    draw = _keyed_draw(lambda k, rng, m: geom.uniform_round_shell(rng, n, m, *shells[k]), counts, cfg)
-    points = np.concatenate(list(draw))
+    shells, fractions, counts = _shells(balls[0].dimension, cfg)
+    points = np.concatenate(list(_keyed_values(shells, counts, cfg, lambda pts: pts)))
     cuts = np.cumsum(counts)[:-1]
     estimates = []
     for ball in balls:
         values = np.asarray(f(geom.map_round_to_ellipsoid(ball, points)))
-        estimates.append(_fold(np.split(values, cuts), [ball.volume * w for w in fractions]))
+        volume = ball.volume
+        estimates.append(_fold(np.split(values, cuts), [volume * w for w in fractions]))
     return estimates
 
 
-class UniformBallComponent:
+class UniformBallComponent(_RoundShell):
     """Mixture component: uniform distribution on the unit ball (density 1)."""
 
     def __init__(self, n: int):
-        self.n = int(n)
+        super().__init__(n)
 
     def sample(self, rng, count):
         return geom.uniform_round_ball(rng, self.n, count)
@@ -212,9 +307,14 @@ class UniformBallComponent:
     def density(self, pts):
         return np.ones(len(pts))
 
+    def _density(self, block: SampleBlock):
+        return self.density(block.points)
+
 
 class BetaRadialComponent:
     """Radially tilted component: ||z||^2 ~ Beta(n, 1 - exponent)."""
+
+    base = None
 
     def __init__(self, n: int, exponent: float):
         if not 0.0 <= exponent < 1.0:
@@ -224,15 +324,21 @@ class BetaRadialComponent:
         # n B(n, 1 - exponent), for an integer n a closed form
         self._norm = math.factorial(self.n) / math.prod(1.0 - self.exponent + k for k in range(self.n))
 
-    def sample(self, rng, count):
+    def draw(self, rng, count):
         u = rng.beta(self.n, 1.0 - self.exponent, size=count)
-        return geom._scale_directions(rng.standard_normal((count, 2 * self.n)), np.sqrt(u))
+        return rng.standard_normal((count, 2 * self.n)), np.sqrt(u)
+
+    def sample(self, rng, count):
+        return geom._scale_directions(*self.draw(rng, count))
 
     def density(self, pts):
-        return geom.one_minus_norm_sq(pts) ** (-self.exponent) / self._norm
+        return self._density(SampleBlock(pts))
+
+    def _density(self, block: SampleBlock):
+        return block.delta ** (-self.exponent) / self._norm
 
 
-class PullbackBallComponent:
+class PullbackBallComponent(_RoundShell):
     """Moebius image of the uniform law on a centred ball of pseudo-radius t.
 
     Samples concentrate on the metric ball of radius t around ``z``; the
@@ -244,11 +350,11 @@ class PullbackBallComponent:
         if not 0.0 < t < 1.0:
             raise ParameterError("pullback radius must be in (0, 1)")
         self.t = float(t)
+        super().__init__(self.z.size, 0.0, self.t ** (2 * self.z.size))
+        self.base = self.z
 
     def sample(self, rng, count):
-        n = self.z.size
-        w = geom.uniform_round_shell(rng, n, count, 0.0, self.t ** (2 * n))
-        return geom.ball_automorphism_many(self.z, w)
+        return geom.ball_automorphism_many(self.z, geom.uniform_round_shell(rng, self.n, count, self.lo, self.hi))
 
     def density(self, pts):
         n = self.z.size
@@ -258,7 +364,7 @@ class PullbackBallComponent:
 
 
 def _mixture_density(components, pis):
-    """Balance-heuristic denominator: pts -> sum over c of pis[c] * density_c(pts).
+    """Balance-heuristic denominator: block -> sum over c of pis[c] * density_c.
 
     Pullback components about one base point z are fused.  Their densities
     differ only in the indicator rho(z, w) < t_j and the factor 1 / t_j^(2n),
@@ -280,27 +386,30 @@ def _mixture_density(components, pis):
         suffix = np.append(np.cumsum((pi / t ** (2 * z.size))[::-1])[::-1], 0.0)
         fused.append((z, t * t - 1.0, suffix))
 
-    def density(pts):
-        dens = np.zeros(len(pts))
+    def density(block: SampleBlock):
+        dens = np.zeros(len(block.points))
         for pi, comp in plain:
-            dens += pi * comp.density(pts)
+            dens += pi * comp._density(block)
         for z, edges, suffix in fused:
-            q = geom.mobius_factor(z, pts)
-            rung = np.searchsorted(edges, -geom.one_minus_norm_sq(pts) * q, side="right")
-            dens += q ** (z.size + 1) * suffix[rung]
+            q, jac = block.mobius(z)
+            rung = np.searchsorted(edges, -block.delta * q, side="right")
+            dens += jac * suffix[rung]
         return dens
 
     return density
 
 
-def integrate_mixture(f, components, weights, cfg: MCConfig) -> EstimateWithError:
+def integrate_mixture(f, components, weights, cfg: MCConfig, *, block_integrand: bool = False) -> EstimateWithError:
     """Multiple-importance-sampling integral of ``f`` d(volume) over the unit ball.
 
     Allocation across components is deterministic and proportional to
     ``weights``; the balance-heuristic denominator sums all component
     densities, so overlapping components are handled correctly.  Pullback
     components sharing a base point enter that sum through one fused
-    evaluation (see :func:`_mixture_density`); sampling is per component.
+    evaluation (see :func:`_mixture_density`); each component draws its own
+    keyed batches.
+    With ``block_integrand`` ``f`` takes the :class:`SampleBlock` instead of
+    its points, and so shares delta and the Moebius factors with the density.
     """
     w = np.asarray(weights, dtype=float)
     if len(components) != len(w) or np.any(w <= 0.0):
@@ -311,8 +420,8 @@ def integrate_mixture(f, components, weights, cfg: MCConfig) -> EstimateWithErro
 
     density = _mixture_density(components, pis)
 
-    def draw(k, rng, m):
-        pts = components[k].sample(rng, m)
-        return np.asarray(f(pts)) / density(pts)
+    def evaluate(pts):
+        block = SampleBlock(pts)
+        return np.asarray(f(block if block_integrand else pts)) / density(block)
 
-    return _fold(_keyed_draw(draw, counts, cfg), pis)
+    return _fold(_keyed_values(components, counts, cfg, evaluate), pis)

@@ -47,7 +47,11 @@ class PowerDensity:
     s: float
 
     def __call__(self, points) -> np.ndarray:
-        return np.maximum(geom.one_minus_norm_sq(np.atleast_2d(points)), 0.0) ** self.s
+        return self.of_delta(geom.one_minus_norm_sq(np.atleast_2d(points)))
+
+    def of_delta(self, delta) -> np.ndarray:
+        """The density at points with 1 - ||zeta||^2 = ``delta``."""
+        return np.maximum(delta, 0.0) ** self.s
 
     @property
     def pole_order(self) -> float:
@@ -189,6 +193,17 @@ def _sup(rows: list[dict], n_samples: int) -> EstimateWithError:
     return EstimateWithError(rows[best]["value"], rows[best]["std_error"], n_samples)
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a 1-d array bit for bit (the middle value, or the mean of
+    the two middle values; NaN if any value is NaN), without the ``numpy.ma``
+    import that the first ``np.median`` call costs."""
+    if not x.size or np.isnan(x).any():
+        return math.nan
+    s = np.sort(x)
+    h = x.size // 2
+    return float(s[h] if x.size % 2 else (s[h - 1] + s[h]) / 2.0)
+
+
 def _approach_test(rows: list[dict], n_samples: int) -> ApproachTest:
     """The sup of ``rows`` and the pass/fail/inconclusive verdict on their values.
 
@@ -203,12 +218,12 @@ def _approach_test(rows: list[dict], n_samples: int) -> ApproachTest:
     errors = np.asarray([row["std_error"] for row in rows], dtype=float)
     positive = values > 0.0
     d, v, e = depths[positive], values[positive], errors[positive]
-    if v.size < 3 or float(np.median(e / v)) > 0.5:
+    if v.size < 3 or _median(e / v) > 0.5:
         return ApproachTest(rows, sup, math.nan, math.nan, math.nan, "inconclusive")
     slope, slope_se = fit_line(np.log(d), np.log(v))
     order = np.argsort(depths)  # deepest first, zeros included
     deep = values[order][: max(1, len(values) // 4)]
-    growth = float(np.max(deep) / np.median(v))
+    growth = float(np.max(deep) / _median(v))
     if math.isnan(slope):  # probes at one depth: no line, so no verdict
         verdict = "inconclusive"
     elif growth > 1.0 and slope + 2.0 * slope_se < SLOPE_THRESHOLD:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.special import beta as beta_fn, hyp2f1
 
 from carleson_lab import bergman as bg
+from carleson_lab import cli
 from carleson_lab import geometry_ball as g
 from carleson_lab import measures as ms
 from carleson_lab.errors import OutsideDomainError
@@ -158,6 +160,17 @@ def test_kernel_upper_closed_form(n):
     (what, deviation, comparison, bound), = rep.gates
     assert (what, comparison, bound) == ("identity_deviation", "<", 1e-12) and deviation < 1e-12
     assert rep.details["argmax_radius"] == 0.0
+
+
+@pytest.mark.parametrize("n", [54, 100, 200])
+def test_kernel_upper_in_high_dimension(n, tmp_path):
+    # the diagonal kernel alone overflows at depth 1e-6 from n = 54; the
+    # product does not, and still meets its closed form
+    rep = bg.check_kernel_upper(n)
+    assert rep.passed and rep.statistic == 1.0
+    assert rep.gates[0][1] < 1e-12
+    params = json.dumps({"op": "check_kernel_upper", "n": n})
+    assert cli.main(["berezin", "--params", params, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_kernel_upper_spot_value():

@@ -65,7 +65,7 @@ import carleson_lab, carleson_lab.cli as cli
 argv = json.loads(sys.argv[1])
 code = None if argv is None else cli.main(argv)
 print(json.dumps({"code": code, "numpy.random": "numpy.random" in sys.modules,
-                  "jsonschema": "jsonschema" in sys.modules,
+                  "numpy.ma": "numpy.ma" in sys.modules, "jsonschema": "jsonschema" in sys.modules,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
@@ -99,6 +99,23 @@ def test_import_and_light_commands_load_no_scipy(tmp_path, case):
         assert "scipy" not in json.loads((tmp_path / "o" / "manifest.json").read_text())["versions"]
     elif case == "malformed":
         assert loaded["code"] == cli.EXIT_USAGE
+
+
+# the verdicts take their medians without np.median, whose first call imports
+# numpy.ma (about 9 ms of every run); the README's carleson-test measure, the
+# pole (1 - |w|^2)^-1/2, is no Carleson measure and exits 1
+_MA_FREE_CALLS = {name: (_SCIPY_FREE_CALLS[name], cli.EXIT_PASS) for name in ("berezin", "berezin-pole")} | {
+    "carleson-test": (["carleson-test", "--measure", '{"dimension": 1, "density": {"type": "power", "s": -0.5}}'],
+                      cli.EXIT_FAIL),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MA_FREE_CALLS))
+def test_berezin_and_carleson_test_load_no_numpy_ma(tmp_path, case):
+    argv, code = _MA_FREE_CALLS[case]
+    loaded = _modules_loaded_by(tmp_path, argv)
+    assert loaded["code"] == code
+    assert loaded["numpy.ma"] is False
 
 
 # packings and covers draw their scrambled Sobol candidates in numpy, and
@@ -1089,6 +1106,7 @@ _VERDICT_RUNS = {
        for suite, seed in [("quick", 5), ("full", 5), *(("quick", s) for s in _FAILING_SEEDS)]},
     **{f"{command}-{op}": [command, *_CALLS[command, op][1], "--samples", "400", "--params",
                            json.dumps({**_CALLS[command, op][0], "op": op})] for command, op in _CHECK_OPS},
+    "cover": ["cover", "--params", '{"n": 1, "epsilon": 0.1, "r": 0.5}'],
 }
 
 

@@ -8,6 +8,7 @@ from carleson_lab import geometry_ball as g
 from carleson_lab import integrate as mc
 from carleson_lab import measures as ms
 from carleson_lab.errors import AnalysisError, ParameterError
+from carleson_lab.invariant_measure import ek_ball_measure, ek_density_values
 from carleson_lab.integrate import (
     BetaRadialComponent,
     MCConfig,
@@ -350,5 +351,156 @@ def test_fused_mixture_density_matches_componentwise_sum():
     plain = np.zeros(len(pts))
     for pi, comp in zip(pis, comps):
         plain += pi * comp.density(pts)
-    fused = mc._mixture_density(comps, pis)(pts)
+    fused = mc._mixture_density(comps, pis)(mc.SampleBlock(pts))
     np.testing.assert_allclose(fused, plain, rtol=1e-12, atol=0.0)
+
+
+# -- blocked arithmetic against the per-batch layout -------------------------
+#
+# The oracles below draw and evaluate every keyed batch on its own, as the
+# engine did before consecutive batches shared one block of arithmetic, and
+# fold the groups in the reference way; the engine must agree bit for bit.
+
+def _oracle_fold(groups, weights):
+    value, var, total, bad = 0j, 0.0, 0, 0
+    for w, vals in zip(weights, groups):
+        total += vals.size
+        finite = vals[np.isfinite(vals)]
+        bad += vals.size - finite.size
+        value += w * np.mean(finite)
+        var += w * w * np.var(finite, ddof=1) / finite.size
+    return (value.real if value.imag == 0.0 else value), math.sqrt(var), total - bad, bad
+
+
+def _per_batch_groups(batch_values, counts, cfg):
+    """Group k's values: batch s of m samples is ``batch_values(k, cfg.rng_for(k, s), m)``."""
+    return [np.concatenate([batch_values(k, cfg.rng_for(k, s), m)
+                            for s, m in enumerate(mc._apportion(ck, [1.0] * 4)) if m > 0])
+            for k, ck in enumerate(counts)]
+
+
+def _per_batch_density_estimate(f, n, cfg):
+    fractions = [hi - lo for lo, hi in mc._SHELLS]
+    counts = [max(c, 2) for c in mc._apportion(cfg.n_samples, fractions)]
+    groups = _per_batch_groups(lambda k, rng, m: f(g.uniform_round_shell(rng, n, m, *mc._SHELLS[k])), counts, cfg)
+    return _oracle_fold(groups, fractions)
+
+
+def _per_batch_mixture_density(components, pis):
+    """The balance-heuristic denominator of a point array, pullback ladders fused."""
+    plain, ladders = [], {}
+    for pi, comp in zip(pis, components):
+        if isinstance(comp, PullbackBallComponent):
+            ladders.setdefault(comp.z.tobytes(), (comp.z, []))[1].append((comp.t, pi))
+        else:
+            plain.append((pi, comp))
+
+    def density(pts):
+        dens = np.zeros(len(pts))
+        for pi, comp in plain:
+            dens += pi * comp.density(pts)
+        for z, rungs in ladders.values():
+            t, pi = (np.array(col) for col in zip(*sorted(rungs)))
+            suffix = np.append(np.cumsum((pi / t ** (2 * z.size))[::-1])[::-1], 0.0)
+            q = g.mobius_factor(z, pts)
+            rung = np.searchsorted(t * t - 1.0, -g.one_minus_norm_sq(pts) * q, side="right")
+            dens += q ** (z.size + 1) * suffix[rung]
+        return dens
+
+    return density
+
+
+def _per_batch_mixture_estimate(f, components, weights, cfg):
+    counts = [max(c, 2) for c in mc._apportion(cfg.n_samples, np.asarray(weights, dtype=float))]
+    pis = np.array([c / sum(counts) for c in counts])
+    density = _per_batch_mixture_density(components, pis)
+
+    def batch_values(k, rng, m):
+        pts = components[k].sample(rng, m)
+        return np.asarray(f(pts)) / density(pts)
+
+    return _oracle_fold(_per_batch_groups(batch_values, counts, cfg), pis)
+
+
+def _per_batch_berezin(mu, z, cfg):
+    atoms = math.fsum(bg.normalized_kernel_sq_values(z, mu.atom_points) * mu.atom_weights)
+    comps, weights = bg._berezin_components(z, mu.pole_order)
+    value, se, n_eff, bad = _per_batch_mixture_estimate(
+        lambda pts: bg.normalized_kernel_sq_values(z, pts) * mu.density(pts), comps, weights, cfg)
+    return atoms + value, se, n_eff, bad
+
+
+def _per_batch_ek(z0, r, cfg):
+    n = z0.size
+
+    def pulled_back(v):
+        u = r * v
+        return r ** (2 * n) * ek_density_values(g.ball_automorphism_many(z0, u)) * g.mobius_jacobian_many(z0, u)
+
+    return _per_batch_density_estimate(pulled_back, n, cfg)
+
+
+def _deep_point(n, depth):
+    z = np.zeros(n, dtype=complex)
+    z[0] = 0.8 * (1.0 - depth)
+    z[-1] += 0.6j * (1.0 - depth)
+    return z
+
+
+# budgets per dimension: the common 2,000 and 40,000 samples, and in C^2 the
+# 320,000-sample budget whose shell batches each stay a block of their own
+_BUDGETS = [(n, N) for n in (1, 2, 3) for N in (2000, 40_000)] + [(2, 320_000)]
+
+
+@pytest.mark.parametrize("n,budget", _BUDGETS)
+def test_blocked_estimates_match_per_batch_layout(n, budget):
+    cfg = MCConfig(seed=20 + n, n_samples=budget)
+    z = _deep_point(n, 1e-3)
+    f = lambda p: np.abs(1.0 - p @ np.conj(z)) ** -2 + 1j * p[:, -1].real
+    assert _fields(integrate_density(f, n, cfg)) == _per_batch_density_estimate(f, n, cfg)
+    pole = lambda p: ms.PowerDensity(-0.5)(p) * np.abs(p[:, 0])
+    assert (_fields(integrate_density(pole, n, cfg, boundary_pole_order=0.5))
+            == _per_batch_mixture_estimate(pole, [BetaRadialComponent(n, 0.375)], [1.0], cfg))
+    comps = ([UniformBallComponent(n), BetaRadialComponent(n, 0.3)]
+             + [PullbackBallComponent(z, t) for t in (0.5, 0.9, 0.99)] + [PullbackBallComponent(-z / 2, 0.7)])
+    weights = [0.3, 0.1, 0.15, 0.15, 0.2, 0.1]
+    assert _fields(integrate_mixture(f, comps, weights, cfg)) == _per_batch_mixture_estimate(f, comps, weights, cfg)
+    assert _fields(ek_ball_measure(z, 0.6, cfg)) == _per_batch_ek(z, 0.6, cfg)
+    atoms = ms.Measure.from_atoms([z / 2, -z / 3], [0.5, 2.0])
+    for s in (-0.5, 0.0, 1.0):
+        mu = ms.Measure(n, atoms.atom_points, atoms.atom_weights, ms.PowerDensity(s))
+        for probe in (z, _deep_point(n, 1e-6)):
+            assert _fields(bg.berezin_transform(mu, probe, cfg)) == _per_batch_berezin(mu, probe, cfg)
+
+
+@pytest.mark.parametrize("block", [1, 200, 3000])
+def test_block_boundaries_inside_groups_move_no_bit(monkeypatch, block):
+    # 200 and 3,000 samples cut blocks inside shells and ladder rungs, and a
+    # one-sample block leaves every batch a block of its own
+    monkeypatch.setattr(mc, "BLOCK_SAMPLES", block)
+    cfg = MCConfig(seed=5, n_samples=2000)
+    z = _deep_point(2, 1e-2)
+    mu = ms.Measure.with_power_density(2, -0.5)
+    f = lambda p: 1.0 / (1.0 - p[:, 0].real)
+    assert _fields(integrate_density(f, 2, cfg)) == _per_batch_density_estimate(f, 2, cfg)
+    assert _fields(ek_ball_measure(z, 0.3, cfg)) == _per_batch_ek(z, 0.3, cfg)
+    assert _fields(bg.berezin_transform(mu, z, cfg)) == _per_batch_berezin(mu, z, cfg)
+
+
+def test_blocked_estimates_exclude_nonfinite_like_per_batch_layout():
+    cfg = MCConfig(seed=2, n_samples=40_000)
+    f = _nan_on_sliver(4e-5)
+    ref = _per_batch_density_estimate(f, 1, cfg)
+    assert 0 < ref[3] <= mc.BAD_SAMPLE_TOLERANCE * cfg.n_samples
+    with pytest.warns(RuntimeWarning, match=f"excluded {ref[3]} non-finite"):
+        assert _fields(integrate_density(f, 1, cfg)) == ref
+    comps = [UniformBallComponent(1), PullbackBallComponent(np.array([0.9]), 0.8)]
+    ref = _per_batch_mixture_estimate(f, comps, [0.5, 0.5], cfg)
+    assert ref[3] > 0
+    with pytest.warns(RuntimeWarning, match=f"excluded {ref[3]} non-finite"):
+        assert _fields(integrate_mixture(f, comps, [0.5, 0.5], cfg)) == ref
+
+
+def test_batch_sizes_are_the_largest_remainder_split():
+    for count in range(200):
+        assert mc._batch_sizes(count) == mc._apportion(count, [1.0] * mc.BATCHES_PER_GROUP)

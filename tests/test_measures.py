@@ -205,6 +205,19 @@ def test_no_fitted_line_is_inconclusive():
     assert res.verdict == "inconclusive"
 
 
+def test_median_is_numpys_bit_for_bit():
+    # odd and even counts, ties, signed zeros, infinities and NaN
+    rng = np.random.default_rng(4)
+    cases = [rng.standard_normal(m) * 10.0 ** rng.integers(-300, 300, m) for m in range(1, 40)]
+    cases += [np.array(c) for c in ([1.0, 1.0], [0.0, -0.0], [-np.inf, np.inf], [np.inf, 1.0, np.inf],
+                                    [1.0, np.nan, 2.0], [np.nan], [1.7e308, 1.7e308], [3.0, 1.0, 2.0, 5.0])]
+    for x in cases:
+        with np.errstate(all="ignore"):  # inf - inf and 1.7e308 + 1.7e308, in both
+            expected = float(np.median(x))
+            got = ms._median(x)
+        assert (math.isnan(got) and math.isnan(expected)) or got.hex() == expected.hex(), x
+
+
 # -- functional test ----------------------------------------------------------
 
 def test_functional_constant_for_volume_is_one():
