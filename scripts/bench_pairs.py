@@ -1,21 +1,26 @@
 """Run the benchmark in two checkouts in alternating pairs and write BENCH_<label>.json.
 
     python scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --label L \\
-        --run cli-oneshot:8:801 --run carleson-mc:4:821 [--seconds 30] [--claim TEXT]
+        --run cli-oneshot:10:801 --run carleson-mc:10:821 [--claim TEXT]
 
-Each ``--run WORKLOAD:PAIRS:FIRST_SEED`` runs ``perfbench/run.py --workload
-WORKLOAD --seed S --seconds SECONDS --trace 0`` once in each tree per pair, one
-run at a time, with one seed per pair (FIRST_SEED, FIRST_SEED + 1, ...).  The
-side that goes first alternates from pair to pair, so drift in a shared host's
-speed falls on both sides alike.  Each tree runs its own harness from its own
-root; this script changes nothing under ``perfbench/``.
+Each ``--run WORKLOAD:PAIRS:FIRST_SEED`` runs the benchmark's command
+(``BENCHMARK.json``'s ``command`` with ``--workload WORKLOAD --seed S --seconds
+RUN_SECONDS --trace 0``) once in each tree per pair, one run at a time, with
+one seed per pair (FIRST_SEED, FIRST_SEED + 1, ...).  The side that goes first
+alternates from pair to pair, so drift in a shared host's speed falls on both
+sides alike.  Each tree runs its own harness from its own root; this script
+changes nothing under ``perfbench/``.
+
+The command, run length and bounds come from the parent tree's
+``BENCHMARK.json``, and the script refuses to run when the change tree's file
+differs from it, so a change is never judged by rules it wrote itself.
 
 The JSON (written after every run, so an interrupted session keeps its pairs)
 holds the label, both trees' git shas, the command, the pairing, every run's
-result and, per workload and end-to-end metric, the median and interquartile
-range of each side, how many pairs the change ran lower, and the relative
-change of the medians against the bound that the change tree's
-``BENCHMARK.json`` sets.
+result and, per workload, the share of failed operations on each side and, per
+end-to-end metric, the median and interquartile range of each side, how many
+pairs the change ran lower, and the relative change of the medians against the
+metric's bound.
 """
 
 from __future__ import annotations
@@ -29,17 +34,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0"
-
 
 def _sha(tree: Path) -> str:
     proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else "not a git checkout"
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+def _argv(spec: dict, workload: str, seed, seconds) -> list[str]:
+    return [*spec["command"], "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+
+
+def _run(tree: Path, argv: list[str]) -> dict:
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -68,10 +73,15 @@ def summarise(runs: list[dict], bounds: dict[str, float]) -> dict:
         complete = [p for _, p in sorted(pairs.items()) if len(p) == 2]
         if not complete:
             continue
+        sides = ("parent", "change")
         out = {
-            "correct": {side: sum(bool(p[side].get("correct")) for p in complete) for side in ("parent", "change")},
-            "failed_ops": {side: [p[side].get("failed") for p in complete] for side in ("parent", "change")},
-            "attempted_ops": {side: [p[side].get("attempted") for p in complete] for side in ("parent", "change")},
+            "correct": {side: sum(bool(p[side].get("correct")) for p in complete) for side in sides},
+            "failed_ops": {side: [p[side].get("failed") for p in complete] for side in sides},
+            "attempted_ops": {side: [p[side].get("attempted") for p in complete] for side in sides},
+        }
+        out["failed_share"] = {
+            side: (sum(out["failed_ops"][side]) / attempted if (attempted := sum(out["attempted_ops"][side])) else None)
+            for side in sides
         }
         for metric in complete[0]["parent"]["metrics"]:
             parent = [p["parent"]["metrics"][metric]["value"] for p in complete]
@@ -110,7 +120,6 @@ def main(argv=None) -> int:
     parser.add_argument("change_tree", type=Path)
     parser.add_argument("--label", required=True)
     parser.add_argument("--run", type=_run_spec, action="append", required=True, metavar="WORKLOAD:PAIRS:FIRST_SEED")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--claim", default="none", help="the claimed gain, recorded as given")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="where BENCH_<label>.json goes")
     args = parser.parse_args(argv)
@@ -119,13 +128,17 @@ def main(argv=None) -> int:
     for side, tree in trees.items():
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"{side} tree {tree} has no perfbench/run.py")
-    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    bounds = {m["name"]: m["bound"] for m in spec.get("end_to_end", [])}
+    spec_text = (trees["parent"] / "BENCHMARK.json").read_text()
+    if (trees["change"] / "BENCHMARK.json").read_text() != spec_text:
+        parser.error("the two trees' BENCHMARK.json differ; a change is judged by its parent's benchmark")
+    spec = json.loads(spec_text)
+    seconds = spec["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     record = {
         "label": args.label,
         "git_sha": _sha(trees["change"]),
         "parent_git_sha": _sha(trees["parent"]),
-        "command": COMMAND.replace("T", f"{args.seconds:g}"),
+        "command": " ".join(_argv(spec, "W", "S", seconds)),
         "pairing": "parent/change pairs, one run at a time, alternating which side runs first (run_order counts "
                    "the runs of a workload); one seed per pair: "
                    + ", ".join(f"{p} pairs of {w} at seeds {s}-{s + p - 1}" for w, p, s in args.run),
@@ -142,9 +155,9 @@ def main(argv=None) -> int:
             sides = ("parent", "change") if first % 2 == 0 else ("change", "parent")
             first += 1
             for side in sides:
-                run = _run(trees[side], workload, first_seed + pair, args.seconds)
+                run = _run(trees[side], _argv(spec, workload, first_seed + pair, seconds))
                 record["runs"].append({"workload": workload, "seed": first_seed + pair, "pair": pair, "side": side,
-                                       "seconds": args.seconds, **run, "run_order": order})
+                                       "seconds": seconds, **run, "run_order": order})
                 order += 1
                 record["summary"] = summarise(record["runs"], bounds)
                 path.write_text(json.dumps(record, indent=1) + "\n")

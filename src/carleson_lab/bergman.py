@@ -126,7 +126,7 @@ def berezin_transform(mu, z, cfg: MCConfig) -> EstimateWithError:
         # |k_z|^2 = q_z^(n+1) and delta, shared with the ladder's fused density
         return block.mobius(z)[1] * mu.density.of_delta(block.delta)
 
-    est = integrate_mixture(integrand, comps, weights, cfg, block_integrand=True)
+    est = integrate_mixture(integrand, comps, weights, cfg)
     return EstimateWithError(
         value=atom_part + est.value, std_error=est.std_error, n_effective=est.n_effective,
         n_excluded=est.n_excluded,

@@ -268,7 +268,8 @@ def integrate_density(f, region, cfg: MCConfig, boundary_pole_order: float = 0.0
     if boundary_pole_order > 0.0:
         if boundary_pole_order >= 1.0:
             raise ParameterError("boundary pole order must be < 1 for a finite integral")
-        return integrate_mixture(f, [BetaRadialComponent(n, 0.75 * boundary_pole_order)], [1.0], cfg)
+        beta = BetaRadialComponent(n, 0.75 * boundary_pole_order)
+        return integrate_mixture(lambda block: f(block.points), [beta], [1.0], cfg)
 
     shells, fractions, counts = _shells(n, cfg)
     return _fold(_keyed_values(shells, counts, cfg, lambda pts: np.asarray(f(pts))), fractions)
@@ -307,9 +308,6 @@ class UniformBallComponent(_RoundShell):
     def density(self, pts):
         return np.ones(len(pts))
 
-    def _density(self, block: SampleBlock):
-        return self.density(block.points)
-
 
 class BetaRadialComponent:
     """Radially tilted component: ||z||^2 ~ Beta(n, 1 - exponent)."""
@@ -332,10 +330,7 @@ class BetaRadialComponent:
         return geom._scale_directions(*self.draw(rng, count))
 
     def density(self, pts):
-        return self._density(SampleBlock(pts))
-
-    def _density(self, block: SampleBlock):
-        return block.delta ** (-self.exponent) / self._norm
+        return geom.one_minus_norm_sq(pts) ** (-self.exponent) / self._norm
 
 
 class PullbackBallComponent(_RoundShell):
@@ -389,7 +384,7 @@ def _mixture_density(components, pis):
     def density(block: SampleBlock):
         dens = np.zeros(len(block.points))
         for pi, comp in plain:
-            dens += pi * comp._density(block)
+            dens += pi * comp.density(block.points)
         for z, edges, suffix in fused:
             q, jac = block.mobius(z)
             rung = np.searchsorted(edges, -block.delta * q, side="right")
@@ -399,8 +394,10 @@ def _mixture_density(components, pis):
     return density
 
 
-def integrate_mixture(f, components, weights, cfg: MCConfig, *, block_integrand: bool = False) -> EstimateWithError:
-    """Multiple-importance-sampling integral of ``f`` d(volume) over the unit ball.
+def integrate_mixture(f, components, weights, cfg: MCConfig) -> EstimateWithError:
+    """Multiple-importance-sampling integral of ``f`` d(volume) over the unit ball;
+    ``f`` maps a :class:`SampleBlock` to one real or complex value per point, and
+    so shares delta and the Moebius factors with the mixture density.
 
     Allocation across components is deterministic and proportional to
     ``weights``; the balance-heuristic denominator sums all component
@@ -408,8 +405,6 @@ def integrate_mixture(f, components, weights, cfg: MCConfig, *, block_integrand:
     components sharing a base point enter that sum through one fused
     evaluation (see :func:`_mixture_density`); each component draws its own
     keyed batches.
-    With ``block_integrand`` ``f`` takes the :class:`SampleBlock` instead of
-    its points, and so shares delta and the Moebius factors with the density.
     """
     w = np.asarray(weights, dtype=float)
     if len(components) != len(w) or np.any(w <= 0.0):
@@ -422,6 +417,6 @@ def integrate_mixture(f, components, weights, cfg: MCConfig, *, block_integrand:
 
     def evaluate(pts):
         block = SampleBlock(pts)
-        return np.asarray(f(block if block_integrand else pts)) / density(block)
+        return np.asarray(f(block)) / density(block)
 
     return _fold(_keyed_values(components, counts, cfg, evaluate), pis)

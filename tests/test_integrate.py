@@ -304,8 +304,8 @@ def test_mixture_estimates_known_integral():
     z = np.array([0.9, 0.0])
     comps = [UniformBallComponent(2), PullbackBallComponent(z, 0.9)]
 
-    def f(p):
-        return 1.0 - norm_sq_rows(p)
+    def f(block):
+        return 1.0 - norm_sq_rows(block.points)
 
     est = integrate_mixture(f, comps, [0.5, 0.5], MCConfig(seed=3, n_samples=40_000))
     # E (1 - ||z||^2) over B^2 = 1/3
@@ -315,14 +315,15 @@ def test_mixture_estimates_known_integral():
 def test_mixture_keeps_imaginary_part():
     # integral of i (1 - |z|^2) over the disk = i / 2
     comps = [UniformBallComponent(1), PullbackBallComponent(np.array([0.5]), 0.6)]
-    est = integrate_mixture(lambda p: 1j * (1.0 - norm_sq_rows(p)), comps, [0.5, 0.5], MCConfig(seed=4, n_samples=20_000))
+    cfg = MCConfig(seed=4, n_samples=20_000)
+    est = integrate_mixture(lambda b: 1j * (1.0 - norm_sq_rows(b.points)), comps, [0.5, 0.5], cfg)
     assert abs(est.value - 0.5j) < 4 * est.std_error
 
 
 def test_mixture_weight_validation():
     comps = [UniformBallComponent(1)]
     with pytest.raises(ParameterError):
-        integrate_mixture(lambda p: np.ones(len(p)), comps, [0.5, 0.5], MCConfig(seed=0, n_samples=1000))
+        integrate_mixture(lambda b: np.ones(len(b.points)), comps, [0.5, 0.5], MCConfig(seed=0, n_samples=1000))
 
 
 def test_fused_mixture_density_matches_componentwise_sum():
@@ -464,7 +465,8 @@ def test_blocked_estimates_match_per_batch_layout(n, budget):
     comps = ([UniformBallComponent(n), BetaRadialComponent(n, 0.3)]
              + [PullbackBallComponent(z, t) for t in (0.5, 0.9, 0.99)] + [PullbackBallComponent(-z / 2, 0.7)])
     weights = [0.3, 0.1, 0.15, 0.15, 0.2, 0.1]
-    assert _fields(integrate_mixture(f, comps, weights, cfg)) == _per_batch_mixture_estimate(f, comps, weights, cfg)
+    assert (_fields(integrate_mixture(lambda b: f(b.points), comps, weights, cfg))
+            == _per_batch_mixture_estimate(f, comps, weights, cfg))
     assert _fields(ek_ball_measure(z, 0.6, cfg)) == _per_batch_ek(z, 0.6, cfg)
     atoms = ms.Measure.from_atoms([z / 2, -z / 3], [0.5, 2.0])
     for s in (-0.5, 0.0, 1.0):
@@ -498,7 +500,7 @@ def test_blocked_estimates_exclude_nonfinite_like_per_batch_layout():
     ref = _per_batch_mixture_estimate(f, comps, [0.5, 0.5], cfg)
     assert ref[3] > 0
     with pytest.warns(RuntimeWarning, match=f"excluded {ref[3]} non-finite"):
-        assert _fields(integrate_mixture(f, comps, [0.5, 0.5], cfg)) == ref
+        assert _fields(integrate_mixture(lambda b: f(b.points), comps, [0.5, 0.5], cfg)) == ref
 
 
 def test_batch_sizes_are_the_largest_remainder_split():
