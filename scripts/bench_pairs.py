@@ -2,6 +2,7 @@
 
     python scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --label L \\
         --run cli-oneshot:10:801 --run carleson-mc:10:821 [--claim TEXT]
+    python scripts/bench_pairs.py --reanalyse BENCH_L.json
 
 Each ``--run WORKLOAD:PAIRS:FIRST_SEED`` runs the benchmark's command
 (``BENCHMARK.json``'s ``command`` with ``--workload WORKLOAD --seed S --seconds
@@ -20,13 +21,22 @@ holds the label, both trees' git shas, the command, the pairing, every run's
 result and, per workload, the share of failed operations on each side and, per
 end-to-end metric, the median and interquartile range of each side, how many
 pairs the change ran lower, and the relative change of the medians against the
-metric's bound.
+metric's bound (``verdict``).  Beside these stand the paired figures: the log
+ratio log(change / parent) of each pair, their median, a distribution-free
+interval for that median from the sign test's order statistics (the k-th
+smallest and k-th largest ratio, k the largest rank whose coverage is at least
+95%: the 2nd and 9th of 10 pairs, 97.9%), its coverage, and the two-sided
+sign-test p of "the change runs lower and higher equally often".
+
+``--reanalyse FILE`` recomputes the summary of a committed file from the runs
+it holds, with the bounds it records, and writes it back in place.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -59,6 +69,39 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return median, q1, q3
+
+
+def _sign_rank(n: int) -> tuple[int, float]:
+    """The rank k of the sign-test interval [x_(k), x_(n+1-k)] for the median of
+    n paired values, the largest whose coverage 1 - 2 P(Bin(n, 1/2) < k) is at
+    least 95% (k = 1 when none is), and that coverage."""
+    def coverage(k: int) -> float:
+        return 1.0 - 2.0 * sum(math.comb(n, i) for i in range(k)) / 2**n
+
+    k = 1
+    while k < n // 2 and coverage(k + 1) >= 0.95:
+        k += 1
+    return k, coverage(k)
+
+
+def paired(parent: list[float], change: list[float]) -> dict:
+    """Pair-by-pair log ratios log(change / parent), their median, its sign-test
+    interval and coverage, and the two-sided sign-test p; empty when a value is
+    not positive."""
+    if min(parent + change) <= 0.0:
+        return {}
+    ratios = [math.log(c / p) for p, c in zip(parent, change)]
+    ordered = sorted(ratios)
+    k, coverage = _sign_rank(len(ratios))
+    higher, lower = sum(r > 0.0 for r in ratios), sum(r < 0.0 for r in ratios)
+    tail = sum(math.comb(higher + lower, i) for i in range(min(higher, lower) + 1)) / 2 ** (higher + lower)
+    return {
+        "log_ratios": ratios,
+        "log_ratio_median": statistics.median(ratios),
+        "log_ratio_interval": [ordered[k - 1], ordered[-k]],
+        "log_ratio_interval_coverage": coverage,
+        "sign_test_p": min(1.0, 2.0 * tail),
+    }
 
 
 def summarise(runs: list[dict], bounds: dict[str, float]) -> dict:
@@ -96,6 +139,7 @@ def summarise(runs: list[dict], bounds: dict[str, float]) -> dict:
                 "pairs": len(complete),
                 "relative_change": relative,
                 "change_median_within_parent_iqr": pq1 <= cm <= pq3,
+                **paired(parent, change),
             }
             if metric in bounds:
                 entry["bound"] = bounds[metric]
@@ -114,15 +158,30 @@ def _run_spec(text: str) -> tuple[str, int, int]:
         raise argparse.ArgumentTypeError(f"expected WORKLOAD:PAIRS:FIRST_SEED, got {text!r}") from None
 
 
+def reanalyse(path: Path) -> None:
+    """Recompute a committed file's summary from its runs and recorded bounds."""
+    record = json.loads(path.read_text())
+    bounds = {metric: entry["bound"] for workload in record["summary"].values() for metric, entry in workload.items()
+              if isinstance(entry, dict) and "bound" in entry}
+    record["summary"] = summarise(record["runs"], bounds)
+    path.write_text(json.dumps(record, indent=1) + "\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("parent_tree", type=Path)
-    parser.add_argument("change_tree", type=Path)
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--run", type=_run_spec, action="append", required=True, metavar="WORKLOAD:PAIRS:FIRST_SEED")
+    parser.add_argument("parent_tree", type=Path, nargs="?")
+    parser.add_argument("change_tree", type=Path, nargs="?")
+    parser.add_argument("--label")
+    parser.add_argument("--run", type=_run_spec, action="append", metavar="WORKLOAD:PAIRS:FIRST_SEED")
     parser.add_argument("--claim", default="none", help="the claimed gain, recorded as given")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="where BENCH_<label>.json goes")
+    parser.add_argument("--reanalyse", type=Path, metavar="FILE", help="recompute FILE's summary from its runs")
     args = parser.parse_args(argv)
+    if args.reanalyse is not None:
+        reanalyse(args.reanalyse)
+        return 0
+    if None in (args.parent_tree, args.change_tree, args.label, args.run):
+        parser.error("PARENT_TREE, CHANGE_TREE, --label and --run are required unless --reanalyse is given")
 
     trees = {"parent": args.parent_tree.resolve(), "change": args.change_tree.resolve()}
     for side, tree in trees.items():

@@ -16,11 +16,11 @@ import numpy as np
 from . import geometry_ball as geom
 from .errors import ParameterError
 from .integrate import (
-    BetaRadialComponent,
     EstimateWithError,
     MCConfig,
     PullbackBallComponent,
     UniformBallComponent,
+    _pole_tilt,
     integrate_density,
     integrate_mixture,
     integrate_over_balls,
@@ -95,7 +95,7 @@ def _berezin_components(z: np.ndarray, pole_order: float):
     comps: list = [UniformBallComponent(n)]
     weights = [0.25]
     if pole_order > 0.0:
-        comps.append(BetaRadialComponent(n, 0.75 * pole_order))
+        comps.append(_pole_tilt(n, pole_order))
         weights.append(0.15)
     ladder = [math.sqrt(1.0 - 4.0 ** (-j)) for j in range(1, depth + 1)]
     share = (1.0 - sum(weights)) / len(ladder)

@@ -328,6 +328,12 @@ def ball_volume(z0, r: float) -> float:
     return r ** (2 * n) * ((1.0 - nz2) / (1.0 - r * r * nz2)) ** (n + 1)
 
 
+def _invariant_ball_volume(n: int, rho_sq: float) -> float:
+    """Invariant volume (rho^2 / (1 - rho^2))^n of a ball of pseudo-radius rho, given
+    rho^2, on Python floats: a power beyond double range raises OverflowError."""
+    return (rho_sq / (1.0 - rho_sq)) ** n
+
+
 def _scale_directions(g: np.ndarray, radii) -> np.ndarray:
     """Points of C^n at ``radii`` along the directions of the (count, 2n) draw ``g``.
 

@@ -85,7 +85,7 @@ def check_ek_bounds(n: int, cfg: MCConfig | None = None) -> CheckReport:
         for r in EK_RADII:
             est = ek_ball_measure(z0, r, cfg)
             value = float(np.real(est.value))
-            z = (value - (r * r / (1.0 - r * r)) ** n) / est.std_error
+            z = (value - geom._invariant_ball_volume(n, r * r)) / est.std_error
             total += est.n_effective
             if est.std_error > 0.1 * value:
                 inconclusive = True

@@ -166,7 +166,7 @@ def _volume_ratio(n: int, u: float, v: float) -> float:
     divisor underflows to 0) there is no net of that size: OverflowError.
     """
     try:
-        return (u / (1.0 - u)) ** n / (v / (1.0 - v)) ** n
+        return geom._invariant_ball_volume(n, u) / geom._invariant_ball_volume(n, v)
     except ZeroDivisionError as exc:
         raise OverflowError(f"(v / (1 - v))^{n} underflows") from exc
 
@@ -345,8 +345,7 @@ def greedy_decompose(seq: PointSequence, r: float) -> Decomposition:
 # -- neighbour engine -----------------------------------------------------------
 # candidate pairs per block of neighbour lists: bounds the flattened pair arrays
 PAIR_BUDGET = 2**14
-# most queries per block of neighbour lists or nearest-first tests, and
-# candidates per packing chunk
+# most queries per block of neighbour lists, and candidates per packing chunk
 QUERY_BLOCK = 512
 # queries per pivot block of the within-radius counter (a set of one block builds no KD-tree)
 PIVOT_BLOCK = 64
@@ -415,16 +414,14 @@ def _has_within(metric: str, queries: np.ndarray, targets: np.ndarray, tree, t: 
     """Whether some target lies at distance < t from each query (``tree``
     holds the targets' rows).
 
-    Each query's Euclidean-nearest target is tried first; only the queries it
-    leaves undecided are matched against their neighbour lists.
-    """
-    found = np.zeros(len(queries), dtype=bool)
+    Each query's Euclidean-nearest target (one tree query for all) is tried
+    first; only the queries it leaves undecided are matched against their
+    neighbour lists.  Without that stage ``greedy_cover(2, 0.1, 0.5, seed=11)``
+    took 21.0 s against 11.6-12.2 s with it (2-core host)."""
     if len(targets) == 0:
-        return found
-    rows = geom.points_to_rows(queries)
-    for i0 in range(0, len(queries), QUERY_BLOCK):
-        q = slice(i0, i0 + QUERY_BLOCK)
-        found[q] = _pair_distance(metric, queries[q], targets[tree.query(rows[q])[1]]) < t
+        return np.zeros(len(queries), dtype=bool)
+    nearest = targets[tree.query(geom.points_to_rows(queries))[1]]
+    found = _pair_distance(metric, queries, nearest) < t
     left = np.flatnonzero(~found)
     for owner, index in _near_pairs(metric, queries[left], tree, t):
         found[left[owner[_pair_distance(metric, queries[left[owner]], targets[index]) < t]]] = True
@@ -458,8 +455,10 @@ def greedy_pack(points, threshold: float, metric: str = "pseudohyperbolic") -> n
     and a point is rebuilt into O(log N) trees.  "Is some kept point within
     the threshold?" splits over the trees, so a chunk asks them in turn,
     largest first, and drops a candidate as soon as one answers yes; the
-    rest are coloured first-fit among themselves, and colour 0 is kept.
-    """
+    rest are coloured first-fit among themselves, and colour 0 is kept.  On the
+    602,474 candidates of ``greedy_cover(2, 0.1, 0.5, seed=11)`` the forest took
+    3.4 s, and ``_first_fit_colors(...) == 0`` over them all, which keeps the
+    same 13,074 points, 175 s (2-core host)."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.complex128))
     metric, threshold = _pseudo_threshold(metric, threshold)
     if not pts.size:  # an empty list is one point of no coordinates to atleast_2d

@@ -37,36 +37,56 @@ def test_ball_summary_artifacts(tmp_path):
     assert manifest["exit_code"] == 0
 
 
-# scipy is imported at its call site, and input is read without jsonschema: a
-# fresh interpreter that imports the package, or runs one of these calls
-# through cli.main, loads neither.  Boundary distances on the non-ball domains
-# are a numpy projection, so they load no scipy either
+# One row per call through cli.main in a fresh interpreter (None: the package
+# is only imported): its exit code, the modules it must not load and the
+# modules it must load.  A name covers its submodules.
+#
+# scipy is imported at its call site, and input is read without jsonschema:
+# importing the package, or the light calls, loads neither.  Boundary
+# distances on the non-ball domains are a numpy projection, so they load no
+# scipy either.  The verdicts take their medians without np.median, whose
+# first call imports numpy.ma (about 9 ms of every run); the README's
+# carleson-test measure, the pole (1 - |w|^2)^-1/2, is no Carleson measure and
+# exits 1.  Packings and covers draw their scrambled Sobol candidates in numpy,
+# so the calls that build them load scipy.spatial but never scipy.stats or
+# scipy.optimize.
 _ELLIPSOID = '{"type": "ellipsoid", "semi_axes": [1.5, 1.0, 1.2, 0.9]}'
 _PERTURBED_BALL = '{"type": "perturbed_ball", "dimension": 2, "epsilon": 0.1}'
-_SCIPY_FREE_CALLS = {
-    "import": None,
-    "ball": ["ball", "--params", '{"z0": [0.6, 0.0], "r": 0.5}'],
-    "berezin": ["berezin", "--measure", '{"dimension": 1, "density": {"type": "power", "s": 0.0}}',
-                "--params", '{"k_max": 8}', "--samples", "40000"],
+_LIGHT = ("scipy", "jsonschema")
+_STATS_FREE = ("scipy.stats", "scipy.optimize")
+_MODULE_PROBES = {
+    "import": (None, None, _LIGHT, ("numpy.random",)),
+    "ball": (["ball", "--params", '{"z0": [0.6, 0.0], "r": 0.5}'], cli.EXIT_PASS, _LIGHT, ("numpy.random",)),
+    "berezin": (["berezin", "--measure", '{"dimension": 1, "density": {"type": "power", "s": 0.0}}',
+                 "--params", '{"k_max": 8}', "--samples", "40000"],
+                cli.EXIT_PASS, (*_LIGHT, "numpy.ma"), ("numpy.random",)),
     # a pole density draws from the Beta tilt, whose normalisation is a closed form
-    "berezin-pole": ["berezin", "--measure", '{"dimension": 1, "density": {"type": "power", "s": -0.5}}',
-                     "--params", '{"k_max": 8}', "--samples", "40000"],
-    "malformed": ["seq", "analyze", "--sequence", '{"type": "ladder"}'],
+    "berezin-pole": (["berezin", "--measure", '{"dimension": 1, "density": {"type": "power", "s": -0.5}}',
+                      "--params", '{"k_max": 8}', "--samples", "40000"],
+                     cli.EXIT_PASS, (*_LIGHT, "numpy.ma"), ("numpy.random",)),
+    "carleson-test": (["carleson-test", "--measure", '{"dimension": 1, "density": {"type": "power", "s": -0.5}}'],
+                      cli.EXIT_FAIL, ("numpy.ma",), ()),
+    "malformed": (["seq", "analyze", "--sequence", '{"type": "ladder"}'], cli.EXIT_USAGE, _LIGHT, ("numpy.random",)),
     # a ball count of one block of centres builds no KD-tree
-    "seq-analyze-one-point": ["seq", "analyze", "--sequence", '{"type": "points", "rows": [[0.3, 0.1]]}'],
-    **{f"{op}-{name}": ["ball", "--domain", domain, "--params", json.dumps({"op": op, **params})]
+    "seq-analyze-one-point": (["seq", "analyze", "--sequence", '{"type": "points", "rows": [[0.3, 0.1]]}'],
+                              cli.EXIT_PASS, _LIGHT, ("numpy.random",)),
+    **{f"{op}-{name}": (["ball", "--domain", domain, "--params", json.dumps({"op": op, **params})],
+                        cli.EXIT_PASS, _LIGHT, ("numpy.random",))
        for name, domain in (("ellipsoid", _ELLIPSOID), ("perturbed-ball", _PERTURBED_BALL))
        for op, params in (("boundary_distance", {"z": [0.3, 0.1, 0.0, 0.2]}),
                           ("check_distance_comparison", {"z0": [0.3, 0.1, 0.0, 0.2], "r": 0.5, "samples": 200}))},
+    "cover": (["cover", "--params", '{"n": 1, "epsilon": 0.1, "r": 0.5}'], cli.EXIT_PASS, _STATS_FREE,
+              ("scipy.spatial",)),
+    "packing": (["seq", "analyze", "--sequence", '{"type": "packing", "n": 1}'], cli.EXIT_PASS, _STATS_FREE,
+                ("scipy.spatial",)),
+    "verify": (["verify", "quick", "--seed", "5"], cli.EXIT_PASS, _STATS_FREE, ("scipy.spatial",)),
 }
 _LOADED_MODULES = """
 import json, sys
 import carleson_lab, carleson_lab.cli as cli
 argv = json.loads(sys.argv[1])
 code = None if argv is None else cli.main(argv)
-print(json.dumps({"code": code, "numpy.random": "numpy.random" in sys.modules,
-                  "numpy.ma": "numpy.ma" in sys.modules, "jsonschema": "jsonschema" in sys.modules,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
@@ -76,65 +96,53 @@ def _package_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def _modules_loaded_by(tmp_path, argv) -> dict:
-    """Exit code and loaded modules of a fresh interpreter that runs ``argv``
-    through cli.main (or, for None, only imports the package)."""
-    if argv is not None:
-        argv = [*argv, "--out", str(tmp_path / "o")]
-    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(argv)], cwd=tmp_path, env=_package_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+@pytest.fixture(scope="session")
+def module_probe(tmp_path_factory):
+    """Runs one probe's call in a fresh interpreter, at most once per session,
+    and returns its exit code and loaded modules, and its run directory."""
+    probed: dict[str, tuple[dict, Path]] = {}
+
+    def run(case):
+        if case not in probed:
+            argv = _MODULE_PROBES[case][0]
+            out = tmp_path_factory.mktemp(f"probe-{case}")
+            if argv is not None:
+                argv = [*argv, "--out", str(out / "o")]
+            proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(argv)], cwd=out,
+                                  env=_package_env(), capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            probed[case] = json.loads(proc.stdout.splitlines()[-1]), out
+        return probed[case]
+
+    return run
 
 
-@pytest.mark.parametrize("case", sorted(_SCIPY_FREE_CALLS))
-def test_import_and_light_commands_load_no_scipy(tmp_path, case):
-    argv = _SCIPY_FREE_CALLS[case]
-    loaded = _modules_loaded_by(tmp_path, argv)
-    assert loaded["scipy"] == [], loaded["scipy"][:5]
-    assert loaded["jsonschema"] is False
-    assert loaded["numpy.random"]
-    if case not in ("import", "malformed"):
-        assert loaded["code"] == cli.EXIT_PASS
-        assert "scipy" not in json.loads((tmp_path / "o" / "manifest.json").read_text())["versions"]
-    elif case == "malformed":
-        assert loaded["code"] == cli.EXIT_USAGE
-
-
-# the verdicts take their medians without np.median, whose first call imports
-# numpy.ma (about 9 ms of every run); the README's carleson-test measure, the
-# pole (1 - |w|^2)^-1/2, is no Carleson measure and exits 1
-_MA_FREE_CALLS = {name: (_SCIPY_FREE_CALLS[name], cli.EXIT_PASS) for name in ("berezin", "berezin-pole")} | {
-    "carleson-test": (["carleson-test", "--measure", '{"dimension": 1, "density": {"type": "power", "s": -0.5}}'],
-                      cli.EXIT_FAIL),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_MA_FREE_CALLS))
-def test_berezin_and_carleson_test_load_no_numpy_ma(tmp_path, case):
-    argv, code = _MA_FREE_CALLS[case]
-    loaded = _modules_loaded_by(tmp_path, argv)
+def _check_module_probe(module_probe, case):
+    _, code, absent, present = _MODULE_PROBES[case]
+    loaded, out = module_probe(case)
     assert loaded["code"] == code
-    assert loaded["numpy.ma"] is False
+    packages = {m.rsplit(".", k)[0] for m in loaded["modules"] for k in range(m.count(".") + 1)}
+    assert [m for m in absent if m in packages] == []
+    assert [m for m in present if m not in packages] == []
+    if "scipy" in absent and code == cli.EXIT_PASS:
+        assert "scipy" not in json.loads((out / "o" / "manifest.json").read_text())["versions"]
 
 
-# packings and covers draw their scrambled Sobol candidates in numpy, and
-# boundary distances are a numpy projection, so the calls that build them load
-# scipy but never scipy.stats or scipy.optimize
-_STATS_FREE_CALLS = {
-    "cover": ["cover", "--params", '{"n": 1, "epsilon": 0.1, "r": 0.5}'],
-    "packing": ["seq", "analyze", "--sequence", '{"type": "packing", "n": 1}'],
-    "verify": ["verify", "quick", "--seed", "5"],
-}
+# The three tests below read the one table above and share its interpreters,
+# one per call; each keeps the calls it has always named.
+@pytest.mark.parametrize("case", sorted(c for c, probe in _MODULE_PROBES.items() if "scipy" in probe[2]))
+def test_import_and_light_commands_load_no_scipy(module_probe, case):
+    _check_module_probe(module_probe, case)
 
 
-@pytest.mark.parametrize("case", sorted(_STATS_FREE_CALLS))
-def test_packings_covers_and_verify_load_no_scipy_stats(tmp_path, case):
-    loaded = _modules_loaded_by(tmp_path, _STATS_FREE_CALLS[case])
-    assert loaded["code"] == cli.EXIT_PASS
-    assert "scipy.spatial" in loaded["scipy"]
-    assert "scipy.stats" not in loaded["scipy"]
-    assert "scipy.optimize" not in loaded["scipy"]
+@pytest.mark.parametrize("case", sorted(c for c, probe in _MODULE_PROBES.items() if "numpy.ma" in probe[2]))
+def test_berezin_and_carleson_test_load_no_numpy_ma(module_probe, case):
+    _check_module_probe(module_probe, case)
+
+
+@pytest.mark.parametrize("case", sorted(c for c, probe in _MODULE_PROBES.items() if "scipy.stats" in probe[2]))
+def test_packings_covers_and_verify_load_no_scipy_stats(module_probe, case):
+    _check_module_probe(module_probe, case)
 
 
 # Builds above MAX_VALUES values exit 3 naming the field, in a process whose

@@ -336,7 +336,7 @@ def test_fused_mixture_density_matches_componentwise_sum():
     comps, weights = bg._berezin_components(z, 0.5)
     pis = np.asarray(weights) / np.sum(weights)
     rng = np.random.default_rng(0)
-    pts = [comp.sample(rng, 500) for comp in comps]
+    pts = [_placed(comp, rng, 500) for comp in comps]
     e = z / np.linalg.norm(z)
     radii = [comp.t for comp in comps if isinstance(comp, PullbackBallComponent)]
     on_edge = 0
@@ -361,6 +361,13 @@ def test_fused_mixture_density_matches_componentwise_sum():
 # The oracles below draw and evaluate every keyed batch on its own, as the
 # engine did before consecutive batches shared one block of arithmetic, and
 # fold the groups in the reference way; the engine must agree bit for bit.
+
+def _placed(source, rng, m):
+    """A batch of m points as each source made them before blocks: its draw,
+    scaled, then placed by the Moebius map about its base unless that is None."""
+    pts = g._scale_directions(*source.draw(rng, m))
+    return pts if source.base is None else g.ball_automorphism_many(source.base, pts)
+
 
 def _oracle_fold(groups, weights):
     value, var, total, bad = 0j, 0.0, 0, 0
@@ -417,7 +424,7 @@ def _per_batch_mixture_estimate(f, components, weights, cfg):
     density = _per_batch_mixture_density(components, pis)
 
     def batch_values(k, rng, m):
-        pts = components[k].sample(rng, m)
+        pts = _placed(components[k], rng, m)
         return np.asarray(f(pts)) / density(pts)
 
     return _oracle_fold(_per_batch_groups(batch_values, counts, cfg), pis)
